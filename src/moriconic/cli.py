@@ -31,6 +31,11 @@ from .motivic import (
 
 SCHEMA_VERSION = 1
 
+# How deep a space identifier may nest Sym2.  Each level doubles the degree
+# of the polynomial: --space Sym2 over 10 nested levels on P^1 takes about
+# half a second, two levels more take about a minute.
+MAX_SYM2_NESTING = 10
+
 
 class CliParseError(Exception):
     pass
@@ -83,13 +88,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nests too deeply") from None
+
+
 def _load_doc(args) -> dict:
     if getattr(args, "infile", None):
         with open(args.infile, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = args.inline
-    doc = json.loads(text)
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON document must be an object")
     return doc
@@ -127,29 +142,38 @@ def _space_from_args(args):
     if args.space == "Sym2":
         if not args.inner:
             raise ValueError("--space Sym2 requires --inner")
-        return Sym2Of(_space_from_json(json.loads(args.inner)))
+        return Sym2Of(_space_from_json(_parse_json(args.inner)))
     raise ValueError(f"unknown space {args.space!r}")
 
 
 def _space_from_json(doc):
+    """The space an identifier names; Sym2 levels are unwound without recursion."""
+    levels = 0
+    while isinstance(doc, dict) and doc.get("space") == "Sym2":
+        levels += 1
+        if levels > MAX_SYM2_NESTING:
+            raise ValueError(f"Sym2 identifiers nest at most {MAX_SYM2_NESTING} deep")
+        doc = doc["inner"]
     if not isinstance(doc, dict) or "space" not in doc:
         raise ValueError("space identifier must be an object with a 'space' key")
     tag = doc["space"]
     if tag == "Pn":
-        return ProjSpace(doc["n"])
-    if tag == "Gr":
-        return Grassmannian(doc["k"], doc["N"])
-    if tag == "MbarP":
-        return KontsevichProj(doc["n"])
-    if tag == "MbarGr":
-        return MbarGr(doc["n"])
-    if tag == "T4":
-        return T4(doc["n"])
-    if tag == "MP2-4m+2":
-        return MP24m2()
-    if tag == "Sym2":
-        return Sym2Of(_space_from_json(doc["inner"]))
-    raise ValueError(f"unknown space identifier {tag!r}")
+        space = ProjSpace(doc["n"])
+    elif tag == "Gr":
+        space = Grassmannian(doc["k"], doc["N"])
+    elif tag == "MbarP":
+        space = KontsevichProj(doc["n"])
+    elif tag == "MbarGr":
+        space = MbarGr(doc["n"])
+    elif tag == "T4":
+        space = T4(doc["n"])
+    elif tag == "MP2-4m+2":
+        space = MP24m2()
+    else:
+        raise ValueError(f"unknown space identifier {tag!r}")
+    for _ in range(levels):
+        space = Sym2Of(space)
+    return space
 
 
 def _run_poincare(args) -> dict:
@@ -211,7 +235,7 @@ def _run_chamber(args) -> dict:
         if args.n_mode is not None:
             combo = DivisorCombo.make(dict(doc["coeffs"]), NMode(args.n_mode))
     else:
-        coeffs = json.loads(args.coeffs)
+        coeffs = _parse_json(args.coeffs)
         if not isinstance(coeffs, dict):
             raise ValueError("--coeffs must be a JSON object")
         combo = DivisorCombo.make(coeffs, NMode(args.n_mode or "gt3"))
@@ -232,10 +256,9 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     out_path = None
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         out_path = getattr(args, "out", None)
         doc = _RUNNERS[args.subcommand](args)
     except CliParseError as exc:

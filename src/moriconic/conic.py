@@ -21,14 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IdenticallyZero, ZeroConic
-from .kronecker import KroneckerModule, LinearForm, column_minors, index_pairs
+from .kronecker import KroneckerModule, LinearForm, column_minors, index_pairs, integer_minors
 from .linalg import (
     ALL_ZERO,
     BinaryForm,
     RatMatrix,
     as_rat,
-    binary_form_gcd,
+    clear_denominators,
+    quadratic_gcd,
     quadratic_root_structure,
+    quadratics_over,
 )
 
 
@@ -111,7 +113,7 @@ def conic_degree(c: PluckerConic) -> int:
     """
     if c.is_zero:
         raise ZeroConic("the degree of the zero conic is undefined")
-    g = binary_form_gcd(c.forms())
+    g = quadratic_gcd(clear_denominators(f.coeffs)[0] for f in c.forms())
     return 2 - g.degree
 
 
@@ -181,89 +183,73 @@ class ModificationResult:
     base_points: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _entry_pairs(entry, i: int):
-    """Coefficients of x_i through the lambda-polynomial entry."""
-    return [f.coeffs[i] for f in entry]
+def _wedge_by_degree(F: LambdaFamily):
+    """The wedge coordinates of D * F, one list of integer triples per power of lambda.
 
-
-def _lambda_minor(g1i, g1j, g2i, g2j) -> list[BinaryForm]:
-    """Minor of two lambda-polynomial columns of G, as a lambda-list of quadratics.
-
-    Each argument is a list over lambda-degree of (a, b) pairs standing for
-    the linear form a*s + b*t.
+    D is the least common denominator of the family, so the coordinates of F
+    are these over D^2.  The lambda^k coefficient of the minor over i < j sums,
+    over d1 + d2 = k, the minors of the pencil rows of degrees d1 and d2.
+    Returns a generator of (k, triples) and D^2.
     """
+    flat = [c for row in F.entries for entry in row for f in entry for c in f.coeffs]
+    ints, d = clear_denominators(flat)
+    coeffs = iter(ints)
+    size = F.n + 1
+    zero = [0] * size
 
-    def conv(u, v):
-        if not u or not v:
-            return []
-        out = [BinaryForm.zero(2) for _ in range(len(u) + len(v) - 1)]
-        for d1, (a1, b1) in enumerate(u):
-            for d2, (a2, b2) in enumerate(v):
-                prod = BinaryForm(2, (a1 * a2, a1 * b2 + b1 * a2, b1 * b2))
-                out[d1 + d2] = out[d1 + d2] + prod
-        return out
-
-    plus, minus = conv(g1i, g2j), conv(g1j, g2i)
-    size = max(len(plus), len(minus))
-    out = []
-    for d in range(size):
-        a = plus[d] if d < len(plus) else BinaryForm.zero(2)
-        b = minus[d] if d < len(minus) else BinaryForm.zero(2)
-        out.append(a - b)
-    while out and out[-1].is_zero:
-        out.pop()
-    return out
-
-
-def _family_minors(F: LambdaFamily) -> dict:
-    (e11, e12), (e21, e22) = F.entries
-
-    def g_entry(left, right, i):
-        a = _entry_pairs(left, i)
-        b = _entry_pairs(right, i)
-        size = max(len(a), len(b))
+    def pencil(row):
+        """Per lambda degree, the coefficients of s and of t in the row."""
+        left, right = ([[next(coeffs) for _ in range(size)] for _ in entry] for entry in row)
         return [
-            (a[d] if d < len(a) else Fraction(0), b[d] if d < len(b) else Fraction(0))
-            for d in range(size)
+            (left[e] if e < len(left) else zero, right[e] if e < len(right) else zero)
+            for e in range(max(1, len(left), len(right)))
         ]
 
-    g1 = [g_entry(e11, e12, i) for i in range(F.n + 1)]
-    g2 = [g_entry(e21, e22, i) for i in range(F.n + 1)]
-    return {(i, j): _lambda_minor(g1[i], g1[j], g2[i], g2[j]) for i, j in index_pairs(F.n)}
+    top, bottom = pencil(F.entries[0]), pencil(F.entries[1])
+
+    def degrees():
+        for k in range(len(top) + len(bottom) - 1):
+            total = None
+            for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
+                part = integer_minors(*top[d1], *bottom[k - d1])
+                total = list(part) if total is None else [
+                    (x + u, y + v, z + w) for (x, y, z), (u, v, w) in zip(total, part)
+                ]
+            yield k, total
+
+    return degrees(), d * d
+
+
+def _conic(n: int, triples, den: int) -> PluckerConic:
+    return PluckerConic(n, dict(zip(index_pairs(n), quadratics_over(triples, den))))
 
 
 def family_conic(F: LambdaFamily, lam) -> PluckerConic:
     """Wedge coordinates of the family at a specific rational parameter value."""
     lam = as_rat(lam)
-    minors = _family_minors(F)
-    coords = {}
-    for pair, lam_list in minors.items():
-        f = BinaryForm.zero(2)
-        power = Fraction(1)
-        for coeff in lam_list:
-            f = f + power * coeff
-            power *= lam
-        coords[pair] = f
-    return PluckerConic(F.n, coords)
+    degrees, den = _wedge_by_degree(F)
+    slices = [triples for _, triples in degrees]
+    # sum_k T_k (p/q)^k = sum_k T_k p^k q^(K-k) / q^K, with K the top degree
+    p, q = lam.numerator, lam.denominator
+    top = len(slices) - 1
+    weights = [p**k * q ** (top - k) for k in range(top + 1)]
+    values = [
+        tuple(sum(w * t[i] for w, t in zip(weights, column)) for i in range(3))
+        for column in zip(*slices)
+    ]
+    return _conic(F.n, values, den * q**top)
 
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    minors = _family_minors(F)
-    valuations = []
-    for lam_list in minors.values():
-        val = next((d for d, f in enumerate(lam_list) if not f.is_zero), None)
-        if val is not None:
-            valuations.append(val)
-    if not valuations:
+    degrees, den = _wedge_by_degree(F)
+    for k, triples in degrees:
+        if any(any(t) for t in triples):
+            break
+    else:
         raise IdenticallyZero("the wedge of the family vanishes for every lambda")
-    k = min(valuations)
-    coords = {
-        pair: (lam_list[k] if k < len(lam_list) else BinaryForm.zero(2))
-        for pair, lam_list in minors.items()
-    }
-    conic = PluckerConic(F.n, coords)
-    g = binary_form_gcd(conic.forms())
+    conic = _conic(F.n, triples, den)
+    g = quadratic_gcd(triples)
     assert g is not ALL_ZERO  # impossible by minimality of k
     points: tuple[tuple[Fraction, Fraction], ...] = ()
     if g.degree >= 1:

@@ -23,7 +23,10 @@ structure separates the orbit types:
     gcd of degree 0          -> stable
 
 Scaling every entry by a nonzero constant changes nothing above, so verdicts
-only depend on the projective class.
+only depend on the projective class.  Each entry point therefore scales the
+module to integer coefficients once and decides everything with Python ints:
+proportional columns or rows by cross products, and the minor gcd from the
+span of the minors, which is at most 3-dimensional (see quadratic_gcd).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd as _int_gcd
 
@@ -42,9 +44,12 @@ from .linalg import (
     RatMatrix,
     RootKind,
     as_rat,
-    binary_form_gcd,
+    bareiss,
+    clear_denominators,
     format_rat,
+    quadratic_gcd,
     quadratic_root_structure,
+    quadratics_over,
 )
 
 
@@ -261,6 +266,33 @@ def pencil_matrix(M: KroneckerModule, s, t) -> RatMatrix:
     return RatMatrix([row1, row2])
 
 
+def _integer_coefficients(M: KroneckerModule):
+    """(m11, m12, m21, m22, D): the coefficient lists of D * M, all integers.
+
+    D is the least common denominator of the module; scaling by it changes
+    no verdict, because verdicts depend only on the projective class.
+    """
+    forms = (M.m11, M.m12, M.m21, M.m22)
+    ints, d = clear_denominators([c for f in forms for c in f.coeffs])
+    size = M.n + 1
+    return (*(ints[k * size:(k + 1) * size] for k in range(4)), d)
+
+
+def integer_minors(a1, b1, a2, b2):
+    """Coefficient triples (s^2, st, t^2) of the 2x2 minors of the pencil rows
+    s * a1 + t * b1 and s * a2 + t * b2, lazily, in index_pairs order."""
+    size = len(a1)
+    for i in range(size):
+        a1i, b1i, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
+        for j in range(i + 1, size):
+            a1j, b1j, a2j, b2j = a1[j], b1[j], a2[j], b2[j]
+            yield (
+                a1i * a2j - a1j * a2i,
+                a1i * b2j + b1i * a2j - a1j * b2i - b1j * a2i,
+                b1i * b2j - b1j * b2i,
+            )
+
+
 def column_minors(M: KroneckerModule) -> list[BinaryForm]:
     """2x2 minors of the coefficient matrix of Mv for v = (s, t).
 
@@ -268,54 +300,53 @@ def column_minors(M: KroneckerModule) -> list[BinaryForm]:
     m_k1) + t * (x_i coefficient of m_k2); the minor over columns i < j is a
     binary quadratic.  Minors are listed in lexicographic pair order.
     """
-    a1, b1 = M.m11.coeffs, M.m12.coeffs
-    a2, b2 = M.m21.coeffs, M.m22.coeffs
-    out = []
-    for i, j in index_pairs(M.n):
-        s2 = a1[i] * a2[j] - a1[j] * a2[i]
-        st = a1[i] * b2[j] + b1[i] * a2[j] - a1[j] * b2[i] - b1[j] * a2[i]
-        t2 = b1[i] * b2[j] - b1[j] * b2[i]
-        out.append(BinaryForm(2, (s2, st, t2)))
-    return out
+    a1, b1, a2, b2, d = _integer_coefficients(M)
+    return quadratics_over(integer_minors(a1, b1, a2, b2), d * d)
 
 
-@lru_cache(maxsize=1024)
 def minor_gcd(M: KroneckerModule):
     """Gcd of all column minors; ALL_ZERO exactly on the scalar-matrix locus."""
-    return binary_form_gcd(column_minors(M))
+    a1, b1, a2, b2, _ = _integer_coefficients(M)
+    return quadratic_gcd(integer_minors(a1, b1, a2, b2))
 
 
-def _normalize_vector(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    lcm = 1
-    for c in v:
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in v]
-    g = 0
-    for x in ints:
-        g = _int_gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+def _dependency(u, w) -> tuple[int, int] | None:
+    """Coprime (v0, v1), first nonzero entry positive, with v0 u + v1 w = 0;
+    None when the integer vectors u and w are independent."""
+    k = next((i for i, x in enumerate(u) if x), None)
+    if k is None:
+        return (1, 0)
+    uk, wk = u[k], w[k]
+    if any(uk * y != wk * x for x, y in zip(u, w)):
+        return None
+    g = _int_gcd(uk, wk)
+    v0, v1 = wk // g, -uk // g
+    return (v0, v1) if v0 > 0 or (v0 == 0 and v1 > 0) else (-v0, -v1)
 
 
-@lru_cache(maxsize=1024)
-def _destabilizing_witness(M: KroneckerModule) -> Witness | None:
-    """Rational v with Mv = 0, else rational w with w^T M = 0, else None."""
-    col1 = M.m11.coeffs + M.m21.coeffs
-    col2 = M.m12.coeffs + M.m22.coeffs
-    right = RatMatrix(list(zip(col1, col2))).right_nullspace()
-    if right:
-        v = _normalize_vector(right[0])
-        return Witness(WitnessKind.ZERO_COLUMN, vector=(v[0], v[1]))
-    row1 = M.m11.coeffs + M.m12.coeffs
-    row2 = M.m21.coeffs + M.m22.coeffs
-    left = RatMatrix(list(zip(row1, row2))).right_nullspace()
-    if left:
-        w = _normalize_vector(left[0])
-        return Witness(WitnessKind.ZERO_ROW, vector=(w[0], w[1]))
+def _destabilizing_witness(a1, b1, a2, b2) -> Witness | None:
+    """Rational v with Mv = 0, else rational w with w^T M = 0, else None.
+
+    Such v exists exactly when the two columns of M are proportional, and w
+    when the two rows are; integer cross products decide both.
+    """
+    for kind, u, w in (
+        (WitnessKind.ZERO_COLUMN, a1 + a2, b1 + b2),
+        (WitnessKind.ZERO_ROW, a1 + b1, a2 + b2),
+    ):
+        v = _dependency(u, w)
+        if v is not None:
+            return Witness(kind, vector=(Fraction(v[0]), Fraction(v[1])))
     return None
+
+
+def _stability(M: KroneckerModule):
+    """(instability witness, None) or (None, minor gcd), from one integer pass."""
+    a1, b1, a2, b2, _ = _integer_coefficients(M)
+    w = _destabilizing_witness(a1, b1, a2, b2)
+    if w is not None:
+        return w, None
+    return None, quadratic_gcd(integer_minors(a1, b1, a2, b2))
 
 
 def _stratum_of_semistable(g) -> Stratum:
@@ -331,9 +362,8 @@ def _stratum_of_semistable(g) -> Stratum:
 
 def stratify(M: KroneckerModule) -> Stratum:
     """Locate M in the stratification of the semistable locus by orbit type."""
-    if _destabilizing_witness(M) is not None:
-        return Stratum.UNSTABLE_LOCUS
-    return _stratum_of_semistable(minor_gcd(M))
+    w, g = _stability(M)
+    return Stratum.UNSTABLE_LOCUS if w is not None else _stratum_of_semistable(g)
 
 
 def _semistable_witness(g) -> Witness:
@@ -349,10 +379,9 @@ def _semistable_witness(g) -> Witness:
 
 def classify_stability(M: KroneckerModule) -> StabilityClass:
     """Full GIT verdict with witness, orbit closedness, and stabilizer kind."""
-    w = _destabilizing_witness(M)
+    w, g = _stability(M)
     if w is not None:
         return StabilityClass(Verdict.UNSTABLE, w, None, None)
-    g = minor_gcd(M)
     stratum = _stratum_of_semistable(g)
     if stratum is Stratum.STABLE_LOCUS:
         return StabilityClass(Verdict.STABLE, None, True, StabilizerKind.FINITE)
@@ -364,17 +393,20 @@ def classify_stability(M: KroneckerModule) -> StabilityClass:
     return StabilityClass(Verdict.STRICTLY_SEMISTABLE, witness, False, None)
 
 
+def _det_gram(a, b, c, d, indices) -> list[list[int]]:
+    """2 x the Gram matrix of a*d - b*c restricted to the given coordinates."""
+    return [
+        [a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i] for j in indices]
+        for i in indices
+    ]
+
+
 def det_quadric(M: KroneckerModule) -> QuadricForm:
     """Symmetric Gram matrix of det M = m11 m22 - m12 m21."""
-    a, d = M.m11.coeffs, M.m22.coeffs
-    b, c = M.m12.coeffs, M.m21.coeffs
-    half = Fraction(1, 2)
-    size = M.n + 1
-    gram = [
-        [half * (a[i] * d[j] + a[j] * d[i]) - half * (b[i] * c[j] + b[j] * c[i]) for j in range(size)]
-        for i in range(size)
-    ]
-    return QuadricForm(M.n, RatMatrix(gram))
+    a, b, c, d, den = _integer_coefficients(M)
+    scale = 2 * den * den
+    gram = _det_gram(a, b, c, d, range(M.n + 1))
+    return QuadricForm(M.n, RatMatrix([[Fraction(x, scale) for x in row] for row in gram]))
 
 
 def quadric_rank(Q: QuadricForm) -> int:
@@ -387,11 +419,17 @@ def cokernel_kind(M: KroneckerModule) -> CokernelKind:
     Determinant rank 3 or 4 gives a twisted ideal sheaf of a codimension-two
     linear space inside an irreducible quadric; rank <= 2 gives an extension
     of two hyperplane structure sheaves.
+
+    The Gram matrix of a*d - b*c is W K W^T for W = [a b c d] and a constant
+    4 x 4 matrix K.  If the coordinates P give r = rank W independent rows
+    W_P, then W = T W_P with T of full column rank, so the determinant rank is
+    the rank of the r x r block of the Gram matrix on P.
     """
-    cls = classify_stability(M)
-    if cls.verdict is Verdict.UNSTABLE:
+    a, b, c, d, _ = _integer_coefficients(M)
+    if _destabilizing_witness(a, b, c, d) is not None:
         raise NotSemistable("cokernel shape is defined for semistable modules only")
-    r = quadric_rank(det_quadric(M))
+    _, pivots, _ = bareiss([a, b, c, d])
+    r = len(bareiss(_det_gram(a, b, c, d, pivots))[1])
     if r >= 3:
         return CokernelKind("twisted_ideal_of_quadric", r)
     return CokernelKind("plane_pair_extension", r)

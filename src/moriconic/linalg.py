@@ -1,10 +1,13 @@
 """Exact rational scalars, dense matrices, and binary-form utilities.
 
-Scalars are fractions.Fraction throughout; nothing in this package touches
-floating point, because every classification downstream is a discrete verdict
-that must be exact.  Binary forms are homogeneous polynomials in (s, t),
-stored by coefficient of s^(d-i) t^i.  Irrational roots are never constructed;
-existence is certified through the discriminant or gcd degrees.
+Scalars are fractions.Fraction at every public boundary; nothing in this
+package touches floating point, because every classification downstream is a
+discrete verdict that must be exact.  Elimination runs on integers: rows are
+scaled to clear denominators (which changes no rank, span or reduced form) and
+reduced fraction-free, so Fractions appear only in the results.  Binary
+forms are homogeneous polynomials in (s, t), stored by coefficient of
+s^(d-i) t^i.  Irrational roots are never constructed; existence is certified
+through the discriminant or gcd degrees.
 """
 
 from __future__ import annotations
@@ -33,13 +36,62 @@ def as_rat(x) -> Fraction:
     if isinstance(x, str):
         if not _RAT_RE.match(x):
             raise ValueError(f"malformed rational string: {x!r}")
-        return Fraction(x)
+        num, _, den = x.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
 def format_rat(x: Fraction) -> str:
     """Canonical wire form: 'p' or 'p/q' with q > 1."""
     return str(x)
+
+
+def clear_denominators(values: Iterable) -> tuple[list[int], int]:
+    """(D * values, D) for D the least common denominator of the rationals."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _over(ints: Sequence[int], den: int) -> Sequence:
+    """ints / den.  When den is 1 the ints themselves: as_rat turns them into
+    Fractions faster than Fraction(x, 1) would."""
+    return ints if den == 1 else [Fraction(x, den) for x in ints]
+
+
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
+
+    Returns the nonzero rows of the reduced echelon form scaled by a common
+    integer d, the pivot columns, and d: row i over d is row i of the reduced
+    row echelon form.  Each update (p * x - f * y) / prev divides exactly by
+    Sylvester's identity, so entries stay minors of the input.
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], tuple(pivots), prev
 
 
 class RatMatrix:
@@ -93,42 +145,32 @@ class RatMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
         )
 
+    def _integer_rows(self) -> list[list[int]]:
+        # scaling a row by a nonzero constant changes no rank, nullspace or rref
+        return [clear_denominators(row)[0] for row in self.entries]
+
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        m = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RatMatrix(m) if m else RatMatrix([]), tuple(pivots)
+        rows, pivots, d = bareiss(self._integer_rows())
+        zero = [Fraction(0)] * self.cols
+        red = [[Fraction(x, d) for x in row] for row in rows]
+        red += [zero] * (self.rows - len(rows))
+        return RatMatrix(red) if red else RatMatrix([]), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(bareiss(self._integer_rows())[1])
 
     def right_nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of {v : Mv = 0}, one tuple per free column."""
-        red, pivots = self.rref()
+        rows, pivots, d = bareiss(self._integer_rows())
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for fc in free:
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][fc]
+            for row, pc in zip(rows, pivots):
+                v[pc] = Fraction(-row[fc], d)
             basis.append(tuple(v))
         return tuple(basis)
 
@@ -181,7 +223,9 @@ class BinaryForm:
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        return BinaryForm(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        ints, den = clear_denominators(self.coeffs + other.coeffs)
+        size = self.degree + 1
+        return BinaryForm(self.degree, _over([a + b for a, b in zip(ints, ints[size:])], den))
 
     def __sub__(self, other: "BinaryForm") -> "BinaryForm":
         return self + (-other)
@@ -192,12 +236,14 @@ class BinaryForm:
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
             d = self.degree + other.degree
-            out = [Fraction(0)] * (d + 1)
-            for i, a in enumerate(self.coeffs):
+            xs, dx = clear_denominators(self.coeffs)
+            ys, dy = clear_denominators(other.coeffs)
+            out = [0] * (d + 1)
+            for i, a in enumerate(xs):
                 if a:
-                    for j, b in enumerate(other.coeffs):
+                    for j, b in enumerate(ys):
                         out[i + j] += a * b
-            return BinaryForm(d, out)
+            return BinaryForm(d, _over(out, dx * dy))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -269,6 +315,47 @@ class AllZero:
 
 
 ALL_ZERO = AllZero()
+
+
+def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
+    """Gcd of binary quadratics given as integer coefficient triples.
+
+    The triples span at most three dimensions, and the span decides the gcd.
+    Dimension 3 leaves no common factor.  In dimension 2 the cross product
+    (X, Y, Z) of two basis triples is proportional to (s0^2, s0 t0, t0^2) for
+    every common root (s0 : t0), so the basis shares a root exactly when the
+    resultant Y^2 - XZ vanishes, and then the root is (X : Y), or (0 : 1) when
+    X = 0.  In dimension 1 every triple is a multiple of the first nonzero one.
+    Reading stops at the third independent triple.  The result is normalized
+    as by binary_form_gcd, and ALL_ZERO when every triple is zero.
+    """
+    first = normal = None
+    for v in triples:
+        if normal is not None:
+            if normal[0] * v[0] + normal[1] * v[1] + normal[2] * v[2]:
+                return BinaryForm(0, (1,))
+        elif first is not None:
+            a, b, c = first
+            d, e, f = v
+            cross = (b * f - c * e, c * d - a * f, a * e - b * d)
+            if any(cross):
+                normal = cross
+        elif any(v):
+            first = v
+    if first is None:
+        return ALL_ZERO
+    if normal is None:
+        return BinaryForm(2, first).normalized()
+    x, y, z = normal
+    if y * y != x * z:
+        return BinaryForm(0, (1,))
+    s0, t0 = (x, y) if x else (y, z)
+    return BinaryForm(1, (t0, -s0)).normalized()
+
+
+def quadratics_over(triples: Iterable[Sequence[int]], den: int) -> list[BinaryForm]:
+    """Binary quadratics with the integer coefficient triples divided by den."""
+    return [BinaryForm(2, _over(t, den)) for t in triples]
 
 
 # Univariate helpers over Fraction, low degree first, canonical (no trailing 0).

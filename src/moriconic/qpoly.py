@@ -5,13 +5,13 @@ holding the coefficient of q^i, with trailing zeros stripped.  The zero
 polynomial is the empty tuple; its degree is None, never an integer.
 Coefficients are Python ints, so overflow is impossible by construction.
 
-Division is exact polynomial long division: a nonzero remainder (or a
-non-integer quotient) raises NotDivisible rather than ever being truncated.
+Division is exact polynomial long division in integers: a quotient
+coefficient that is not an integer, or a nonzero remainder, raises
+NotDivisible rather than ever being truncated.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import NotDivisible
@@ -159,20 +159,22 @@ class QPoly:
         qn = len(self.coeffs) - 1 - dn
         if qn < 0:
             raise NotDivisible("numerator degree below denominator degree")
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(den.coeffs[-1])
-        quot = [Fraction(0)] * (qn + 1)
+        rem = list(self.coeffs)
+        lead = den.coeffs[-1]
+        # each step cancels the top term exactly, so only lower terms change
+        terms = [(j, dj) for j, dj in enumerate(den.coeffs[:-1]) if dj]
+        quot = [0] * (qn + 1)
         for k in range(qn, -1, -1):
-            c = rem[k + dn] / lead
+            c, r = divmod(rem[k + dn], lead)
+            if r:
+                raise NotDivisible("quotient has non-integer coefficients")
             quot[k] = c
             if c:
-                for j, dj in enumerate(den.coeffs):
+                for j, dj in terms:
                     rem[k + j] -= c * dj
-        if any(rem):
+        if any(rem[:dn]):
             raise NotDivisible("long division left a nonzero remainder")
-        if any(c.denominator != 1 for c in quot):
-            raise NotDivisible("quotient has non-integer coefficients")
-        return QPoly([int(c) for c in quot])
+        return QPoly(quot)
 
     def subst_q_power(self, k: int) -> "QPoly":
         """The polynomial evaluated at q^k, for k >= 1."""

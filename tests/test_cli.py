@@ -84,6 +84,31 @@ class TestPoincare:
         assert code == 1
         assert json.loads(out)["error"] == "parse_error"
 
+    def test_nested_sym2(self, capsys):
+        inner = {"space": "Sym2", "inner": {"space": "Pn", "n": 1}}
+        code, out = run(capsys, "poincare", "--space", "Sym2", "--inner", json.dumps(inner))
+        assert code == 0
+        # Sym2 P^1 = P^2, whose symmetric square has (p(q)^2 + p(q^2)) / 2 with p = 1 + q + q^2
+        assert json.loads(out)["poly"] == ["1", "1", "2", "1", "1"]
+
+    def test_deep_sym2_nesting_is_one_parse_error(self, capsys):
+        depth = 2000  # deeper than the interpreter's recursion limit
+        inner = '{"space":"Sym2","inner":' * depth + '{"space":"Pn","n":1}' + "}" * depth
+        code, out = run(capsys, "poincare", "--space", "Sym2", "--inner", inner)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "parse_error"
+
+    def test_sym2_nesting_bound(self, capsys):
+        from moriconic.cli import MAX_SYM2_NESTING
+
+        inner = {"space": "Pn", "n": 1}
+        for _ in range(MAX_SYM2_NESTING + 1):
+            inner = {"space": "Sym2", "inner": inner}
+        code, out = run(capsys, "poincare", "--space", "Sym2", "--inner", json.dumps(inner))
+        assert code == 1
+        assert json.loads(out)["error"] == "parse_error"
+
 
 class TestStability:
     def test_diagonal_golden(self, capsys):
@@ -112,6 +137,12 @@ class TestStability:
 
     def test_malformed_module_is_parse_error(self, capsys):
         code, out = run(capsys, "stability", "--json", '{"n": 3, "matrix": []}')
+        assert code == 1
+        assert json.loads(out)["error"] == "parse_error"
+
+    def test_deeply_nested_document_is_parse_error(self, capsys):
+        doc = '{"n": 3, "matrix": ' + "[" * 5000 + "]" * 5000 + "}"
+        code, out = run(capsys, "stability", "--json", doc)
         assert code == 1
         assert json.loads(out)["error"] == "parse_error"
 
@@ -201,6 +232,15 @@ class TestHarnessContract:
         code, out = run(capsys, "frobnicate")
         assert code == 1
         assert json.loads(out)["error"] == "parse_error"
+
+    def test_parse_errors_repeat_in_one_process(self, capsys):
+        # the argument parser is built once and reused by every call
+        for argv in (["stability", "--bogus"], ["frobnicate"], ["stability", "--bogus"]):
+            code, out = run(capsys, *argv)
+            assert code == 1
+            assert json.loads(out)["error"] == "parse_error"
+        code, out = run(capsys, "stratify", "--json", json.dumps(DIAG_DOC))
+        assert code == 0 and json.loads(out)["stratum"] == "Y1"
 
     def test_byte_determinism(self, capsys):
         _, first = run(capsys, "poincare", "--space", "MbarGr", "--n", "4")

@@ -1,0 +1,111 @@
+"""Differential test of the integer kernel against the independent sympy route.
+
+Inputs are degenerate small-entry modules: n in {2, 3, 4}, entries in
+{-1, 0, 1} over denominators {1, 2, 3}, with columns, rows or the diagonal
+often tied together so every stratum occurs.  Ranks are recomputed with
+sympy.Matrix.rank from coefficients built here, sharing no code with the
+package.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
+
+from moriconic import (
+    KroneckerModule,
+    LinearForm,
+    Stratum,
+    Verdict,
+    WitnessKind,
+    binary_form_gcd,
+    classify_stability,
+    cokernel_kind,
+    column_minors,
+    det_quadric,
+    envelope,
+    minor_gcd,
+    pencil_matrix,
+    plucker_conic,
+    quadric_rank,
+    stratify,
+)
+
+from conftest import sympy_stratum
+
+VALUES = sorted({Fraction(p, q) for p in (-1, 0, 1) for q in (1, 2, 3)})
+TIES = ("none", "columns", "rows", "diagonal", "scalar", "triangular")
+
+
+@st.composite
+def degenerate_modules(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    entries = st.lists(st.sampled_from(VALUES), min_size=n + 1, max_size=n + 1)
+    a, b, c, d = (LinearForm(n, tuple(draw(entries))) for _ in range(4))
+    lam = draw(st.sampled_from(VALUES))
+    zero = LinearForm.zero(n)
+    tie = draw(st.sampled_from(TIES))
+    if tie == "columns":
+        b, d = lam * a, lam * c
+    elif tie == "rows":
+        c, d = lam * a, lam * b
+    elif tie == "diagonal":
+        b = c = zero
+    elif tie == "scalar":
+        b, c, d = zero, zero, a
+    elif tie == "triangular":
+        c, d = zero, lam * a
+    assume(not all(f.is_zero for f in (a, b, c, d)))
+    return KroneckerModule(n, a, b, c, d)
+
+
+def rat(x: Fraction):
+    return sp.Rational(x.numerator, x.denominator)
+
+
+def sympy_rank(rows) -> int:
+    return sp.Matrix([[rat(x) for x in row] for row in rows]).rank()
+
+
+def det_gram(M: KroneckerModule):
+    a, b, c, d = M.m11.coeffs, M.m12.coeffs, M.m21.coeffs, M.m22.coeffs
+    size = M.n + 1
+    return [
+        [(a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i]) / 2 for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def minor_slices(M: KroneckerModule):
+    a1, b1 = M.m11.coeffs, M.m12.coeffs
+    a2, b2 = M.m21.coeffs, M.m22.coeffs
+    pairs = list(combinations(range(M.n + 1), 2))
+    return [
+        [a1[i] * a2[j] - a1[j] * a2[i] for i, j in pairs],
+        [a1[i] * b2[j] + b1[i] * a2[j] - a1[j] * b2[i] - b1[j] * a2[i] for i, j in pairs],
+        [b1[i] * b2[j] - b1[j] * b2[i] for i, j in pairs],
+    ]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(degenerate_modules())
+def test_kernel_matches_sympy(M):
+    stratum = stratify(M)
+    assert stratum is sympy_stratum(M)
+    assert minor_gcd(M) == binary_form_gcd(column_minors(M))
+
+    det_rank = sympy_rank(det_gram(M))
+    assert quadric_rank(det_quadric(M)) == det_rank
+    if stratum is not Stratum.UNSTABLE_LOCUS:
+        assert cokernel_kind(M).det_rank == det_rank
+
+    slices = minor_slices(M)
+    if any(any(row) for row in slices):
+        assert envelope(plucker_conic(M)).dim == sympy_rank(slices)
+
+    cls = classify_stability(M)
+    assert (cls.verdict is Verdict.UNSTABLE) == (stratum is Stratum.UNSTABLE_LOCUS)
+    if cls.witness is not None and cls.witness.kind is WitnessKind.RANK_DROP:
+        s, t = cls.witness.vector
+        assert sympy_rank(pencil_matrix(M, s, t).entries) <= 1
