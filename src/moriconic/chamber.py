@@ -4,8 +4,10 @@ The effective cone is simplicial on Dunb, Ddeg, Delta; a nonnegative
 combination of the seven named generators is located inside a fixed 2D
 cross-section of that cone, triangulated into 9 open triangles, 15 open
 edges, and 7 vertices.  Each cell carries the birational model its divisors
-define.  All predicates are exact rational sign tests, so a combination on a
-wall is assigned the wall's own label, never a neighbouring chamber's.
+define.  The point is located in the closed triangle containing it; its cell
+is spanned by the corners with a positive barycentric coordinate.  Those
+signs are exact integer orientation tests, so a combination on a wall is
+assigned the wall's own label, never a neighbouring chamber's.
 
 The cross-section coordinates realize the required incidences: Dunb, H11, T
 are collinear; Ddeg, H2, T are collinear; and P is the intersection of the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm
 
 from .errors import ZeroDivisor
 from .linalg import as_rat, format_rat
@@ -37,6 +39,9 @@ _COORDS: dict[str, tuple[Fraction, Fraction]] = {
     "H2": (Fraction(15, 2), Fraction(7, 3)),
     "P": (Fraction(5), Fraction(14, 9)),
 }
+
+# The coordinates times 18, their common denominator, for integer sign tests.
+_GRID = {g: (int(x * 18), int(y * 18)) for g, (x, y) in _COORDS.items()}
 
 
 class NMode(Enum):
@@ -205,6 +210,12 @@ _EQ3_VERTICES: dict[str, Label] = {
 }
 
 
+_TABLES = {
+    NMode.GT3: (_GT3_VERTICES, _GT3_EDGES, _GT3_TRIANGLES),
+    NMode.EQ3: (_EQ3_VERTICES, _EQ3_EDGES, _EQ3_TRIANGLES),
+}
+
+
 @dataclass(frozen=True)
 class ChamberComplex:
     """The labeled cell complex of the cross-section for one mode."""
@@ -215,17 +226,10 @@ class ChamberComplex:
     edges: tuple[tuple[frozenset, Label], ...]
     triangles: tuple[tuple[frozenset, Label], ...]
 
-    def coordinate(self, generator: str) -> tuple[Fraction, Fraction]:
-        return dict(self.coords)[generator]
 
-
-@lru_cache(maxsize=None)
 def build_complex(n_mode: NMode = NMode.GT3) -> ChamberComplex:
     """The cross-section complex with the label table for the given mode."""
-    if n_mode is NMode.GT3:
-        vertices, edges, triangles = _GT3_VERTICES, _GT3_EDGES, _GT3_TRIANGLES
-    else:
-        vertices, edges, triangles = _EQ3_VERTICES, _EQ3_EDGES, _EQ3_TRIANGLES
+    vertices, edges, triangles = _TABLES[n_mode]
     return ChamberComplex(
         n_mode,
         tuple(_COORDS.items()),
@@ -240,50 +244,45 @@ def _orient(a, b, c) -> int:
     return (v > 0) - (v < 0)
 
 
-def _strictly_between(a, b, p) -> bool:
-    """p strictly inside segment ab, assuming collinearity was already checked."""
-    dot_a = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-    dot_b = (p[0] - b[0]) * (a[0] - b[0]) + (p[1] - b[1]) * (a[1] - b[1])
-    return dot_a > 0 and dot_b > 0
-
-
-def _in_open_triangle(a, b, c, p) -> bool:
-    ref = _orient(a, b, c)
-    return (
-        _orient(a, b, p) == ref
-        and _orient(b, c, p) == ref
-        and _orient(c, a, p) == ref
-    )
-
-
 def _sorted_gens(names) -> tuple[str, ...]:
     return tuple(sorted(names, key=GENERATORS.index))
 
 
+def _counterclockwise(a, b, c) -> tuple[str, str, str]:
+    return (a, b, c) if _orient(_GRID[a], _GRID[b], _GRID[c]) > 0 else (a, c, b)
+
+
+# The 9 triangles (the same in both modes), corners in counterclockwise order.
+_TRIANGLES = tuple(_counterclockwise(*_sorted_gens(gens)) for gens in _GT3_TRIANGLES)
+
+
 def resolve(d: DivisorCombo) -> ChamberVerdict:
-    """Locate the combination's cross-section point and return its cell's model."""
-    total = sum(v for _, v in d.coeffs)
-    if total == 0:
+    """Locate the combination's cross-section point and return its cell's model.
+
+    With the coefficients cleared to integer weights of sum w, the point is
+    p / w for p the weighted sum of the _GRID points; the sign tests compare
+    p with the grid scaled by w, all in integers.  The first closed triangle
+    whose three barycentric signs are all >= 0 contains the point, and the
+    corners with a positive sign span the cell.
+    """
+    scale = lcm(*(v.denominator for _, v in d.coeffs))
+    weights = [(g, v.numerator * (scale // v.denominator)) for g, v in d.coeffs]
+    w = sum(k for _, k in weights)
+    if w == 0:
         raise ZeroDivisor("all divisor coefficients vanish")
-    px = sum(v * _COORDS[g][0] for g, v in d.coeffs) / total
-    py = sum(v * _COORDS[g][1] for g, v in d.coeffs) / total
-    point = (px, py)
-    cx = build_complex(d.n_mode)
-    for name, label in cx.vertices:
-        if point == _COORDS[name]:
-            case, model, desc = label
-            return ChamberVerdict(case, model, desc, Cell(0, (name,)))
-    for gens, label in cx.edges:
-        a, b = (_COORDS[g] for g in _sorted_gens(gens))
-        if _orient(a, b, point) == 0 and _strictly_between(a, b, point):
-            case, model, desc = label
-            return ChamberVerdict(case, model, desc, Cell(1, _sorted_gens(gens)))
-    for gens, label in cx.triangles:
-        a, b, c = (_COORDS[g] for g in _sorted_gens(gens))
-        if _in_open_triangle(a, b, c, point):
-            case, model, desc = label
-            return ChamberVerdict(case, model, desc, Cell(2, _sorted_gens(gens)))
-    raise AssertionError("cross-section point escaped the cell partition")
+    p = (sum(k * _GRID[g][0] for g, k in weights), sum(k * _GRID[g][1] for g, k in weights))
+    grid = {g: (w * x, w * y) for g, (x, y) in _GRID.items()}
+    for a, b, c in _TRIANGLES:
+        ga, gb, gc = grid[a], grid[b], grid[c]
+        signs = (_orient(gb, gc, p), _orient(gc, ga, p), _orient(ga, gb, p))
+        if min(signs) >= 0:
+            break
+    else:
+        raise AssertionError("cross-section point escaped the cell partition")
+    gens = _sorted_gens(g for g, s in zip((a, b, c), signs) if s)
+    table = _TABLES[d.n_mode][len(gens) - 1]
+    case, model, desc = table[gens[0] if len(gens) == 1 else frozenset(gens)]
+    return ChamberVerdict(case, model, desc, Cell(len(gens) - 1, gens))
 
 
 _DUALITY_SWAP = {"Dunb": "Ddeg", "Ddeg": "Dunb", "H11": "H2", "H2": "H11"}

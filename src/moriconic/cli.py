@@ -31,10 +31,22 @@ from .motivic import (
 
 SCHEMA_VERSION = 1
 
-# How deep a space identifier may nest Sym2.  Each level doubles the degree
-# of the polynomial: --space Sym2 over 10 nested levels on P^1 takes about
-# half a second, two levels more take about a minute.
-MAX_SYM2_NESTING = 10
+# The largest degree of a Poincare polynomial the CLI computes, checked on
+# the identifier before any product is formed.  The costliest space within
+# it is T4(1000), about a second on a 2-vCPU Xeon with Python 3.11.
+MAX_POINCARE_DEGREE = 4000
+
+# Per space tag: the identifier class, its integer fields, and the degree of
+# its Poincare polynomial (the dimension of the space) from those fields.
+# Sym2 is handled apart: it wraps another identifier and doubles its degree.
+_SPACES = {
+    "Pn": (ProjSpace, ("n",), lambda n: n),
+    "Gr": (Grassmannian, ("k", "N"), lambda k, big_n: k * (big_n - k)),
+    "MbarP": (KontsevichProj, ("n",), lambda n: 3 * n - 4),
+    "MbarGr": (MbarGr, ("n",), lambda n: 4 * n - 3),
+    "T4": (T4, ("n",), lambda n: 4 * n - 3),
+    "MP2-4m+2": (MP24m2, (), lambda: 17),
+}
 
 
 class CliParseError(Exception):
@@ -52,8 +64,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("poincare", help="virtual Poincare polynomial of a space")
-    p.add_argument("--space", required=True,
-                   choices=["Pn", "Gr", "MbarP", "MbarGr", "Sym2", "T4", "MP2-4m+2"])
+    p.add_argument("--space", required=True, choices=[*_SPACES, "Sym2"])
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--N", dest="big_n", type=int)
@@ -119,65 +130,37 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _space_from_args(args):
-    def need_n():
-        if args.n is None:
-            raise ValueError(f"--space {args.space} requires --n")
-        return args.n
-
-    if args.space == "Pn":
-        return ProjSpace(need_n())
-    if args.space == "Gr":
-        if args.k is None or args.big_n is None:
-            raise ValueError("--space Gr requires --k and --N")
-        return Grassmannian(args.k, args.big_n)
-    if args.space == "MbarP":
-        return KontsevichProj(need_n())
-    if args.space == "MbarGr":
-        return MbarGr(need_n())
-    if args.space == "T4":
-        return T4(need_n())
-    if args.space == "MP2-4m+2":
-        return MP24m2()
-    if args.space == "Sym2":
-        if not args.inner:
-            raise ValueError("--space Sym2 requires --inner")
-        return Sym2Of(_space_from_json(_parse_json(args.inner)))
-    raise ValueError(f"unknown space {args.space!r}")
-
-
 def _space_from_json(doc):
-    """The space an identifier names; Sym2 levels are unwound without recursion."""
+    """The space an identifier names, if its Poincare degree is within the cap.
+
+    Sym2 levels are unwound without recursion.
+    """
     levels = 0
     while isinstance(doc, dict) and doc.get("space") == "Sym2":
         levels += 1
-        if levels > MAX_SYM2_NESTING:
-            raise ValueError(f"Sym2 identifiers nest at most {MAX_SYM2_NESTING} deep")
-        doc = doc["inner"]
+        doc = doc.get("inner")
     if not isinstance(doc, dict) or "space" not in doc:
         raise ValueError("space identifier must be an object with a 'space' key")
     tag = doc["space"]
-    if tag == "Pn":
-        space = ProjSpace(doc["n"])
-    elif tag == "Gr":
-        space = Grassmannian(doc["k"], doc["N"])
-    elif tag == "MbarP":
-        space = KontsevichProj(doc["n"])
-    elif tag == "MbarGr":
-        space = MbarGr(doc["n"])
-    elif tag == "T4":
-        space = T4(doc["n"])
-    elif tag == "MP2-4m+2":
-        space = MP24m2()
-    else:
+    if tag not in _SPACES:
         raise ValueError(f"unknown space identifier {tag!r}")
+    cls, fields, degree = _SPACES[tag]
+    values = [doc.get(field) for field in fields]
+    for field, value in zip(fields, values):
+        if type(value) is not int:
+            raise ValueError(f"space {tag} requires an integer {field!r}")
+    if degree(*values) << levels > MAX_POINCARE_DEGREE:
+        raise ValueError(f"the Poincare polynomial would exceed degree {MAX_POINCARE_DEGREE}")
+    space = cls(*values)
     for _ in range(levels):
         space = Sym2Of(space)
     return space
 
 
 def _run_poincare(args) -> dict:
-    poly = poincare(_space_from_args(args))
+    inner = None if args.inner is None else _parse_json(args.inner)
+    doc = {"space": args.space, "n": args.n, "k": args.k, "N": args.big_n, "inner": inner}
+    poly = poincare(_space_from_json(doc))
     return {"schema_version": SCHEMA_VERSION, "poly": poly.to_json()}
 
 
@@ -229,20 +212,14 @@ def _run_modify(args) -> dict:
 
 
 def _run_chamber(args) -> dict:
-    if args.infile:
-        doc = _load_doc(args)
-        combo = DivisorCombo.from_json(doc)
-        if args.n_mode is not None:
-            combo = DivisorCombo.make(dict(doc["coeffs"]), NMode(args.n_mode))
-    else:
-        coeffs = _parse_json(args.coeffs)
-        if not isinstance(coeffs, dict):
-            raise ValueError("--coeffs must be a JSON object")
-        combo = DivisorCombo.make(coeffs, NMode(args.n_mode or "gt3"))
+    doc = _load_doc(args) if args.infile else {"coeffs": _parse_json(args.coeffs)}
+    coeffs = doc.get("coeffs")
+    if not isinstance(coeffs, dict):
+        raise ValueError("coeffs must be a JSON object")
+    combo = DivisorCombo.make(coeffs, NMode(args.n_mode or doc.get("n_mode", "gt3")))
     if args.reflect:
         combo = duality_reflect(combo)
-    verdict = resolve(combo)
-    return {"schema_version": SCHEMA_VERSION, **verdict.to_json()}
+    return {"schema_version": SCHEMA_VERSION, **resolve(combo).to_json()}
 
 
 _RUNNERS = {
@@ -255,23 +232,26 @@ _RUNNERS = {
 }
 
 
+def _parse_error(exc: Exception) -> int:
+    _emit({"error": "parse_error", "detail": str(exc)}, None)
+    return 1
+
+
 def main(argv=None) -> int:
-    out_path = None
     try:
         args = _PARSER.parse_args(argv)
-        out_path = getattr(args, "out", None)
-        doc = _RUNNERS[args.subcommand](args)
-    except CliParseError as exc:
-        _emit({"error": "parse_error", "detail": str(exc)}, None)
-        return 1
+        out_path = args.out
+        doc, code = _RUNNERS[args.subcommand](args), 0
     except DomainError as exc:
-        _emit({"error": exc.code, "detail": str(exc)}, out_path)
-        return 2
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
-        _emit({"error": "parse_error", "detail": str(exc)}, None)
-        return 1
-    _emit(doc, out_path)
-    return 0
+        doc, code = {"error": exc.code, "detail": str(exc)}, 2
+    except (CliParseError, KeyError, TypeError, ValueError, OSError) as exc:
+        return _parse_error(exc)
+    try:
+        _emit(doc, out_path)
+    except OSError as exc:
+        # an unwritable --out path: the error goes to stdout instead
+        return _parse_error(exc)
+    return code
 
 
 if __name__ == "__main__":

@@ -135,16 +135,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(list(zip(*self.entries))) if self.rows else RatMatrix([])
 
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = list(zip(*other.entries))
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
-        )
-
     def _integer_rows(self) -> list[list[int]]:
         # scaling a row by a nonzero constant changes no rank, nullspace or rref
         return [clear_denominators(row)[0] for row in self.entries]

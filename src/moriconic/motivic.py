@@ -27,15 +27,22 @@ def proj_space_poincare(n: int) -> QPoly:
 
 
 def grassmannian_poincare(k: int, big_n: int) -> QPoly:
-    """Gaussian binomial (big_n choose k)_q, the Poincare polynomial of Gr(k, N)."""
+    """Gaussian binomial (big_n choose k)_q, the Poincare polynomial of Gr(k, N).
+
+    The product over i <= k of (1 - q^(N-k+i)) / (1 - q^i), with k replaced
+    by min(k, N - k) since Gr(k, N) = Gr(N - k, N).  After step i the value
+    is the Gaussian binomial (N-k+i choose i)_q, so each division is exact
+    and by a two-term factor, and no intermediate exceeds the answer's
+    degree k(N-k) by more than k.
+    """
     if not 0 <= k <= big_n:
         raise ValueError("need 0 <= k <= N")
-    num = QPoly.one()
-    den = QPoly.one()
+    k = min(k, big_n - k)
+    poly = QPoly.one()
     for i in range(1, k + 1):
-        num = num * one_minus_q_pow(big_n - k + i)
-        den = den * one_minus_q_pow(i)
-    return num.exact_div(den)
+        # the sparse factor on the left, whose zero coefficients __mul__ skips
+        poly = (one_minus_q_pow(big_n - k + i) * poly).exact_div(one_minus_q_pow(i))
+    return poly
 
 
 def kontsevich_proj_poincare(n: int) -> QPoly:

@@ -234,26 +234,6 @@ class QPoly:
         return out
 
 
-def add(a: QPoly, b: QPoly) -> QPoly:
-    return a + b
-
-
-def mul(a: QPoly, b: QPoly) -> QPoly:
-    return a * b
-
-
-def exact_div(num: QPoly, den: QPoly) -> QPoly:
-    return num.exact_div(den)
-
-
-def subst_q_power(p: QPoly, k: int) -> QPoly:
-    return p.subst_q_power(k)
-
-
-def eval_at_one(p: QPoly) -> int:
-    return p.eval_at_one()
-
-
 def one_minus_q_pow(k: int) -> QPoly:
     """The factor 1 - q^k, the building block of every closed formula here."""
     if k < 1:

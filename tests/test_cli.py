@@ -1,7 +1,9 @@
 import json
 
-from moriconic import PluckerConic
-from moriconic.cli import main
+import pytest
+
+from moriconic import PluckerConic, Sym2Of, poincare
+from moriconic.cli import MAX_POINCARE_DEGREE, _SPACES, main
 
 
 DIAG_DOC = {
@@ -37,6 +39,20 @@ DISK_FAMILY_DOC = {
         [[["0", "0", "0", "0"], ["0", "2", "-1", "0"]], [["1", "0", "0", "0"]]],
     ],
 }
+
+
+# the barycenter of the eq3 Gr(3, wedge^2 V) triangle; gt3 labels it G
+EQ3_COMBO_DOC = {"coeffs": {"P": "1", "Dunb": "1", "Ddeg": "1"}, "n_mode": "eq3"}
+
+
+@pytest.fixture
+def no_polynomial(monkeypatch):
+    """Fail any request that reaches the Poincare computation."""
+
+    def refuse(space):
+        raise AssertionError(f"a polynomial was computed for {space!r}")
+
+    monkeypatch.setattr("moriconic.cli.poincare", refuse)
 
 
 def run(capsys, *argv):
@@ -99,15 +115,55 @@ class TestPoincare:
         assert out.count("\n") == 1
         assert json.loads(out)["error"] == "parse_error"
 
-    def test_sym2_nesting_bound(self, capsys):
-        from moriconic.cli import MAX_SYM2_NESTING
-
+    def test_sym2_nesting_bound(self, capsys, no_polynomial):
+        # each Sym2 level doubles the degree: over P^1 the first level past
+        # the cap has degree 2^bit_length(cap)
         inner = {"space": "Pn", "n": 1}
-        for _ in range(MAX_SYM2_NESTING + 1):
+        for _ in range(MAX_POINCARE_DEGREE.bit_length() - 1):
             inner = {"space": "Sym2", "inner": inner}
         code, out = run(capsys, "poincare", "--space", "Sym2", "--inner", json.dumps(inner))
         assert code == 1
         assert json.loads(out)["error"] == "parse_error"
+
+    @pytest.mark.parametrize("flags", [
+        ("Pn", "--n", str(MAX_POINCARE_DEGREE + 1)),
+        ("Pn", "--n", str(10**30)),
+        ("Gr", "--k", "2", "--N", str(MAX_POINCARE_DEGREE // 2 + 3)),
+        ("MbarP", "--n", str(MAX_POINCARE_DEGREE // 3 + 2)),
+        ("MbarGr", "--n", str(MAX_POINCARE_DEGREE // 4 + 1)),
+        ("T4", "--n", str(MAX_POINCARE_DEGREE // 4 + 1)),
+        ("Sym2", "--inner", json.dumps({"space": "Pn", "n": MAX_POINCARE_DEGREE // 2 + 1})),
+        ("Sym2", "--inner", json.dumps({"space": "Gr", "k": 10**6, "N": 2 * 10**6})),
+    ])
+    def test_degree_cap_rejects_before_computing(self, capsys, no_polynomial, flags):
+        code, out = run(capsys, "poincare", "--space", *flags)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["error"] == "parse_error"
+        assert str(MAX_POINCARE_DEGREE) in doc["detail"]
+
+    @pytest.mark.parametrize("inner", [
+        {"space": "Pn"},
+        {"space": "Pn", "n": "3"},
+        {"space": "Pn", "n": True},
+        {"space": "Gr", "k": 2},
+        {"space": "Sym2"},
+        {"space": "P7", "n": 3},
+        [1, 2],
+    ])
+    def test_malformed_identifier_is_parse_error(self, capsys, no_polynomial, inner):
+        code, out = run(capsys, "poincare", "--space", "Sym2", "--inner", json.dumps(inner))
+        assert code == 1
+        assert json.loads(out)["error"] == "parse_error"
+
+    def test_degree_formulas(self):
+        for tag, (cls, fields, degree) in _SPACES.items():
+            for n in range(3, 8):
+                values = {"n": n, "k": n, "N": n + 3}
+                args = [values[field] for field in fields]
+                assert poincare(cls(*args)).degree == degree(*args), (tag, args)
+                assert poincare(Sym2Of(cls(*args))).degree == 2 * degree(*args), (tag, args)
 
 
 class TestStability:
@@ -226,6 +282,30 @@ class TestChamber:
         assert code == 1
         assert json.loads(out)["error"] == "parse_error"
 
+    def test_file_input(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(EQ3_COMBO_DOC))
+        code, out = run(capsys, "chamber", "--in", str(path))
+        assert code == 0
+        assert json.loads(out)["model"] == "Gr3w2V"
+
+    def test_n_mode_flag_overrides_file(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(EQ3_COMBO_DOC))
+        code, out = run(capsys, "chamber", "--in", str(path), "--n-mode", "gt3")
+        assert code == 0
+        assert json.loads(out)["model"] == "G"
+
+    @pytest.mark.parametrize("n_mode", [(), ("--n-mode", "eq3")])
+    def test_coeffs_must_be_an_object(self, capsys, tmp_path, n_mode):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"coeffs": [1, 2]}))
+        for source in (("--in", str(path)), ("--coeffs", "[1, 2]")):
+            code, out = run(capsys, "chamber", *source, *n_mode)
+            assert code == 1
+            assert out.count("\n") == 1
+            assert json.loads(out)["error"] == "parse_error"
+
 
 class TestHarnessContract:
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -257,6 +337,15 @@ class TestHarnessContract:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text()) == {"schema_version": 1, "poly": ["1", "1", "1"]}
+
+    @pytest.mark.parametrize("coeffs", ['{"T":"1"}', '{"T":"0"}'])  # success, domain error
+    def test_unwritable_out_is_one_error_document(self, capsys, tmp_path, coeffs):
+        target = tmp_path / "missing" / "x.json"
+        code, out = run(capsys, "chamber", "--coeffs", coeffs, "--out", str(target))
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "parse_error"
+        assert not target.exists()
 
     def test_emitted_documents_reparse(self, capsys):
         for argv in (

@@ -78,6 +78,17 @@ class TestGrassmannian:
             assert p == grassmannian_poincare(big_n - k, big_n)
             assert p.is_palindromic()
 
+    def test_q_pascal_rule(self):
+        # (N choose k)_q = (N-1 choose k-1)_q + q^k (N-1 choose k)_q, for
+        # every k on both sides of N / 2
+        row = [QPoly.one()]
+        for big_n in range(1, 13):
+            prev = row + [QPoly.zero()]
+            row = [QPoly.one()] + [
+                prev[k - 1] + QPoly.monomial(k) * prev[k] for k in range(1, big_n + 1)
+            ]
+            assert [grassmannian_poincare(k, big_n) for k in range(big_n + 1)] == row
+
     def test_point_count(self):
         assert grassmannian_poincare(2, 4).eval_at_one() == 6
 
