@@ -58,6 +58,8 @@ class DivisorCombo:
 
     @classmethod
     def make(cls, coeffs: dict, n_mode: NMode = NMode.GT3) -> "DivisorCombo":
+        if not isinstance(coeffs, dict):
+            raise ValueError("coeffs must be a JSON object of generator coefficients")
         table = {}
         for name, value in coeffs.items():
             if name not in GENERATORS:

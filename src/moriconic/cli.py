@@ -36,16 +36,15 @@ SCHEMA_VERSION = 1
 # it is T4(1000), about a second on a 2-vCPU Xeon with Python 3.11.
 MAX_POINCARE_DEGREE = 4000
 
-# Per space tag: the identifier class, its integer fields, and the degree of
-# its Poincare polynomial (the dimension of the space) from those fields.
-# Sym2 is handled apart: it wraps another identifier and doubles its degree.
+# Per space tag: the identifier class and its integer fields.  Sym2 is
+# handled apart: it wraps another identifier and doubles its degree.
 _SPACES = {
-    "Pn": (ProjSpace, ("n",), lambda n: n),
-    "Gr": (Grassmannian, ("k", "N"), lambda k, big_n: k * (big_n - k)),
-    "MbarP": (KontsevichProj, ("n",), lambda n: 3 * n - 4),
-    "MbarGr": (MbarGr, ("n",), lambda n: 4 * n - 3),
-    "T4": (T4, ("n",), lambda n: 4 * n - 3),
-    "MP2-4m+2": (MP24m2, (), lambda: 17),
+    "Pn": (ProjSpace, ("n",)),
+    "Gr": (Grassmannian, ("k", "N")),
+    "MbarP": (KontsevichProj, ("n",)),
+    "MbarGr": (MbarGr, ("n",)),
+    "T4": (T4, ("n",)),
+    "MP2-4m+2": (MP24m2, ()),
 }
 
 
@@ -133,7 +132,8 @@ def _emit(doc: dict, out_path: str | None) -> None:
 def _space_from_json(doc):
     """The space an identifier names, if its Poincare degree is within the cap.
 
-    Sym2 levels are unwound without recursion.
+    Sym2 levels are unwound without recursion.  A degree below 1 still
+    doubles per level in the bound, so the level count is bounded too.
     """
     levels = 0
     while isinstance(doc, dict) and doc.get("space") == "Sym2":
@@ -144,21 +144,22 @@ def _space_from_json(doc):
     tag = doc["space"]
     if tag not in _SPACES:
         raise ValueError(f"unknown space identifier {tag!r}")
-    cls, fields, degree = _SPACES[tag]
+    cls, fields = _SPACES[tag]
     values = [doc.get(field) for field in fields]
     for field, value in zip(fields, values):
         if type(value) is not int:
             raise ValueError(f"space {tag} requires an integer {field!r}")
-    if degree(*values) << levels > MAX_POINCARE_DEGREE:
-        raise ValueError(f"the Poincare polynomial would exceed degree {MAX_POINCARE_DEGREE}")
     space = cls(*values)
+    if max(space.dimension, 1) << levels > MAX_POINCARE_DEGREE:
+        raise ValueError(f"the Poincare polynomial would exceed degree {MAX_POINCARE_DEGREE}")
     for _ in range(levels):
         space = Sym2Of(space)
     return space
 
 
 def _run_poincare(args) -> dict:
-    inner = None if args.inner is None else _parse_json(args.inner)
+    # --inner is read for Sym2 only and ignored beside any other space
+    inner = _parse_json(args.inner) if args.space == "Sym2" and args.inner else None
     doc = {"space": args.space, "n": args.n, "k": args.k, "N": args.big_n, "inner": inner}
     poly = poincare(_space_from_json(doc))
     return {"schema_version": SCHEMA_VERSION, "poly": poly.to_json()}
@@ -213,10 +214,7 @@ def _run_modify(args) -> dict:
 
 def _run_chamber(args) -> dict:
     doc = _load_doc(args) if args.infile else {"coeffs": _parse_json(args.coeffs)}
-    coeffs = doc.get("coeffs")
-    if not isinstance(coeffs, dict):
-        raise ValueError("coeffs must be a JSON object")
-    combo = DivisorCombo.make(coeffs, NMode(args.n_mode or doc.get("n_mode", "gt3")))
+    combo = DivisorCombo.make(doc.get("coeffs"), NMode(args.n_mode or doc.get("n_mode", "gt3")))
     if args.reflect:
         combo = duality_reflect(combo)
     return {"schema_version": SCHEMA_VERSION, **resolve(combo).to_json()}

@@ -126,6 +126,9 @@ def mp2_4m2_poincare() -> QPoly:
 
 # ---------------------------------------------------------------------------
 # Space identifiers (CLI-facing)
+#
+# Each identifier knows its dimension, the degree of its Poincare polynomial,
+# so a caller can bound a request's cost before any product is formed.
 # ---------------------------------------------------------------------------
 
 
@@ -133,32 +136,56 @@ def mp2_4m2_poincare() -> QPoly:
 class ProjSpace:
     n: int
 
+    @property
+    def dimension(self) -> int:
+        return self.n
+
 
 @dataclass(frozen=True)
 class Grassmannian:
     k: int
     big_n: int
 
+    @property
+    def dimension(self) -> int:
+        return self.k * (self.big_n - self.k)
+
 
 @dataclass(frozen=True)
 class KontsevichProj:
     n: int
+
+    @property
+    def dimension(self) -> int:
+        return 3 * self.n - 4
 
 
 @dataclass(frozen=True)
 class MbarGr:
     n: int
 
+    @property
+    def dimension(self) -> int:
+        return 4 * self.n - 3
+
 
 @dataclass(frozen=True)
 class Sym2Of:
     inner: "SpaceId"
+
+    @property
+    def dimension(self) -> int:
+        return 2 * self.inner.dimension
 
 
 @dataclass(frozen=True)
 class ProductOf:
     left: "SpaceId"
     right: "SpaceId"
+
+    @property
+    def dimension(self) -> int:
+        return self.left.dimension + self.right.dimension
 
 
 @dataclass(frozen=True)
@@ -169,10 +196,14 @@ class T4:
         if self.n < 3:
             raise ValueError("the double symmetroid needs n >= 3")
 
+    @property
+    def dimension(self) -> int:
+        return 4 * self.n - 3
+
 
 @dataclass(frozen=True)
 class MP24m2:
-    pass
+    dimension = 17
 
 
 SpaceId = Union[ProjSpace, Grassmannian, KontsevichProj, MbarGr, Sym2Of, ProductOf, T4, MP24m2]

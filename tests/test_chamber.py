@@ -166,6 +166,12 @@ class TestResolveExamples:
         with pytest.raises(ValueError):
             combo({"X": 1})
 
+    def test_coeffs_must_be_a_mapping(self):
+        with pytest.raises(ValueError):
+            DivisorCombo.make([1, 2])
+        with pytest.raises(ValueError):
+            DivisorCombo.from_json({"coeffs": [1, 2]})
+
 
 class TestItemConformance:
     @pytest.mark.parametrize("case,model,positive,optional", GT3_ITEMS)

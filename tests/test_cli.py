@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from moriconic import PluckerConic, Sym2Of, poincare
-from moriconic.cli import MAX_POINCARE_DEGREE, _SPACES, main
+from moriconic import PluckerConic
+from moriconic.cli import MAX_POINCARE_DEGREE, main
 
 
 DIAG_DOC = {
@@ -157,13 +157,27 @@ class TestPoincare:
         assert code == 1
         assert json.loads(out)["error"] == "parse_error"
 
-    def test_degree_formulas(self):
-        for tag, (cls, fields, degree) in _SPACES.items():
-            for n in range(3, 8):
-                values = {"n": n, "k": n, "N": n + 3}
-                args = [values[field] for field in fields]
-                assert poincare(cls(*args)).degree == degree(*args), (tag, args)
-                assert poincare(Sym2Of(cls(*args))).degree == 2 * degree(*args), (tag, args)
+    @pytest.mark.parametrize("base", [
+        {"space": "Pn", "n": 0},
+        {"space": "Gr", "k": 0, "N": 5},
+        {"space": "Gr", "k": 7, "N": 5},
+        {"space": "MbarP", "n": 1},
+    ])
+    @pytest.mark.parametrize("levels", [MAX_POINCARE_DEGREE.bit_length(), 900])
+    def test_sym2_levels_bounded_at_degree_zero(self, capsys, no_polynomial, base, levels):
+        # a degree <= 0 never grows, so the level count must be bounded by itself
+        inner = json.dumps(base)
+        for _ in range(levels - 1):
+            inner = '{"space":"Sym2","inner":' + inner + "}"
+        code, out = run(capsys, "poincare", "--space", "Sym2", "--inner", inner)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "parse_error"
+
+    def test_inner_ignored_beside_other_spaces(self, capsys):
+        code, out = run(capsys, "poincare", "--space", "Pn", "--n", "1", "--inner", "{bad")
+        assert code == 0
+        assert json.loads(out)["poly"] == ["1", "1"]
 
 
 class TestStability:

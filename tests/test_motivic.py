@@ -207,3 +207,11 @@ class TestSpaceDispatch:
     def test_t4_validation(self):
         with pytest.raises(ValueError):
             T4(2)
+
+    def test_dimension_is_degree(self):
+        for n in range(3, 8):
+            spaces = [ProjSpace(n), Grassmannian(n, n + 3), KontsevichProj(n), MbarGr(n),
+                      T4(n), MP24m2(), ProductOf(ProjSpace(n), MbarGr(n))]
+            for space in spaces:
+                assert poincare(space).degree == space.dimension, space
+                assert poincare(Sym2Of(space)).degree == Sym2Of(space).dimension, space
