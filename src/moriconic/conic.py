@@ -21,12 +21,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IdenticallyZero, ZeroConic
-from .kronecker import KroneckerModule, LinearForm, column_minors, index_pairs, integer_minors
+from .kronecker import (
+    KroneckerModule,
+    LinearForm,
+    column_minors,
+    index_pairs,
+    integer_minors,
+    json_array,
+    json_n_and_matrix,
+)
 from .linalg import (
     ALL_ZERO,
     BinaryForm,
-    RatMatrix,
     as_rat,
+    bareiss,
     clear_denominators,
     quadratic_gcd,
     quadratic_root_structure,
@@ -99,10 +107,10 @@ def envelope(c: PluckerConic) -> Envelope:
     """Linear envelope of the conic: the span of its three coefficient slices."""
     if c.is_zero:
         raise ZeroConic("the envelope of the zero conic is undefined")
-    slices = [[f.coeffs[k] for f in c.coords.values()] for k in range(3)]
-    red, pivots = RatMatrix(slices).rref()
-    basis = tuple(red.row(i) for i in range(len(pivots)))
-    return Envelope(len(pivots), basis)
+    # scaling a slice by a nonzero constant changes neither its span nor the rref
+    slices = [clear_denominators(f.coeffs[k] for f in c.coords.values())[0] for k in range(3)]
+    rows, pivots, d = bareiss(slices)
+    return Envelope(len(pivots), tuple(tuple(Fraction(x, d) for x in row) for row in rows))
 
 
 def conic_degree(c: PluckerConic) -> int:
@@ -123,6 +131,8 @@ class LambdaFamily:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries):
+        if n < 2:
+            raise ValueError("ambient parameter n must be >= 2")
         rows = tuple(tuple(tuple(e) for e in row) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("entries must form a 2x2 matrix")
@@ -158,10 +168,10 @@ class LambdaFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LambdaFamily":
-        n = doc["n"]
-        rows = doc["matrix"]
+        n, rows = json_n_and_matrix(doc)
         entries = [
-            [[LinearForm(n, tuple(as_rat(c) for c in f)) for f in entry] for entry in row]
+            [[LinearForm(n, tuple(json_array(f, "a form"))) for f in json_array(e, "an entry")]
+             for e in row]
             for row in rows
         ]
         return cls(n, entries)

@@ -165,14 +165,27 @@ class KroneckerModule:
 
     @classmethod
     def from_json(cls, doc: dict) -> "KroneckerModule":
-        n = doc["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError("'n' must be an integer")
-        rows = doc["matrix"]
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("'matrix' must be 2x2")
-        forms = [[LinearForm(n, tuple(as_rat(c) for c in entry)) for entry in row] for row in rows]
+        n, rows = json_n_and_matrix(doc)
+        forms = [[LinearForm(n, tuple(json_array(e, "an entry"))) for e in row] for row in rows]
         return cls.from_rows(n, forms)
+
+
+def json_array(value, what: str) -> list:
+    """value itself if it is a JSON array; a string would be read character by character."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array")
+    return value
+
+
+def json_n_and_matrix(doc: dict) -> tuple[int, list]:
+    """A module or family document's integer (not boolean) 'n' and 2x2 'matrix' of arrays."""
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("'n' must be an integer")
+    rows = json_array(doc["matrix"], "'matrix'")
+    if len(rows) != 2 or any(len(json_array(r, "a row of 'matrix'")) != 2 for r in rows):
+        raise ValueError("'matrix' must be 2x2")
+    return n, rows
 
 
 class Verdict(Enum):

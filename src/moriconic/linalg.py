@@ -129,23 +129,12 @@ class RatMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(list(zip(*self.entries))) if self.rows else RatMatrix([])
 
     def _integer_rows(self) -> list[list[int]]:
-        # scaling a row by a nonzero constant changes no rank, nullspace or rref
+        # scaling a row by a nonzero constant changes neither rank nor nullspace
         return [clear_denominators(row)[0] for row in self.entries]
-
-    def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        rows, pivots, d = bareiss(self._integer_rows())
-        zero = [Fraction(0)] * self.cols
-        red = [[Fraction(x, d) for x in row] for row in rows]
-        red += [zero] * (self.rows - len(rows))
-        return RatMatrix(red) if red else RatMatrix([]), pivots
 
     def rank(self) -> int:
         return len(bareiss(self._integer_rows())[1])
@@ -273,18 +262,11 @@ class BinaryForm:
         """
         if self.is_zero:
             return self
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return BinaryForm(self.degree, ints)
+        ints = clear_denominators(self.coeffs)[0]
+        g = math.gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        return BinaryForm(self.degree, [v // g for v in ints])
 
     def to_json(self) -> list[str]:
         return [format_rat(c) for c in self.coeffs]

@@ -1,10 +1,12 @@
 """Virtual Poincare polynomials of the moduli spaces in play, exactly.
 
 Everything is computed symbolically in the variable q (the class of the
-affine line, so deg P(X) = dim X): numerators are expanded as products and
-denominators removed by exact polynomial division.  A nonzero remainder
-raises NotDivisible: the formulas are all claimed to have polynomial values,
-so a remainder means a transcription or implementation bug, never data.
+affine line, so deg P(X) = dim X).  Each closed formula is one ratio of
+(1 - q^k) factors, evaluated by _ratio one two-term factor at a time:
+multiply by a numerator factor, then divide exactly by a denominator factor.
+A nonzero remainder raises NotDivisible: the formulas are all claimed to have
+polynomial values, so a remainder means a transcription or implementation
+bug, never data.
 
 The symmetric square rule P(Sym^2 X) = (P(X)(q)^2 + P(X)(q^2)) / 2 is the one
 place a half-integer appears; integrality of the result is enforced.
@@ -19,11 +21,27 @@ from .errors import NonIntegral
 from .qpoly import QPoly, one_minus_q_pow
 
 
+def _ratio(ups, downs, poly: QPoly | None = None) -> QPoly:
+    """poly (1 if None) times the product of the (1 - q^a) over that of the (1 - q^b).
+
+    Each numerator factor is followed by the denominator factor paired with
+    it, so each step costs O(degree); the pairs are ordered so that every
+    partial result is a polynomial, and a remainder raises NotDivisible.
+    """
+    for a, b in zip(ups, downs, strict=True):
+        top = one_minus_q_pow(a)
+        if poly is not None:
+            # the sparse factor on the left, whose zero coefficients __mul__ skips
+            top = top * poly
+        poly = top.exact_div(one_minus_q_pow(b))
+    return QPoly.one() if poly is None else poly
+
+
 def proj_space_poincare(n: int) -> QPoly:
     """P(P^n) = (1 - q^(n+1)) / (1 - q) = 1 + q + ... + q^n."""
     if n < 0:
         raise ValueError("projective space dimension must be >= 0")
-    return one_minus_q_pow(n + 1).exact_div(one_minus_q_pow(1))
+    return _ratio((n + 1,), (1,))
 
 
 def grassmannian_poincare(k: int, big_n: int) -> QPoly:
@@ -31,18 +49,13 @@ def grassmannian_poincare(k: int, big_n: int) -> QPoly:
 
     The product over i <= k of (1 - q^(N-k+i)) / (1 - q^i), with k replaced
     by min(k, N - k) since Gr(k, N) = Gr(N - k, N).  After step i the value
-    is the Gaussian binomial (N-k+i choose i)_q, so each division is exact
-    and by a two-term factor, and no intermediate exceeds the answer's
-    degree k(N-k) by more than k.
+    is the Gaussian binomial (N-k+i choose i)_q, so each division is exact,
+    and no intermediate exceeds the answer's degree k(N-k) by more than k.
     """
     if not 0 <= k <= big_n:
         raise ValueError("need 0 <= k <= N")
     k = min(k, big_n - k)
-    poly = QPoly.one()
-    for i in range(1, k + 1):
-        # the sparse factor on the left, whose zero coefficients __mul__ skips
-        poly = (one_minus_q_pow(big_n - k + i) * poly).exact_div(one_minus_q_pow(i))
-    return poly
+    return _ratio(range(big_n - k + 1, big_n + 1), range(1, k + 1))
 
 
 def kontsevich_proj_poincare(n: int) -> QPoly:
@@ -51,9 +64,7 @@ def kontsevich_proj_poincare(n: int) -> QPoly:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    num = one_minus_q_pow(n + 1) * one_minus_q_pow(n) * one_minus_q_pow(n - 1)
-    den = one_minus_q_pow(1) ** 2 * one_minus_q_pow(2)
-    return num.exact_div(den)
+    return _ratio((n + 1, n, n - 1), (1, 1, 2))
 
 
 def mbar_gr_poincare(n: int) -> QPoly:
@@ -61,16 +72,12 @@ def mbar_gr_poincare(n: int) -> QPoly:
     an (n+1)-dimensional space:
 
     [(1+q^(n+1))(1+q^3) - q(1+q)(q^2+q^(n-1))] (1-q^(n+1))(1-q^n)(1-q^(n-1))
-    over (1-q)^3 (1-q^2)^2.  Degree 4n - 3, palindromic.
+    over (1-q)^3 (1-q^2)^2.  The bracket is (1-q^4)(1-q^n).  Degree 4n - 3,
+    palindromic.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    bracket = (QPoly.one() + QPoly.monomial(n + 1)) * (QPoly.one() + QPoly.monomial(3)) - (
-        QPoly.q() * (QPoly.one() + QPoly.q()) * (QPoly.monomial(2) + QPoly.monomial(n - 1))
-    )
-    num = bracket * one_minus_q_pow(n + 1) * one_minus_q_pow(n) * one_minus_q_pow(n - 1)
-    den = one_minus_q_pow(1) ** 3 * one_minus_q_pow(2) ** 2
-    return num.exact_div(den)
+    return _ratio((4, n, n + 1, n, n - 1), (1, 1, 1, 2, 2))
 
 
 def sym2_poincare(p: QPoly) -> QPoly:
@@ -87,16 +94,18 @@ def t4_poincare(n: int) -> QPoly:
     Computed by excising the two exceptional fiber types of the contraction
     from the stable-map space: over the double-hyperplane locus (a P^n) the
     fiber is the space of degree-2 stable maps to P^(n-1); over distinct
-    hyperplane pairs (Sym^2 P^n minus the diagonal) it is (P^(n-2))^2.
+    hyperplane pairs (Sym^2 P^n, whose Poincare polynomial is the Gaussian
+    binomial (n+2 choose 2)_q, minus the diagonal) it is (P^(n-2))^2.  Each
+    product with a q-integer [m] = (1 - q^m) / (1 - q) is a ratio step.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    total = mbar_gr_poincare(n)
-    fiber1 = kontsevich_proj_poincare(n)
     ppn = proj_space_poincare(n)
-    pairs = sym2_poincare(ppn) - ppn  # unordered pairs of distinct hyperplanes
-    small = proj_space_poincare(n - 2)
-    return total - (fiber1 - 1) * ppn - (small * small - 1) * pairs
+    pairs = grassmannian_poincare(2, n + 2) - ppn  # unordered pairs of distinct hyperplanes
+    # (P(MbarP(n)) - 1) P(P^n) and (P(P^(n-2))^2 - 1) pairs
+    over_doubles = _ratio((n + 1,), (1,), kontsevich_proj_poincare(n)) - ppn
+    over_pairs = _ratio((n - 1, n - 1), (1, 1), pairs) - pairs
+    return mbar_gr_poincare(n) - over_doubles - over_pairs
 
 
 # Reference value of the degree-17 polynomial for the sheaf moduli space
@@ -110,10 +119,9 @@ def mp2_4m2_poincare() -> QPoly:
     Assembled from two wall-crossing excisions and the n = 5 double cover:
     (P(P^14) - P(P^2)) + P(P^2 x P^2)(P(P^12) - 1) + P(T4(5)).
     """
-    p2 = proj_space_poincare(2)
     value = (
-        (proj_space_poincare(14) - p2)
-        + p2 * p2 * (proj_space_poincare(12) - 1)
+        (proj_space_poincare(14) - proj_space_poincare(2))
+        + _ratio((3, 3), (1, 1), proj_space_poincare(12) - 1)  # P(P^2)^2 (P(P^12) - 1)
         + t4_poincare(5)
     )
     if value != QPoly(_MP2_4M2_COEFFS):

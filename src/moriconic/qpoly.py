@@ -24,9 +24,11 @@ class QPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
+        # the common case, plain ints only, is settled by one pass in C
+        if not {int}.issuperset(map(type, cs)):
+            for c in cs:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise TypeError(f"integer coefficient expected, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
@@ -40,10 +42,6 @@ class QPoly:
     @classmethod
     def one(cls) -> "QPoly":
         return cls((1,))
-
-    @classmethod
-    def q(cls) -> "QPoly":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "QPoly":
@@ -134,18 +132,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- exact division and substitution ------------------------------------
 

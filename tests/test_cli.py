@@ -216,6 +216,19 @@ class TestStability:
         assert code == 1
         assert json.loads(out)["error"] == "parse_error"
 
+    @pytest.mark.parametrize("matrix", [
+        [["100", "000"], ["000", "010"]],  # string entries, once read digit by digit
+        [[["1", "0", "0"], ["0", "0", "0"]], "ab"],  # a string row
+        "abcd",  # a string matrix
+        [[{"0": 1, "1": 0, "2": 0}, ["0", "0", "0"]], [["0", "0", "0"], ["0", "1", "0"]]],
+    ])
+    def test_non_array_matrix_parts_are_parse_errors(self, capsys, matrix):
+        doc = {"n": 2, "matrix": matrix}
+        for subcommand in ("stability", "stratify", "conic"):
+            code, out = run(capsys, subcommand, "--json", json.dumps(doc))
+            assert code == 1
+            assert json.loads(out)["error"] == "parse_error"
+
 
 class TestConic:
     def test_generic_conic(self, capsys):
@@ -257,6 +270,33 @@ class TestModify:
         code, out = run(capsys, "modify", "--json", json.dumps(fam))
         assert code == 2
         assert json.loads(out)["error"] == "identically_zero"
+
+    @pytest.mark.parametrize("n, width", [(True, 2), (1, 2), (0, 1), ("3", 4), (3.0, 4)])
+    def test_bad_n_is_parse_error(self, capsys, n, width):
+        row = ["1"] + ["0"] * (width - 1)
+        fam = {"n": n, "matrix": [[[row], [row]], [[row], [row]]]}
+        code, out = run(capsys, "modify", "--json", json.dumps(fam))
+        assert code == 1
+        assert json.loads(out)["error"] == "parse_error"
+
+    @pytest.mark.parametrize("path, value", [
+        ((0, 1, 1), "0110"),  # a coefficient list given as a string
+        ((0, 1), "x"),  # an entry given as a string
+        ((1,), "ab"),  # a row given as a string
+        ((), "abcd"),  # the matrix given as a string
+    ])
+    def test_non_array_family_parts_are_parse_errors(self, capsys, path, value):
+        fam = json.loads(json.dumps(DISK_FAMILY_DOC))
+        target = fam["matrix"]
+        if path:
+            for i in path[:-1]:
+                target = target[i]
+            target[path[-1]] = value
+        else:
+            fam["matrix"] = value
+        code, out = run(capsys, "modify", "--json", json.dumps(fam))
+        assert code == 1
+        assert json.loads(out)["error"] == "parse_error"
 
 
 class TestChamber:

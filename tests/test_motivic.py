@@ -45,6 +45,39 @@ def expand_factors(factors) -> QPoly:
     return out
 
 
+def omq(k: int) -> QPoly:
+    """1 - q^k."""
+    return QPoly.one() - QPoly.monomial(k)
+
+
+def product(*polys) -> QPoly:
+    out = QPoly.one()
+    for p in polys:
+        out = out * p
+    return out
+
+
+def bracket(n: int) -> QPoly:
+    """(1+q^(n+1))(1+q^3) - q(1+q)(q^2+q^(n-1)), the extra factor of P(MbarGr(n))."""
+    one, q = QPoly.one(), QPoly.monomial(1)
+    return (one + QPoly.monomial(n + 1)) * (one + QPoly.monomial(3)) - (
+        q * (one + q) * (QPoly.monomial(2) + QPoly.monomial(n - 1))
+    )
+
+
+def dense_t4(n: int) -> QPoly:
+    """P(T4(n)) by the excision formula with dense numerators and denominators:
+    P(MbarGr(n)) - (P(MbarP(n)) - 1) P(P^n) - (P(P^(n-2))^2 - 1) (P(Sym^2 P^n) - P(P^n))."""
+    total = product(bracket(n), omq(n + 1), omq(n), omq(n - 1)).exact_div(
+        product(omq(1), omq(1), omq(1), omq(2), omq(2))
+    )
+    fiber1 = product(omq(n + 1), omq(n), omq(n - 1)).exact_div(product(omq(1), omq(1), omq(2)))
+    ppn = omq(n + 1).exact_div(omq(1))
+    pairs = sym2_poincare(ppn) - ppn
+    small = omq(n - 1).exact_div(omq(1))
+    return total - (fiber1 - 1) * ppn - (small * small - 1) * pairs
+
+
 class TestProjSpace:
     def test_point(self):
         assert proj_space_poincare(0) == QPoly([1])
@@ -135,6 +168,10 @@ class TestMbarGr:
         with pytest.raises(ValueError):
             mbar_gr_poincare(2)
 
+    def test_bracket_factors(self):
+        for n in range(3, 41):
+            assert bracket(n) == omq(4) * omq(n), n
+
 
 class TestSym2:
     def test_line(self):
@@ -151,6 +188,10 @@ class TestSym2:
         # NonIntegral guard stays as a tripwire
         for n in range(8):
             sym2_poincare(proj_space_poincare(n))
+
+    def test_projective_space_square_is_gaussian_binomial(self):
+        for n in range(31):
+            assert sym2_poincare(proj_space_poincare(n)) == grassmannian_poincare(2, n + 2), n
 
 
 class TestT4:
@@ -170,6 +211,10 @@ class TestT4:
         with pytest.raises(ValueError):
             t4_poincare(2)
 
+    def test_matches_dense_excision_formula(self):
+        for n in range(3, 41):
+            assert t4_poincare(n) == dense_t4(n), n
+
 
 class TestMP24m2:
     def test_golden_polynomial(self):
@@ -187,6 +232,11 @@ class TestDivisibilityTripwires:
             mbar_gr_poincare(n)
             kontsevich_proj_poincare(n)
             t4_poincare(n)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_large_n(self, n):
+        assert mbar_gr_poincare(n).degree == 4 * n - 3
+        assert t4_poincare(n).degree == 4 * n - 3
 
 
 class TestSpaceDispatch:
