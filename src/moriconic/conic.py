@@ -27,7 +27,7 @@ from .kronecker import (
     column_minors,
     index_pairs,
     integer_minors,
-    json_array,
+    json_n,
     json_n_and_matrix,
 )
 from .linalg import (
@@ -36,6 +36,7 @@ from .linalg import (
     as_rat,
     bareiss,
     clear_denominators,
+    json_array,
     quadratic_gcd,
     quadratic_root_structure,
     quadratics_over,
@@ -81,11 +82,13 @@ class PluckerConic:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":
-        n = doc["n"]
+        n = json_n(doc)
+        if not isinstance(doc["coords"], dict):
+            raise ValueError("'coords' must be a JSON object")
         coords = {}
         for key, cs in doc["coords"].items():
             i, j = (int(part) for part in key.split(","))
-            coords[(i, j)] = BinaryForm(2, [as_rat(c) for c in cs])
+            coords[(i, j)] = BinaryForm(2, json_array(cs, "a coordinate"))
         return cls(n, coords)
 
 

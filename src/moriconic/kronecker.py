@@ -47,6 +47,7 @@ from .linalg import (
     bareiss,
     clear_denominators,
     format_rat,
+    json_array,
     quadratic_gcd,
     quadratic_root_structure,
     quadratics_over,
@@ -115,11 +116,6 @@ class KroneckerModule:
         if all(f.is_zero for f in (self.m11, self.m12, self.m21, self.m22)):
             raise ValueError("the zero matrix is not a point of the projective space")
 
-    @classmethod
-    def from_rows(cls, n: int, rows) -> "KroneckerModule":
-        (a, b), (c, d) = rows
-        return cls(n, a, b, c, d)
-
     def entries(self):
         return ((self.m11, self.m12), (self.m21, self.m22))
 
@@ -166,22 +162,21 @@ class KroneckerModule:
     @classmethod
     def from_json(cls, doc: dict) -> "KroneckerModule":
         n, rows = json_n_and_matrix(doc)
-        forms = [[LinearForm(n, tuple(json_array(e, "an entry"))) for e in row] for row in rows]
-        return cls.from_rows(n, forms)
+        forms = [LinearForm(n, tuple(json_array(e, "an entry"))) for row in rows for e in row]
+        return cls(n, *forms)
 
 
-def json_array(value, what: str) -> list:
-    """value itself if it is a JSON array; a string would be read character by character."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON array")
-    return value
-
-
-def json_n_and_matrix(doc: dict) -> tuple[int, list]:
-    """A module or family document's integer (not boolean) 'n' and 2x2 'matrix' of arrays."""
+def json_n(doc: dict) -> int:
+    """A module, family or conic document's integer (not boolean) 'n'."""
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("'n' must be an integer")
+    return n
+
+
+def json_n_and_matrix(doc: dict) -> tuple[int, list]:
+    """A module or family document's 'n' and 2x2 'matrix' of arrays."""
+    n = json_n(doc)
     rows = json_array(doc["matrix"], "'matrix'")
     if len(rows) != 2 or any(len(json_array(r, "a row of 'matrix'")) != 2 for r in rows):
         raise ValueError("'matrix' must be 2x2")

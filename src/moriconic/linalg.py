@@ -19,8 +19,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
@@ -44,6 +42,13 @@ def as_rat(x) -> Fraction:
 def format_rat(x: Fraction) -> str:
     """Canonical wire form: 'p' or 'p/q' with q > 1."""
     return str(x)
+
+
+def json_array(value, what: str) -> list:
+    """value itself if it is a JSON array; a string would be read character by character."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array")
+    return value
 
 
 def clear_denominators(values: Iterable) -> tuple[list[int], int]:
@@ -107,14 +112,6 @@ class RatMatrix:
             raise ValueError("ragged rows")
         self.entries: tuple[tuple[Fraction, ...], ...] = tuple(rows)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -126,36 +123,12 @@ class RatMatrix:
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self.entries]})"
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(list(zip(*self.entries))) if self.rows else RatMatrix([])
 
-    def _integer_rows(self) -> list[list[int]]:
-        # scaling a row by a nonzero constant changes neither rank nor nullspace
-        return [clear_denominators(row)[0] for row in self.entries]
-
     def rank(self) -> int:
-        return len(bareiss(self._integer_rows())[1])
-
-    def right_nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of {v : Mv = 0}, one tuple per free column."""
-        rows, pivots, d = bareiss(self._integer_rows())
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for row, pc in zip(rows, pivots):
-                v[pc] = Fraction(-row[fc], d)
-            basis.append(tuple(v))
-        return tuple(basis)
-
-    def left_nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of {w : w^T M = 0}."""
-        return self.transpose().right_nullspace()
+        # scaling a row by a nonzero constant leaves the rank unchanged
+        return len(bareiss([clear_denominators(row)[0] for row in self.entries])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +152,6 @@ class BinaryForm:
             raise ValueError(f"expected {degree + 1} coefficients, got {len(cs)}")
         self.degree = degree
         self.coeffs = cs
-
-    @classmethod
-    def zero(cls, degree: int) -> "BinaryForm":
-        return cls(degree, [0] * (degree + 1))
 
     @property
     def is_zero(self) -> bool:
@@ -240,21 +209,6 @@ class BinaryForm:
                 total += c * s ** (self.degree - i) * t**i
         return total
 
-    @property
-    def t_valuation(self) -> int | None:
-        """Multiplicity of the root (1:0), i.e. the power of t dividing the form."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
-
-    def dehomogenize(self) -> tuple[Fraction, ...]:
-        """The univariate polynomial f(s, 1), low degree first, trailing zeros cut."""
-        poly = [self.coeffs[self.degree - m] for m in range(self.degree + 1)]
-        while poly and poly[-1] == 0:
-            poly.pop()
-        return tuple(poly)
-
     def normalized(self) -> "BinaryForm":
         """Scaled to integer coprime coefficients with positive leading entry.
 
@@ -299,7 +253,8 @@ def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
     resultant Y^2 - XZ vanishes, and then the root is (X : Y), or (0 : 1) when
     X = 0.  In dimension 1 every triple is a multiple of the first nonzero one.
     Reading stops at the third independent triple.  The result is normalized
-    as by binary_form_gcd, and ALL_ZERO when every triple is zero.
+    to coprime integers with a positive leading entry, and ALL_ZERO when
+    every triple is zero.
     """
     first = normal = None
     for v in triples:
@@ -328,102 +283,6 @@ def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
 def quadratics_over(triples: Iterable[Sequence[int]], den: int) -> list[BinaryForm]:
     """Binary quadratics with the integer coefficient triples divided by den."""
     return [BinaryForm(2, _over(t, den)) for t in triples]
-
-
-# Univariate helpers over Fraction, low degree first, canonical (no trailing 0).
-
-
-def _upoly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _upoly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    db = len(b) - 1
-    lead = b[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + db] / lead
-        quot[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[k + j] -= c * bj
-    return _upoly_trim(quot), _upoly_trim(rem)
-
-
-def _upoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _upoly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def binary_form_gcd(forms: Sequence[BinaryForm]) -> "BinaryForm | AllZero":
-    """Gcd of binary forms, tracked through the common power of t.
-
-    The forms may vanish at (1:0); dehomogenizing at t = 1 erases that root,
-    so its multiplicity is restored from the minimum t-valuation.  The result
-    divides every input as a form and is normalized to coprime integers with
-    positive leading coefficient.  If every input is zero, returns ALL_ZERO.
-    """
-    if not forms:
-        raise ValueError("at least one form required")
-    nonzero = [f for f in forms if not f.is_zero]
-    if not nonzero:
-        return ALL_ZERO
-    tpow = min(f.t_valuation for f in nonzero)
-    g: list[Fraction] = []
-    for f in nonzero:
-        g = _upoly_gcd(g, list(f.dehomogenize())) if g else _upoly_trim(list(f.dehomogenize()))
-        if len(g) == 1 and tpow == 0:
-            break
-    dg = len(g) - 1
-    degree = dg + tpow
-    coeffs = [Fraction(0)] * (degree + 1)
-    for m, c in enumerate(g):
-        # g's s^m term becomes s^m t^(dg - m + tpow), stored at index degree - m
-        coeffs[degree - m] = c
-    return BinaryForm(degree, coeffs).normalized()
-
-
-def binary_form_exact_div(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Quotient f / g as binary forms; raises ValueError if g does not divide f."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero form")
-    if f.degree < g.degree:
-        raise ValueError("degree of divisor exceeds degree of dividend")
-    d = f.degree - g.degree
-    if f.is_zero:
-        return BinaryForm.zero(d)
-    tf, tg = f.t_valuation, g.t_valuation
-    if tg > tf:
-        raise ValueError("divisor has a higher-order root at (1:0) than dividend")
-    quot, rem = _upoly_divmod(list(f.dehomogenize()), list(g.dehomogenize()))
-    if rem:
-        raise ValueError("forms do not divide exactly")
-    tq = tf - tg
-    if len(quot) - 1 + tq > d:
-        raise ValueError("forms do not divide exactly")
-    coeffs = [Fraction(0)] * (d + 1)
-    for m, c in enumerate(quot):
-        coeffs[d - m] = c
-    return BinaryForm(d, coeffs)
-
-
-def binary_form_divides(g: BinaryForm, f: BinaryForm) -> bool:
-    try:
-        binary_form_exact_div(f, g)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,13 @@ NotDivisible rather than ever being truncated.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .errors import NotDivisible
+from .linalg import json_array
+
+_INT_RE = re.compile(r"-?\d+")
 
 
 class QPoly:
@@ -195,7 +199,11 @@ class QPoly:
 
     @classmethod
     def from_json(cls, data: list[str]) -> "QPoly":
-        return cls([int(s) for s in data])
+        """Inverse of to_json: a JSON array of decimal integer strings."""
+        cs = json_array(data, "a polynomial")
+        if not all(isinstance(c, str) and _INT_RE.fullmatch(c) for c in cs):
+            raise ValueError("coefficients must be decimal integer strings")
+        return cls([int(c) for c in cs])
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"

@@ -174,6 +174,21 @@ class TestPoincare:
         assert out.count("\n") == 1
         assert json.loads(out)["error"] == "parse_error"
 
+    @pytest.mark.parametrize("flags", [
+        ("Pn", "--n", "-1"),
+        ("Gr", "--k", "5", "--N", "3"),
+        ("Gr", "--k", "-1", "--N", "3"),
+        ("MbarP", "--n", "1"),
+        ("MbarGr", "--n", "2"),
+        ("T4", "--n", "2"),
+    ])
+    def test_domain_precondition_is_parse_error(self, capsys, flags):
+        # an identifier outside its formula's domain names no space: exit 1, not 2
+        code, out = run(capsys, "poincare", "--space", *flags)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "parse_error"
+
     def test_inner_ignored_beside_other_spaces(self, capsys):
         code, out = run(capsys, "poincare", "--space", "Pn", "--n", "1", "--inner", "{bad")
         assert code == 0

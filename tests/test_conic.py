@@ -111,6 +111,18 @@ class TestPluckerConic:
         with pytest.raises(ValueError):
             PluckerConic.from_json({"n": 3, "coords": {"0,1": ["0", "1", "0"]}})
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 1, "coords": {"0,1": "100"}},
+        {"n": 1, "coords": [["1", "0", "0"]]},
+        {"n": "3", "coords": {}},
+        {"n": True, "coords": {"0,1": ["1", "0", "0"]}},
+    ])
+    def test_from_json_rejects_malformed_documents(self, doc):
+        from moriconic import PluckerConic
+
+        with pytest.raises(ValueError):
+            PluckerConic.from_json(doc)
+
 
 class TestEnvelope:
     def test_generic_stable_has_plane_envelope(self):

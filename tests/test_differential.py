@@ -3,26 +3,27 @@
 Inputs are degenerate small-entry modules: n in {2, 3, 4}, entries in
 {-1, 0, 1} over denominators {1, 2, 3}, with columns, rows or the diagonal
 often tied together so every stratum occurs.  Ranks are recomputed with
-sympy.Matrix.rank from coefficients built here, sharing no code with the
-package.
+sympy.Matrix.rank and the minor gcd with sympy.gcd, from coefficients built
+here, sharing no code with the package.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from moriconic import (
+    ALL_ZERO,
+    BinaryForm,
     KroneckerModule,
     LinearForm,
     Stratum,
     Verdict,
     WitnessKind,
-    binary_form_gcd,
     classify_stability,
     cokernel_kind,
-    column_minors,
     det_quadric,
     envelope,
     minor_gcd,
@@ -88,19 +89,37 @@ def minor_slices(M: KroneckerModule):
     ]
 
 
+S, T = sp.symbols("s t")
+
+
+def sympy_minor_gcd(slices):
+    """Gcd of the minors s^2 p + st q + t^2 r in coprime integers with positive
+    leading entry, or ALL_ZERO when every minor vanishes."""
+    minors = [rat(p) * S**2 + rat(q) * S * T + rat(r) * T**2 for p, q, r in zip(*slices)]
+    nonzero = [m for m in minors if m != 0]
+    if not nonzero:
+        return ALL_ZERO
+    g = sp.Poly(reduce(sp.gcd, nonzero), S, T)
+    g = g.clear_denoms(convert=True)[1].primitive()[1]
+    d = g.total_degree()
+    coeffs = [int(g.coeff_monomial(S ** (d - i) * T**i)) for i in range(d + 1)]
+    sign = 1 if next(c for c in coeffs if c) > 0 else -1
+    return BinaryForm(d, [sign * c for c in coeffs])
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(degenerate_modules())
 def test_kernel_matches_sympy(M):
     stratum = stratify(M)
     assert stratum is sympy_stratum(M)
-    assert minor_gcd(M) == binary_form_gcd(column_minors(M))
+    slices = minor_slices(M)
+    assert minor_gcd(M) == sympy_minor_gcd(slices)
 
     det_rank = sympy_rank(det_gram(M))
     assert quadric_rank(det_quadric(M)) == det_rank
     if stratum is not Stratum.UNSTABLE_LOCUS:
         assert cokernel_kind(M).det_rank == det_rank
 
-    slices = minor_slices(M)
     if any(any(row) for row in slices):
         assert envelope(plucker_conic(M)).dim == sympy_rank(slices)
 

@@ -122,6 +122,18 @@ class TestSerialization:
         p = P(-3, 0, 12345678901234567890)
         assert QPoly.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("data", [
+        [1.5, True, "7"],
+        "12",
+        ["1.0"],
+        [" 7"],
+        [None],
+        {"0": "1"},
+    ])
+    def test_from_json_rejects_inexact_input(self, data):
+        with pytest.raises(ValueError):
+            QPoly.from_json(data)
+
 
 small_polys = st.lists(st.integers(min_value=-30, max_value=30), max_size=7).map(QPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
