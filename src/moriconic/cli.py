@@ -190,10 +190,7 @@ def _run_conic(args) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         **c.to_json(),
-        "envelope": {
-            "dim": env.dim,
-            "basis": [[format_rat(x) for x in row] for row in env.basis],
-        },
+        "envelope": env.to_json(),
         "degree": conic_degree(c),
     }
 

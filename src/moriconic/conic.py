@@ -19,13 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from types import MappingProxyType
 
 from .errors import IdenticallyZero, ZeroConic
 from .kronecker import (
     KroneckerModule,
     LinearForm,
-    column_minors,
     index_pairs,
+    integer_coefficients,
     integer_minors,
     json_n,
     json_n_and_matrix,
@@ -33,87 +35,153 @@ from .kronecker import (
 from .linalg import (
     ALL_ZERO,
     BinaryForm,
-    as_rat,
     bareiss,
-    clear_denominators,
     json_array,
+    lowest_terms,
+    num_den,
     quadratic_gcd,
     quadratic_root_structure,
-    quadratics_over,
+    rat_strings,
+    rationals,
+    rescaled,
 )
 
 
 class PluckerConic:
-    """Tuple of binary quadratics p_I indexed by pairs I = {i < j} in {0..n}."""
+    """Tuple of binary quadratics p_I indexed by pairs I = {i < j} in {0..n}.
 
-    __slots__ = ("n", "coords")
+    Stored as integer numerators nums over one denominator den, in lowest
+    terms: the coefficient triples of the p_I, flattened in index_pairs
+    order.  coords builds the quadratics when first read, as a read-only
+    mapping, so it cannot drift from the storage.
+    """
+
+    __slots__ = ("n", "nums", "den", "_coords")
 
     def __init__(self, n: int, coords: dict):
         expected = index_pairs(n)
         if set(coords) != set(expected):
             raise ValueError("coordinates must cover every index pair exactly once")
-        for f in coords.values():
-            if f.degree != 2:
-                raise ValueError("each Pluecker coordinate must be a binary quadratic")
-        self.n = n
-        self.coords = {pair: coords[pair] for pair in expected}
+        forms = [coords[pair] for pair in expected]
+        if any(f.degree != 2 for f in forms):
+            raise ValueError("each Pluecker coordinate must be a binary quadratic")
+        den = lcm(*(f.den for f in forms))
+        nums = [x for f in forms for x in rescaled(f.nums, f.den, den)]
+        self.nums, self.den = lowest_terms(nums, den)
+        self.n, self._coords = n, None
+
+    @classmethod
+    def from_ints(cls, n: int, nums, den: int = 1) -> "PluckerConic":
+        """The conic whose triples, flattened in index_pairs order, are nums / den."""
+        c = object.__new__(cls)
+        c.n, c._coords = n, None
+        c.nums, c.den = lowest_terms(nums, den)
+        return c
+
+    def triples(self):
+        """The integer coefficient triples of den * p_I, in index_pairs order."""
+        it = iter(self.nums)
+        return zip(it, it, it)
+
+    @property
+    def coords(self) -> MappingProxyType:
+        if self._coords is None:
+            forms = (BinaryForm.from_ints(t, self.den) for t in self.triples())
+            self._coords = MappingProxyType(dict(zip(index_pairs(self.n), forms)))
+        return self._coords
 
     @property
     def is_zero(self) -> bool:
-        return all(f.is_zero for f in self.coords.values())
-
-    def forms(self) -> list[BinaryForm]:
-        return list(self.coords.values())
+        return not any(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PluckerConic):
             return NotImplemented
-        return self.n == other.n and self.coords == other.coords
+        return (self.n, self.nums, self.den) == (other.n, other.nums, other.den)
 
     def __repr__(self) -> str:
         nz = {ij: f for ij, f in self.coords.items() if not f.is_zero}
         return f"PluckerConic(n={self.n}, nonzero={nz!r})"
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "coords": {f"{i},{j}": self.coords[(i, j)].to_json() for i, j in self.coords},
-        }
+        strings = iter(rat_strings(self.nums, self.den))
+        return {"n": self.n, "coords": {f"{i},{j}": [next(strings) for _ in range(3)]
+                                        for i, j in index_pairs(self.n)}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":
         n = json_n(doc)
-        if not isinstance(doc["coords"], dict):
+        if n < 2:
+            raise ValueError("ambient parameter n must be >= 2")
+        coords = doc["coords"]
+        if not isinstance(coords, dict):
             raise ValueError("'coords' must be a JSON object")
-        coords = {}
-        for key, cs in doc["coords"].items():
-            i, j = (int(part) for part in key.split(","))
-            coords[(i, j)] = BinaryForm(2, json_array(cs, "a coordinate"))
-        return cls(n, coords)
+        keys = [f"{i},{j}" for i, j in index_pairs(n)]
+        if set(coords) != set(keys):
+            raise ValueError("'coords' must have exactly the keys 'i,j' for 0 <= i < j <= n")
+        triples = [json_array(coords[key], "a coordinate") for key in keys]
+        if any(len(t) != 3 for t in triples):
+            raise ValueError("each Pluecker coordinate must be a binary quadratic")
+        return cls.from_ints(n, *rationals(x for t in triples for x in t))
 
 
-@dataclass(frozen=True)
 class Envelope:
-    """Span of the coefficient vectors of a conic, in reduced echelon form."""
+    """Span of the coefficient vectors of a conic, in reduced echelon form.
 
-    dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    Stored as the basis rows, flattened, over one denominator in lowest
+    terms; basis builds the Fractions.
+    """
+
+    __slots__ = ("dim", "nums", "den")
+
+    def __init__(self, dim: int, basis):
+        self.dim = dim
+        self.nums, self.den = rationals(x for row in basis for x in row)
+
+    @classmethod
+    def from_rows(cls, rows, den: int) -> "Envelope":
+        e = object.__new__(cls)
+        e.dim = len(rows)
+        e.nums, e.den = lowest_terms([x for row in rows for x in row], den)
+        return e
+
+    def _rows(self, values) -> list:
+        width = len(values) // self.dim if self.dim else 0
+        return [values[k * width:(k + 1) * width] for k in range(self.dim)]
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self._rows(tuple(Fraction(x, self.den) for x in self.nums)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Envelope):
+            return NotImplemented
+        return (self.dim, self.nums, self.den) == (other.dim, other.nums, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"Envelope(dim={self.dim}, basis={self._rows(rat_strings(self.nums, self.den))})"
+
+    def to_json(self) -> dict:
+        return {"dim": self.dim, "basis": self._rows(rat_strings(self.nums, self.den))}
 
 
 def plucker_conic(M: KroneckerModule) -> PluckerConic:
     """Wedge coordinates of the pencil matrix of M, one quadratic per pair."""
-    minors = column_minors(M)
-    return PluckerConic(M.n, dict(zip(index_pairs(M.n), minors)))
+    a1, b1, a2, b2, d = integer_coefficients(M)
+    flat = [x for t in integer_minors(a1, b1, a2, b2) for x in t]
+    return PluckerConic.from_ints(M.n, flat, d * d)
 
 
 def envelope(c: PluckerConic) -> Envelope:
     """Linear envelope of the conic: the span of its three coefficient slices."""
     if c.is_zero:
         raise ZeroConic("the envelope of the zero conic is undefined")
-    # scaling a slice by a nonzero constant changes neither its span nor the rref
-    slices = [clear_denominators(f.coeffs[k] for f in c.coords.values())[0] for k in range(3)]
-    rows, pivots, d = bareiss(slices)
-    return Envelope(len(pivots), tuple(tuple(Fraction(x, d) for x in row) for row in rows))
+    # den * the slices have the same span and the same rref
+    rows, _, d = bareiss([c.nums[k::3] for k in range(3)])
+    return Envelope.from_rows(rows, d)
 
 
 def conic_degree(c: PluckerConic) -> int:
@@ -124,8 +192,7 @@ def conic_degree(c: PluckerConic) -> int:
     """
     if c.is_zero:
         raise ZeroConic("the degree of the zero conic is undefined")
-    g = quadratic_gcd(clear_denominators(f.coeffs)[0] for f in c.forms())
-    return 2 - g.degree
+    return 2 - quadratic_gcd(c.triples()).degree
 
 
 class LambdaFamily:
@@ -149,15 +216,12 @@ class LambdaFamily:
 
     def specialize(self, lam) -> KroneckerModule:
         """The module at a rational parameter value; raises if the matrix is zero there."""
-        lam = as_rat(lam)
         forms = []
         for row in self.entries:
             for entry in row:
                 f = LinearForm.zero(self.n)
-                power = Fraction(1)
-                for coeff_form in entry:
-                    f = f + power * coeff_form
-                    power *= lam
+                for coeff_form in reversed(entry):  # Horner's rule
+                    f = f.scale(lam) + coeff_form
                 forms.append(f)
         return KroneckerModule(self.n, *forms)
 
@@ -204,15 +268,12 @@ def _wedge_by_degree(F: LambdaFamily):
     over d1 + d2 = k, the minors of the pencil rows of degrees d1 and d2.
     Returns a generator of (k, triples) and D^2.
     """
-    flat = [c for row in F.entries for entry in row for f in entry for c in f.coeffs]
-    ints, d = clear_denominators(flat)
-    coeffs = iter(ints)
-    size = F.n + 1
-    zero = [0] * size
+    d = lcm(*(f.den for row in F.entries for entry in row for f in entry))
+    zero = (0,) * (F.n + 1)
 
     def pencil(row):
         """Per lambda degree, the coefficients of s and of t in the row."""
-        left, right = ([[next(coeffs) for _ in range(size)] for _ in entry] for entry in row)
+        left, right = ([rescaled(f.nums, f.den, d) for f in entry] for entry in row)
         return [
             (left[e] if e < len(left) else zero, right[e] if e < len(right) else zero)
             for e in range(max(1, len(left), len(right)))
@@ -233,24 +294,20 @@ def _wedge_by_degree(F: LambdaFamily):
     return degrees(), d * d
 
 
-def _conic(n: int, triples, den: int) -> PluckerConic:
-    return PluckerConic(n, dict(zip(index_pairs(n), quadratics_over(triples, den))))
-
-
 def family_conic(F: LambdaFamily, lam) -> PluckerConic:
     """Wedge coordinates of the family at a specific rational parameter value."""
-    lam = as_rat(lam)
+    p, q = num_den(lam)
     degrees, den = _wedge_by_degree(F)
     slices = [triples for _, triples in degrees]
     # sum_k T_k (p/q)^k = sum_k T_k p^k q^(K-k) / q^K, with K the top degree
-    p, q = lam.numerator, lam.denominator
     top = len(slices) - 1
     weights = [p**k * q ** (top - k) for k in range(top + 1)]
     values = [
-        tuple(sum(w * t[i] for w, t in zip(weights, column)) for i in range(3))
+        sum(w * t[i] for w, t in zip(weights, column))
         for column in zip(*slices)
+        for i in range(3)
     ]
-    return _conic(F.n, values, den * q**top)
+    return PluckerConic.from_ints(F.n, values, den * q**top)
 
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
@@ -261,7 +318,7 @@ def modify_family(F: LambdaFamily) -> ModificationResult:
             break
     else:
         raise IdenticallyZero("the wedge of the family vanishes for every lambda")
-    conic = _conic(F.n, triples, den)
+    conic = PluckerConic.from_ints(F.n, [x for t in triples for x in t], den)
     g = quadratic_gcd(triples)
     assert g is not ALL_ZERO  # impossible by minimality of k
     points: tuple[tuple[Fraction, Fraction], ...] = ()

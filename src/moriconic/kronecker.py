@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 from .errors import NotSemistable
 from .linalg import (
@@ -45,56 +45,42 @@ from .linalg import (
     RootKind,
     as_rat,
     bareiss,
-    clear_denominators,
     format_rat,
+    RatVector,
     json_array,
+    num_den,
     quadratic_gcd,
     quadratic_root_structure,
-    quadratics_over,
+    rationals,
+    rescaled,
 )
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(RatVector):
     """Element of V*: exact rational coefficients of x_0 .. x_n."""
 
-    n: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(as_rat(c) for c in self.coeffs))
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} coefficients, got {len(self.coeffs)}")
+    def __init__(self, n: int, coeffs):
+        super().__init__(n + 1, coeffs)
+
+    @property
+    def n(self) -> int:
+        return len(self.nums) - 1
 
     @classmethod
     def zero(cls, n: int) -> "LinearForm":
-        return cls(n, (0,) * (n + 1))
+        return cls.from_ints((0,) * (n + 1))
 
     @classmethod
     def variable(cls, i: int, n: int) -> "LinearForm":
         """The coordinate form x_i."""
         if not 0 <= i <= n:
             raise ValueError(f"variable index {i} out of range for n={n}")
-        return cls(n, tuple(1 if j == i else 0 for j in range(n + 1)))
+        return cls.from_ints(tuple(1 if j == i else 0 for j in range(n + 1)))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        if self.n != other.n:
-            raise ValueError("ambient dimension mismatch")
-        return LinearForm(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "LinearForm":
-        c = as_rat(c)
-        return LinearForm(self.n, tuple(c * x for x in self.coeffs))
-
-    def to_json(self) -> list[str]:
-        return [format_rat(c) for c in self.coeffs]
+    def __repr__(self) -> str:
+        return f"LinearForm(n={self.n}, coeffs={self.to_json()})"
 
 
 @dataclass(frozen=True)
@@ -123,32 +109,31 @@ class KroneckerModule:
         return KroneckerModule(self.n, self.m11, self.m21, self.m12, self.m22)
 
     def scale(self, c) -> "KroneckerModule":
-        c = as_rat(c)
-        if c == 0:
+        if num_den(c)[0] == 0:
             raise ValueError("scaling by zero leaves the projective space")
         return KroneckerModule(self.n, c * self.m11, c * self.m12, c * self.m21, c * self.m22)
 
     def transform(self, A, B) -> "KroneckerModule":
-        """A . M . B^{-1} for constant 2x2 matrices A, B (det B != 0)."""
-        (a11, a12), (a21, a22) = [[as_rat(x) for x in row] for row in A]
-        (b11, b12), (b21, b22) = [[as_rat(x) for x in row] for row in B]
+        """A . M . B^{-1} for constant 2x2 matrices A, B (det B != 0).
+
+        With A = A'/p, B = B'/q and M = M'/D over integers, B^{-1} is
+        adj(B') q / det(B'), so the result is A' M' adj(B') over p D det(B') / q.
+        """
+        (a11, a12, a21, a22), p = rationals(x for row in A for x in row)
+        (b11, b12, b21, b22), q = rationals(x for row in B for x in row)
         det_b = b11 * b22 - b12 * b21
         if det_b == 0:
             raise ValueError("B must be invertible")
-        # B^{-1} = adj(B) / det(B)
-        c11, c12 = b22 / det_b, -b12 / det_b
-        c21, c22 = -b21 / det_b, b11 / det_b
-        t11 = a11 * self.m11 + a12 * self.m21
-        t12 = a11 * self.m12 + a12 * self.m22
-        t21 = a21 * self.m11 + a22 * self.m21
-        t22 = a21 * self.m12 + a22 * self.m22
-        return KroneckerModule(
-            self.n,
-            c11 * t11 + c21 * t12,
-            c12 * t11 + c22 * t12,
-            c11 * t21 + c21 * t22,
-            c12 * t21 + c22 * t22,
-        )
+        m11, m12, m21, m22, d = integer_coefficients(self)
+        forms = []
+        for x1, x2 in ((q * a11, q * a12), (q * a21, q * a22)):
+            # a row of q A' M', times each column of adj(B')
+            left = [x1 * u + x2 * v for u, v in zip(m11, m21)]
+            right = [x1 * u + x2 * v for u, v in zip(m12, m22)]
+            for y1, y2 in ((b22, -b21), (-b12, b11)):
+                forms.append(LinearForm.from_ints(
+                    [y1 * u + y2 * v for u, v in zip(left, right)], p * d * det_b))
+        return KroneckerModule(self.n, *forms)
 
     def to_json(self) -> dict:
         return {
@@ -274,16 +259,16 @@ def pencil_matrix(M: KroneckerModule, s, t) -> RatMatrix:
     return RatMatrix([row1, row2])
 
 
-def _integer_coefficients(M: KroneckerModule):
-    """(m11, m12, m21, m22, D): the coefficient lists of D * M, all integers.
+def integer_coefficients(M: KroneckerModule):
+    """(m11, m12, m21, m22, D): the coefficient tuples of D * M, all integers.
 
-    D is the least common denominator of the module; scaling by it changes
-    no verdict, because verdicts depend only on the projective class.
+    D is the least common denominator of the module, the lcm of its four
+    forms' denominators; scaling by it changes no verdict, because verdicts
+    depend only on the projective class.
     """
     forms = (M.m11, M.m12, M.m21, M.m22)
-    ints, d = clear_denominators([c for f in forms for c in f.coeffs])
-    size = M.n + 1
-    return (*(ints[k * size:(k + 1) * size] for k in range(4)), d)
+    d = lcm(*(f.den for f in forms))
+    return (*(rescaled(f.nums, f.den, d) for f in forms), d)
 
 
 def integer_minors(a1, b1, a2, b2):
@@ -308,13 +293,13 @@ def column_minors(M: KroneckerModule) -> list[BinaryForm]:
     m_k1) + t * (x_i coefficient of m_k2); the minor over columns i < j is a
     binary quadratic.  Minors are listed in lexicographic pair order.
     """
-    a1, b1, a2, b2, d = _integer_coefficients(M)
-    return quadratics_over(integer_minors(a1, b1, a2, b2), d * d)
+    a1, b1, a2, b2, d = integer_coefficients(M)
+    return [BinaryForm.from_ints(t, d * d) for t in integer_minors(a1, b1, a2, b2)]
 
 
 def minor_gcd(M: KroneckerModule):
     """Gcd of all column minors; ALL_ZERO exactly on the scalar-matrix locus."""
-    a1, b1, a2, b2, _ = _integer_coefficients(M)
+    a1, b1, a2, b2, _ = integer_coefficients(M)
     return quadratic_gcd(integer_minors(a1, b1, a2, b2))
 
 
@@ -350,7 +335,7 @@ def _destabilizing_witness(a1, b1, a2, b2) -> Witness | None:
 
 def _stability(M: KroneckerModule):
     """(instability witness, None) or (None, minor gcd), from one integer pass."""
-    a1, b1, a2, b2, _ = _integer_coefficients(M)
+    a1, b1, a2, b2, _ = integer_coefficients(M)
     w = _destabilizing_witness(a1, b1, a2, b2)
     if w is not None:
         return w, None
@@ -411,7 +396,7 @@ def _det_gram(a, b, c, d, indices) -> list[list[int]]:
 
 def det_quadric(M: KroneckerModule) -> QuadricForm:
     """Symmetric Gram matrix of det M = m11 m22 - m12 m21."""
-    a, b, c, d, den = _integer_coefficients(M)
+    a, b, c, d, den = integer_coefficients(M)
     scale = 2 * den * den
     gram = _det_gram(a, b, c, d, range(M.n + 1))
     return QuadricForm(M.n, RatMatrix([[Fraction(x, scale) for x in row] for row in gram]))
@@ -433,7 +418,7 @@ def cokernel_kind(M: KroneckerModule) -> CokernelKind:
     W_P, then W = T W_P with T of full column rank, so the determinant rank is
     the rank of the r x r block of the Gram matrix on P.
     """
-    a, b, c, d, _ = _integer_coefficients(M)
+    a, b, c, d, _ = integer_coefficients(M)
     if _destabilizing_witness(a, b, c, d) is not None:
         raise NotSemistable("cokernel shape is defined for semistable modules only")
     _, pivots, _ = bareiss([a, b, c, d])

@@ -1,11 +1,15 @@
 """Exact rational scalars, dense matrices, and binary-form utilities.
 
-Scalars are fractions.Fraction at every public boundary; nothing in this
-package touches floating point, because every classification downstream is a
-discrete verdict that must be exact.  Elimination runs on integers: rows are
-scaled to clear denominators (which changes no rank, span or reduced form) and
-reduced fraction-free, so Fractions appear only in the results.  Binary
-forms are homogeneous polynomials in (s, t), stored by coefficient of
+Nothing in this package touches floating point, because every classification
+downstream is a discrete verdict that must be exact.  A vector of rationals
+(a linear or binary form, a conic's coordinates, an envelope basis) is stored
+as a tuple of Python ints over one positive common denominator, in lowest
+terms (lowest_terms is the one place that normalizes), so equal vectors have
+equal storage.  Arithmetic and the wire strings work on those ints; the
+Fractions of .coeffs, .coords and .basis are built only when read.
+Elimination runs on integers too: rows are scaled to clear denominators
+(which changes no rank, span or reduced form) and reduced fraction-free.
+Binary forms are homogeneous polynomials in (s, t), stored by coefficient of
 s^(d-i) t^i.  Irrational roots are never constructed; existence is certified
 through the discriminant or gcd degrees.
 """
@@ -22,26 +26,70 @@ from typing import Iterable, Sequence
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def as_rat(x) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' decimal string to an exact rational.
+def num_den(x) -> tuple[int, int]:
+    """(p, q) with x = p / q and q > 0, for an int, Fraction, or 'p/q' decimal string.
 
     Floats are rejected: they would silently break exactness.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     if isinstance(x, str):
         if not _RAT_RE.match(x):
             raise ValueError(f"malformed rational string: {x!r}")
         num, _, den = x.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return int(num), int(den) if den else 1
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x.as_integer_ratio()
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
+
+
+def as_rat(x) -> Fraction:
+    """Coerce an int, Fraction, or 'p/q' decimal string to an exact rational."""
+    if isinstance(x, Fraction):
+        return x
+    p, q = num_den(x)
+    return Fraction(p, q) if q != 1 else Fraction(p)
 
 
 def format_rat(x: Fraction) -> str:
     """Canonical wire form: 'p' or 'p/q' with q > 1."""
     return str(x)
+
+
+def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) scaled so that den > 0 and gcd(den, *nums) == 1.
+
+    Every rational vector is stored in this form, so it is unique: the zero
+    vector has denominator 1.
+    """
+    nums = tuple(nums)
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple(x // g for x in nums), den // g
+
+
+def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """Exact rationals (ints, Fractions, 'p/q' strings) as lowest-terms (nums, den)."""
+    values = tuple(values)
+    if all(type(x) is int for x in values):
+        return values, 1
+    pairs = [num_den(x) for x in values]
+    den = math.lcm(*(q for _, q in pairs))
+    return lowest_terms([p * (den // q) for p, q in pairs], den)
+
+
+def rescaled(nums: Sequence[int], den: int, common: int) -> Sequence[int]:
+    """The numerators of nums / den over common, a multiple of den."""
+    if den == common:
+        return nums
+    k = common // den
+    return tuple(x * k for x in nums)
+
+
+def rat_strings(nums: Iterable[int], den: int) -> list[str]:
+    """The wire strings of nums[i] / den, each as str(Fraction) writes it."""
+    if den == 1:
+        return list(map(str, nums))
+    return [f"{x // g}/{den // g}" if (g := math.gcd(x, den)) != den else str(x // g) for x in nums]
 
 
 def json_array(value, what: str) -> list:
@@ -56,12 +104,6 @@ def clear_denominators(values: Iterable) -> tuple[list[int], int]:
     values = list(values)
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _over(ints: Sequence[int], den: int) -> Sequence:
-    """ints / den.  When den is 1 the ints themselves: as_rat turns them into
-    Fractions faster than Fraction(x, 1) would."""
-    return ints if den == 1 else [Fraction(x, den) for x in ints]
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
@@ -131,83 +173,104 @@ class RatMatrix:
         return len(bareiss([clear_denominators(row)[0] for row in self.entries])[1])
 
 
+class RatVector:
+    """Exact rationals nums[i] / den: Python ints over one positive denominator,
+    in lowest terms, so equal vectors are stored alike.  coeffs builds the
+    Fractions; arithmetic and to_json work on the ints."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, size: int, coeffs: Iterable):
+        nums, den = rationals(coeffs)
+        if len(nums) != size:
+            raise ValueError(f"expected {size} coefficients, got {len(nums)}")
+        self.nums, self.den = nums, den
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1):
+        """The vector nums / den, its length unchecked."""
+        v = object.__new__(cls)
+        v.nums, v.den = lowest_terms(nums, den)
+        return v
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __add__(self, other):
+        if type(other) is not type(self) or len(other.nums) != len(self.nums):
+            raise ValueError(f"cannot add {other!r} to {self!r}")
+        den = math.lcm(self.den, other.den)
+        xs, ys = rescaled(self.nums, self.den, den), rescaled(other.nums, other.den, den)
+        return self.from_ints([a + b for a, b in zip(xs, ys)], den)
+
+    def __neg__(self):
+        return self.from_ints([-x for x in self.nums], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        p, q = num_den(c)
+        return self.from_ints([p * x for x in self.nums], self.den * q)
+
+    __rmul__ = scale
+
+    def to_json(self) -> list[str]:
+        return rat_strings(self.nums, self.den)
+
+
 # ---------------------------------------------------------------------------
 # Binary forms in (s, t)
 # ---------------------------------------------------------------------------
 
 
-class BinaryForm:
-    """Homogeneous form in (s, t); coeffs[i] multiplies s^(degree-i) t^i.
+class BinaryForm(RatVector):
+    """Homogeneous form in (s, t); coefficient i multiplies s^(degree-i) t^i.
 
     The zero form keeps its nominal degree.
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, degree: int, coeffs: Iterable):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        cs = tuple(as_rat(c) for c in coeffs)
-        if len(cs) != degree + 1:
-            raise ValueError(f"expected {degree + 1} coefficients, got {len(cs)}")
-        self.degree = degree
-        self.coeffs = cs
+        super().__init__(degree + 1, coeffs)
 
     @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.coeffs))
+    def degree(self) -> int:
+        return len(self.nums) - 1
 
     def __repr__(self) -> str:
-        return f"BinaryForm({self.degree}, {[str(c) for c in self.coeffs]})"
-
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        ints, den = clear_denominators(self.coeffs + other.coeffs)
-        size = self.degree + 1
-        return BinaryForm(self.degree, _over([a + b for a, b in zip(ints, ints[size:])], den))
-
-    def __sub__(self, other: "BinaryForm") -> "BinaryForm":
-        return self + (-other)
-
-    def __neg__(self) -> "BinaryForm":
-        return BinaryForm(self.degree, [-c for c in self.coeffs])
+        return f"BinaryForm({self.degree}, {self.to_json()})"
 
     def __mul__(self, other):
-        if isinstance(other, BinaryForm):
-            d = self.degree + other.degree
-            xs, dx = clear_denominators(self.coeffs)
-            ys, dy = clear_denominators(other.coeffs)
-            out = [0] * (d + 1)
-            for i, a in enumerate(xs):
-                if a:
-                    for j, b in enumerate(ys):
-                        out[i + j] += a * b
-            return BinaryForm(d, _over(out, dx * dy))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "BinaryForm":
-        c = as_rat(c)
-        return BinaryForm(self.degree, [c * x for x in self.coeffs])
+        if not isinstance(other, BinaryForm):
+            return self.scale(other)
+        out = [0] * (self.degree + other.degree + 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    out[i + j] += a * b
+        return BinaryForm.from_ints(out, self.den * other.den)
 
     def __call__(self, s, t) -> Fraction:
         s, t = as_rat(s), as_rat(t)
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += c * s ** (self.degree - i) * t**i
-        return total
+        total = sum(c * s ** (self.degree - i) * t**i for i, c in enumerate(self.nums) if c)
+        return Fraction(total) / self.den
 
     def normalized(self) -> "BinaryForm":
         """Scaled to integer coprime coefficients with positive leading entry.
@@ -216,14 +279,10 @@ class BinaryForm:
         """
         if self.is_zero:
             return self
-        ints = clear_denominators(self.coeffs)[0]
-        g = math.gcd(*ints)
-        if next(v for v in ints if v) < 0:
+        g = math.gcd(*self.nums)
+        if next(v for v in self.nums if v) < 0:
             g = -g
-        return BinaryForm(self.degree, [v // g for v in ints])
-
-    def to_json(self) -> list[str]:
-        return [format_rat(c) for c in self.coeffs]
+        return BinaryForm.from_ints([v // g for v in self.nums])
 
 
 class AllZero:
@@ -260,7 +319,7 @@ def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
     for v in triples:
         if normal is not None:
             if normal[0] * v[0] + normal[1] * v[1] + normal[2] * v[2]:
-                return BinaryForm(0, (1,))
+                return BinaryForm.from_ints((1,))
         elif first is not None:
             a, b, c = first
             d, e, f = v
@@ -272,17 +331,12 @@ def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
     if first is None:
         return ALL_ZERO
     if normal is None:
-        return BinaryForm(2, first).normalized()
+        return BinaryForm.from_ints(first).normalized()
     x, y, z = normal
     if y * y != x * z:
-        return BinaryForm(0, (1,))
+        return BinaryForm.from_ints((1,))
     s0, t0 = (x, y) if x else (y, z)
-    return BinaryForm(1, (t0, -s0)).normalized()
-
-
-def quadratics_over(triples: Iterable[Sequence[int]], den: int) -> list[BinaryForm]:
-    """Binary quadratics with the integer coefficient triples divided by den."""
-    return [BinaryForm(2, _over(t, den)) for t in triples]
+    return BinaryForm.from_ints((t0, -s0)).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,7 @@ def _ratio(ups, downs, poly: QPoly | None = None) -> QPoly:
 
 def proj_space_poincare(n: int) -> QPoly:
     """P(P^n) = (1 - q^(n+1)) / (1 - q) = 1 + q + ... + q^n."""
-    if n < 0:
-        raise ValueError("projective space dimension must be >= 0")
+    ProjSpace(n)  # checks the domain
     return _ratio((n + 1,), (1,))
 
 
@@ -52,8 +51,7 @@ def grassmannian_poincare(k: int, big_n: int) -> QPoly:
     is the Gaussian binomial (N-k+i choose i)_q, so each division is exact,
     and no intermediate exceeds the answer's degree k(N-k) by more than k.
     """
-    if not 0 <= k <= big_n:
-        raise ValueError("need 0 <= k <= N")
+    Grassmannian(k, big_n)  # checks the domain
     k = min(k, big_n - k)
     return _ratio(range(big_n - k + 1, big_n + 1), range(1, k + 1))
 
@@ -62,8 +60,7 @@ def kontsevich_proj_poincare(n: int) -> QPoly:
     """Degree-2 stable maps to P^(n-1):
     (1-q^(n+1))(1-q^n)(1-q^(n-1)) / ((1-q)^2 (1-q^2)).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    KontsevichProj(n)  # checks the domain
     return _ratio((n + 1, n, n - 1), (1, 1, 2))
 
 
@@ -75,8 +72,7 @@ def mbar_gr_poincare(n: int) -> QPoly:
     over (1-q)^3 (1-q^2)^2.  The bracket is (1-q^4)(1-q^n).  Degree 4n - 3,
     palindromic.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    MbarGr(n)  # checks the domain
     return _ratio((4, n, n + 1, n, n - 1), (1, 1, 1, 2, 2))
 
 
@@ -98,8 +94,7 @@ def t4_poincare(n: int) -> QPoly:
     binomial (n+2 choose 2)_q, minus the diagonal) it is (P^(n-2))^2.  Each
     product with a q-integer [m] = (1 - q^m) / (1 - q) is a ratio step.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    T4(n)  # checks the domain
     ppn = proj_space_poincare(n)
     pairs = grassmannian_poincare(2, n + 2) - ppn  # unordered pairs of distinct hyperplanes
     # (P(MbarP(n)) - 1) P(P^n) and (P(P^(n-2))^2 - 1) pairs
@@ -135,14 +130,20 @@ def mp2_4m2_poincare() -> QPoly:
 # ---------------------------------------------------------------------------
 # Space identifiers (CLI-facing)
 #
-# Each identifier knows its dimension, the degree of its Poincare polynomial,
-# so a caller can bound a request's cost before any product is formed.
+# Each identifier checks its formula's domain when constructed (the formula
+# functions construct it for that check), and knows its dimension, the degree
+# of its Poincare polynomial, so a caller can bound a request's cost before
+# any product is formed.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ProjSpace:
     n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("projective space dimension must be >= 0")
 
     @property
     def dimension(self) -> int:
@@ -154,6 +155,10 @@ class Grassmannian:
     k: int
     big_n: int
 
+    def __post_init__(self):
+        if not 0 <= self.k <= self.big_n:
+            raise ValueError("need 0 <= k <= N")
+
     @property
     def dimension(self) -> int:
         return self.k * (self.big_n - self.k)
@@ -163,6 +168,10 @@ class Grassmannian:
 class KontsevichProj:
     n: int
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("need n >= 2")
+
     @property
     def dimension(self) -> int:
         return 3 * self.n - 4
@@ -171,6 +180,10 @@ class KontsevichProj:
 @dataclass(frozen=True)
 class MbarGr:
     n: int
+
+    def __post_init__(self):
+        if self.n < 3:
+            raise ValueError("need n >= 3")
 
     @property
     def dimension(self) -> int:

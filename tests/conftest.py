@@ -10,27 +10,19 @@ import pytest
 
 from moriconic import KroneckerModule, LinearForm, RatMatrix, Stratum
 
-Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
+def random_sl2(rng: random.Random, size: int = 5):
+    """Random element of SL2(Q): elementary shears, sometimes a diagonal torus factor.
 
-def mat2(rows) -> Mat2:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def mat2_mul(a: Mat2, b: Mat2) -> Mat2:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )
-
-
-def random_sl2(rng: random.Random, size: int = 5) -> Mat2:
-    """Random element of SL2(Q): elementary shears, sometimes a diagonal torus factor."""
-    m = mat2([[1, rng.randint(-size, size)], [0, 1]])
-    m = mat2_mul(m, mat2([[1, 0], [rng.randint(-size, size), 1]]))
-    m = mat2_mul(m, mat2([[1, rng.randint(-size, size)], [0, 1]]))
+    The shears [[1, a], [0, 1]] [[1, 0], [b, 1]] [[1, c], [0, 1]] multiply out
+    to the integer matrix below; the torus factor diag(r, 1/r) scales its
+    columns.  Entries are ints unless the torus factor makes them Fractions.
+    """
+    a, b, c = (rng.randint(-size, size) for _ in range(3))
+    m = ((1 + a * b, (1 + a * b) * c + a), (b, b * c + 1))
     if rng.random() < 0.5:
-        r = Fraction(rng.randint(1, size), rng.randint(1, size))
-        m = mat2_mul(m, mat2([[r, 0], [0, 1 / r]]))
+        p, q = rng.randint(1, size), rng.randint(1, size)
+        m = tuple((Fraction(x * p, q), Fraction(y * q, p)) for x, y in m)
     return m
 
 

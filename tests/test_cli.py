@@ -181,8 +181,9 @@ class TestPoincare:
         ("MbarP", "--n", "1"),
         ("MbarGr", "--n", "2"),
         ("T4", "--n", "2"),
+        ("Sym2", "--inner", '{"space":"Pn","n":-1}'),
     ])
-    def test_domain_precondition_is_parse_error(self, capsys, flags):
+    def test_domain_precondition_is_parse_error(self, capsys, no_polynomial, flags):
         # an identifier outside its formula's domain names no space: exit 1, not 2
         code, out = run(capsys, "poincare", "--space", *flags)
         assert code == 1
@@ -427,3 +428,40 @@ class TestHarnessContract:
             assert code == 0
             doc = json.loads(out)
             assert doc["schema_version"] == 1
+
+
+# Documents with denominators and the exact stdout each produced when rationals
+# were stored as Fractions: the integer storage must write the same bytes.
+NON_INTEGER_CASES = [
+    ('stability',
+     '{"n":3,"matrix":[[["10/9","0","0","0"],["-2/3","0","0","0"]],[["0","8/9","0","0"],["0","2/3","0","0"]]]}',
+     '{"closed_orbit":true,"schema_version":1,"stabilizer":"Cstar_Z2","verdict":"strictly_semistable","witness":{"form":null,"kind":"rank_drop","vector":["3/5","1"]}}\n'),
+    ('stability',
+     '{"n":3,"matrix":[[["1","0","0","0"],["0","-2/3","0","0"]],[["0","1/2","0","0"],["1","0","0","0"]]]}',
+     '{"closed_orbit":true,"schema_version":1,"stabilizer":"Cstar_Z2","verdict":"strictly_semistable","witness":{"form":["3","0","4"],"kind":"gcd_certificate","vector":null}}\n'),
+    ('stability',
+     '{"n":3,"matrix":[[["1/2","0","0","0"],["0","0","0","0"]],[["-2/3","5/6","0","0"],["0","0","0","0"]]]}',
+     '{"closed_orbit":null,"schema_version":1,"stabilizer":null,"verdict":"unstable","witness":{"form":null,"kind":"zero_column","vector":["0","1"]}}\n'),
+    ('stability',
+     '{"n":3,"matrix":[[["1","0","0","0"],["0","1/2","0","0"]],[["0","2/3","0","0"],["1","0","5/6","0"]]]}',
+     '{"closed_orbit":true,"schema_version":1,"stabilizer":"finite","verdict":"stable","witness":null}\n'),
+    ('conic',
+     '{"n":3,"matrix":[[["1/2","0","0","0"],["0","0","-2/3","0"]],[["0","0","0","5/6"],["0","1","0","0"]]]}',
+     '{"coords":{"0,1":["0","1/2","0"],"0,2":["0","0","0"],"0,3":["5/12","0","0"],"1,2":["0","0","2/3"],"1,3":["0","0","0"],"2,3":["0","-5/9","0"]},"degree":2,"envelope":{"basis":[["1","0","0","0","0","-10/9"],["0","0","1","0","0","0"],["0","0","0","1","0","0"]],"dim":3},"n":3,"schema_version":1}\n'),
+    ('conic',
+     '{"n":3,"matrix":[[["1/2","1/3","0","0"],["0","5/6","-2/3","0"]],[["0","-1/4","0","5/6"],["2/9","0","0","1/2"]]]}',
+     '{"coords":{"0,1":["-1/8","-2/27","-5/27"],"0,2":["0","0","4/27"],"0,3":["5/12","1/4","0"],"1,2":["0","-1/6","0"],"1,3":["5/18","31/36","5/12"],"2,3":["0","-5/9","-1/3"]},"degree":2,"envelope":{"basis":[["1","0","0","-180","750","-600"],["0","1","0","-225","15045/16","-3009/4"],["0","0","1","-54","677/3","-180"]],"dim":3},"n":3,"schema_version":1}\n'),
+    ('modify',
+     '{"n":3,"matrix":[[[["1/2","0","0","0"]],[["0","0","0","0"],["0","-2/3","5/6","0"]]],[[["0","0","0","0"],["0","5/6","1/2","0"]],[["1/2","0","0","0"]]]]}',
+     '{"conic":{"coords":{"0,1":["5/12","0","1/3"],"0,2":["1/4","0","-5/12"],"0,3":["0","0","0"],"1,2":["0","0","0"],"1,3":["0","0","0"],"2,3":["0","0","0"]},"n":3},"k":1,"residual_base":{"gcd":["1"],"gcd_degree":0,"rational_points":[]},"schema_version":1}\n'),
+    ('modify',
+     '{"n":3,"matrix":[[[["1/2","0","0","0"]],[["0","0","0","0"],["0","-2/3","0","0"]]],[[["0","0","0","0"],["0","5/6","0","0"],["0","0","1/2","0"]],[["0","1/2","0","0"]]]]}',
+     '{"conic":{"coords":{"0,1":["0","1/4","0"],"0,2":["0","0","0"],"0,3":["0","0","0"],"1,2":["0","0","0"],"1,3":["0","0","0"],"2,3":["0","0","0"]},"n":3},"k":0,"residual_base":{"gcd":["0","1","0"],"gcd_degree":2,"rational_points":[["1","0"],["0","1"]]},"schema_version":1}\n'),
+]
+
+
+@pytest.mark.parametrize("command, doc, expected", NON_INTEGER_CASES)
+def test_non_integer_documents_byte_identical(capsys, command, doc, expected):
+    code, out = run(capsys, command, "--json", doc)
+    assert code == 0
+    assert out == expected

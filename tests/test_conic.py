@@ -116,6 +116,11 @@ class TestPluckerConic:
         {"n": 1, "coords": [["1", "0", "0"]]},
         {"n": "3", "coords": {}},
         {"n": True, "coords": {"0,1": ["1", "0", "0"]}},
+        {"n": -1, "coords": {}},
+        {"n": 0, "coords": {}},
+        {"n": 1, "coords": {}},
+        {"n": 2, "coords": {" 0,+1": ["1", "0", "0"], "0,2": ["0", "0", "0"], "1,2": ["0", "1", "0"]}},
+        {"n": 2, "coords": {"0,01": ["1", "0", "0"], "0,2": ["0", "0", "0"], "1,2": ["0", "1", "0"]}},
     ])
     def test_from_json_rejects_malformed_documents(self, doc):
         from moriconic import PluckerConic

@@ -1,0 +1,219 @@
+"""Forms, modules, conics and envelopes store integers over one denominator;
+every operation must agree with the same computation on Fraction tuples."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
+
+from hypothesis import assume, given, settings, strategies as st
+
+from moriconic import (
+    BinaryForm,
+    Envelope,
+    KroneckerModule,
+    LambdaFamily,
+    LinearForm,
+    PluckerConic,
+)
+
+SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
+
+# small numerators, and numerators of 200 bits and more
+NUMERATORS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(lambda sign, m: sign * m, st.sampled_from([1, -1]), st.integers(2**200, 2**230)),
+)
+DENOMINATORS = st.one_of(st.sampled_from([1, 1, 1, 2, 3, 4, 6, 9]), st.integers(1, 2**70))
+
+
+@st.composite
+def rational_input(draw):
+    """(an input the constructors accept, its value): an int, a Fraction, or a
+    'p/q' string that need not be in lowest terms."""
+    value = Fraction(draw(NUMERATORS), draw(DENOMINATORS))
+    kind = draw(st.sampled_from(["exact", "string", "unreduced"]))
+    if kind == "exact":
+        return (value.numerator if value.denominator == 1 else value), value
+    k = 1 if kind == "string" else draw(st.integers(2, 12))
+    return f"{value.numerator * k}/{value.denominator * k}", value
+
+
+def vectors(size: int):
+    """(inputs, Fraction values) of one length, zero vectors included."""
+    zero = st.just(([0] * size, (Fraction(0),) * size))
+    drawn = st.lists(rational_input(), min_size=size, max_size=size).map(
+        lambda pairs: ([p for p, _ in pairs], tuple(v for _, v in pairs))
+    )
+    return st.one_of(zero, drawn, drawn, drawn)
+
+
+def rewrite(values):
+    """The same values as unreduced strings, a second presentation of one vector."""
+    return [f"{3 * v.numerator}/{3 * v.denominator}" for v in values]
+
+
+def strings(values):
+    return [str(v) for v in values]
+
+
+def assert_lowest_terms(obj):
+    assert obj.den > 0 and gcd(obj.den, *obj.nums) == 1
+
+
+def ref_normalized(values):
+    if not any(values):
+        return values
+    d = lcm(*(v.denominator for v in values))
+    ints = [int(v * d) for v in values]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)
+
+
+def ref_product(xs, ys):
+    out = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def check_equality(a, b, ref_a, ref_b):
+    assert (a == b) is (ref_a == ref_b)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@SETTINGS
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(vectors(d + 1), vectors(d + 1), vectors(2))),
+       rational_input())
+def test_binary_form_matches_fraction_arithmetic(pair, scalar):
+    (xs_in, xs), (ys_in, ys), (zs_in, zs) = pair
+    c_in, c = scalar
+    degree = len(xs) - 1
+    f, g, h = BinaryForm(degree, xs_in), BinaryForm(degree, ys_in), BinaryForm(1, zs_in)
+    for form, ref in ((f, xs), (g, ys), (h, zs)):
+        assert_lowest_terms(form)
+        assert form.coeffs == ref and all(type(v) is Fraction for v in form.coeffs)
+        assert form.to_json() == strings(ref)
+    check_equality(f, g, xs, ys)
+    check_equality(f, BinaryForm(degree, rewrite(xs)), xs, xs)
+    assert (f + g).coeffs == tuple(a + b for a, b in zip(xs, ys))
+    assert (f - g).coeffs == tuple(a - b for a, b in zip(xs, ys))
+    assert (f * h).coeffs == ref_product(xs, zs)
+    assert (f * g).to_json() == strings(ref_product(xs, ys))
+    assert f.scale(c_in).coeffs == tuple(c * v for v in xs)
+    assert (c_in * f).to_json() == strings(c * v for v in xs)
+    assert f.normalized().coeffs == ref_normalized(xs)
+    for result in (f + g, f - g, f * h, f.scale(c_in), f.normalized()):
+        assert_lowest_terms(result)
+
+
+@SETTINGS
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(vectors(n + 1), vectors(n + 1))),
+       rational_input())
+def test_linear_form_matches_fraction_arithmetic(pair, scalar):
+    (xs_in, xs), (ys_in, ys) = pair
+    c_in, c = scalar
+    n = len(xs) - 1
+    f, g = LinearForm(n, xs_in), LinearForm(n, ys_in)
+    assert f.coeffs == xs and f.to_json() == strings(xs)
+    check_equality(f, g, xs, ys)
+    check_equality(f, LinearForm(n, rewrite(xs)), xs, xs)
+    assert (f + g).coeffs == tuple(a + b for a, b in zip(xs, ys))
+    assert (f - g).to_json() == strings(a - b for a, b in zip(xs, ys))
+    assert (c_in * f).coeffs == tuple(c * v for v in xs)
+    for result in (f, f + g, f - g, c_in * f):
+        assert_lowest_terms(result)
+    family = LambdaFamily(n, [[[f, g], [g]], [[], [f, g, f]]])
+    assert family.to_json() == {
+        "n": n, "matrix": [[[strings(xs), strings(ys)], [strings(ys)]],
+                           [[], [strings(xs), strings(ys), strings(xs)]]],
+    }
+    if any(xs) or any(ys):
+        M = family.specialize(c_in)
+        assert [e.coeffs for e in (M.m11, M.m12, M.m21, M.m22)] == [
+            tuple(a + c * b for a, b in zip(xs, ys)),
+            ys,
+            (0,) * (n + 1),
+            tuple(a + c * b + c * c * a for a, b in zip(xs, ys)),
+        ]
+
+
+def ref_transform(entries, a, b):
+    """A M B^{-1} on Fraction coefficient tuples, entry by entry."""
+    det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+    inv = ((b[1][1] / det, -b[0][1] / det), (-b[1][0] / det, b[0][0] / det))
+    size = len(entries[0][0])
+    out = []
+    for i in range(2):
+        for j in range(2):
+            out.append(tuple(
+                sum(a[i][k] * entries[k][m][x] * inv[m][j] for k in range(2) for m in range(2))
+                for x in range(size)
+            ))
+    return out
+
+
+@SETTINGS
+@given(
+    st.integers(2, 3).flatmap(lambda n: st.lists(vectors(n + 1), min_size=4, max_size=4)),
+    st.lists(rational_input(), min_size=4, max_size=4),
+    st.lists(rational_input(), min_size=4, max_size=4),
+)
+def test_module_transform_matches_fraction_arithmetic(forms, a_entries, b_entries):
+    values = [v for _, v in forms]
+    b = ((b_entries[0][1], b_entries[1][1]), (b_entries[2][1], b_entries[3][1]))
+    assume(any(any(v) for v in values) and b[0][0] * b[1][1] != b[0][1] * b[1][0])
+    n = len(values[0]) - 1
+    M = KroneckerModule(n, *(LinearForm(n, inputs) for inputs, _ in forms))
+    a = ((a_entries[0][1], a_entries[1][1]), (a_entries[2][1], a_entries[3][1]))
+    a_in = [[a_entries[0][0], a_entries[1][0]], [a_entries[2][0], a_entries[3][0]]]
+    b_in = [[b_entries[0][0], b_entries[1][0]], [b_entries[2][0], b_entries[3][0]]]
+    expected = ref_transform(((values[0], values[1]), (values[2], values[3])), a, b)
+    assume(any(any(v) for v in expected))
+    moved = M.transform(a_in, b_in)
+    got = (moved.m11, moved.m12, moved.m21, moved.m22)
+    assert [f.coeffs for f in got] == expected
+    assert moved.to_json() == {
+        "n": n,
+        "matrix": [[strings(expected[0]), strings(expected[1])],
+                   [strings(expected[2]), strings(expected[3])]],
+    }
+    for f in got:
+        assert_lowest_terms(f)
+    c_in, c = a_entries[0]
+    if c:
+        assert M.scale(c_in).to_json()["matrix"] == [
+            [strings(c * v for v in values[0]), strings(c * v for v in values[1])],
+            [strings(c * v for v in values[2]), strings(c * v for v in values[3])],
+        ]
+
+
+@SETTINGS
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.lists(vectors(3), min_size=(n + 1) * n // 2, max_size=(n + 1) * n // 2)))
+def test_conic_and_envelope_match_fraction_values(triples):
+    n = 2 if len(triples) == 3 else 3
+    pairs = list(combinations(range(n + 1), 2))
+    coords = {pair: BinaryForm(2, inputs) for pair, (inputs, _) in zip(pairs, triples)}
+    c = PluckerConic(n, coords)
+    assert_lowest_terms(c)
+    assert {pair: f.coeffs for pair, f in c.coords.items()} == {
+        pair: values for pair, (_, values) in zip(pairs, triples)
+    }
+    assert c.to_json() == {
+        "n": n,
+        "coords": {f"{i},{j}": strings(values) for (i, j), (_, values) in zip(pairs, triples)},
+    }
+    same = PluckerConic(n, {pair: BinaryForm(2, rewrite(f.coeffs)) for pair, f in coords.items()})
+    assert same == c
+    rows = [values for _, values in triples[:2]]
+    env = Envelope(len(rows), [rewrite(r) for r in rows])
+    assert_lowest_terms(Envelope(len(rows), rows))
+    assert env.basis == tuple(rows)
+    assert env.to_json() == {"dim": len(rows), "basis": [strings(r) for r in rows]}
+    check_equality(env, Envelope(len(rows), rows), rows, rows)
