@@ -13,21 +13,7 @@ import argparse
 import json
 import sys
 
-from .chamber import DivisorCombo, NMode, duality_reflect, resolve
-from .conic import LambdaFamily, conic_degree, envelope, modify_family, plucker_conic
 from .errors import DomainError
-from .kronecker import KroneckerModule, classify_stability, stratify
-from .linalg import format_rat
-from .motivic import (
-    Grassmannian,
-    KontsevichProj,
-    MbarGr,
-    MP24m2,
-    ProjSpace,
-    Sym2Of,
-    T4,
-    poincare,
-)
 
 SCHEMA_VERSION = 1
 
@@ -37,15 +23,16 @@ SCHEMA_VERSION = 1
 # a 2-vCPU Xeon with Python 3.11.
 MAX_POINCARE_DEGREE = 4000
 
-# Per space tag: the identifier class and its integer fields.  Sym2 is
-# handled apart: it wraps another identifier and doubles its degree.
+# Per space tag: the name of its identifier class in motivic and its integer
+# fields.  Sym2 is handled apart: it wraps another identifier and doubles its
+# degree.
 _SPACES = {
-    "Pn": (ProjSpace, ("n",)),
-    "Gr": (Grassmannian, ("k", "N")),
-    "MbarP": (KontsevichProj, ("n",)),
-    "MbarGr": (MbarGr, ("n",)),
-    "T4": (T4, ("n",)),
-    "MP2-4m+2": (MP24m2, ()),
+    "Pn": ("ProjSpace", ("n",)),
+    "Gr": ("Grassmannian", ("k", "N")),
+    "MbarP": ("KontsevichProj", ("n",)),
+    "MbarGr": ("MbarGr", ("n",)),
+    "T4": ("T4", ("n",)),
+    "MP2-4m+2": ("MP24m2", ()),
 }
 
 
@@ -136,6 +123,8 @@ def _space_from_json(doc):
     Sym2 levels are unwound without recursion.  A degree below 1 still
     doubles per level in the bound, so the level count is bounded too.
     """
+    from . import motivic
+
     levels = 0
     while isinstance(doc, dict) and doc.get("space") == "Sym2":
         levels += 1
@@ -145,20 +134,22 @@ def _space_from_json(doc):
     tag = doc["space"]
     if tag not in _SPACES:
         raise ValueError(f"unknown space identifier {tag!r}")
-    cls, fields = _SPACES[tag]
+    cls_name, fields = _SPACES[tag]
     values = [doc.get(field) for field in fields]
     for field, value in zip(fields, values):
         if type(value) is not int:
             raise ValueError(f"space {tag} requires an integer {field!r}")
-    space = cls(*values)
+    space = getattr(motivic, cls_name)(*values)
     if max(space.dimension, 1) << levels > MAX_POINCARE_DEGREE:
         raise ValueError(f"the Poincare polynomial would exceed degree {MAX_POINCARE_DEGREE}")
     for _ in range(levels):
-        space = Sym2Of(space)
+        space = motivic.Sym2Of(space)
     return space
 
 
 def _run_poincare(args) -> dict:
+    from .motivic import poincare
+
     # --inner is read for Sym2 only and ignored beside any other space
     inner = _parse_json(args.inner) if args.space == "Sym2" and args.inner else None
     doc = {"space": args.space, "n": args.n, "k": args.k, "N": args.big_n, "inner": inner}
@@ -167,6 +158,8 @@ def _run_poincare(args) -> dict:
 
 
 def _run_stability(args) -> dict:
+    from .kronecker import KroneckerModule, classify_stability
+
     module = KroneckerModule.from_json(_load_doc(args))
     cls = classify_stability(module)
     return {
@@ -179,11 +172,16 @@ def _run_stability(args) -> dict:
 
 
 def _run_stratify(args) -> dict:
+    from .kronecker import KroneckerModule, stratify
+
     module = KroneckerModule.from_json(_load_doc(args))
     return {"schema_version": SCHEMA_VERSION, "stratum": stratify(module).value}
 
 
 def _run_conic(args) -> dict:
+    from .conic import conic_degree, envelope, plucker_conic
+    from .kronecker import KroneckerModule
+
     module = KroneckerModule.from_json(_load_doc(args))
     c = plucker_conic(module)
     env = envelope(c)
@@ -196,6 +194,9 @@ def _run_conic(args) -> dict:
 
 
 def _run_modify(args) -> dict:
+    from .conic import LambdaFamily, modify_family
+    from .linalg import format_rat
+
     family = LambdaFamily.from_json(_load_doc(args))
     result = modify_family(family)
     return {
@@ -211,6 +212,8 @@ def _run_modify(args) -> dict:
 
 
 def _run_chamber(args) -> dict:
+    from .chamber import DivisorCombo, NMode, duality_reflect, resolve
+
     doc = _load_doc(args) if args.infile else {"coeffs": _parse_json(args.coeffs)}
     combo = DivisorCombo.make(doc.get("coeffs"), NMode(args.n_mode or doc.get("n_mode", "gt3")))
     if args.reflect:

@@ -104,9 +104,9 @@ class PluckerConic:
         return f"PluckerConic(n={self.n}, nonzero={nz!r})"
 
     def to_json(self) -> dict:
-        strings = iter(rat_strings(self.nums, self.den))
-        return {"n": self.n, "coords": {f"{i},{j}": [next(strings) for _ in range(3)]
-                                        for i, j in index_pairs(self.n)}}
+        strings = rat_strings(self.nums, self.den)
+        return {"n": self.n, "coords": {f"{i},{j}": strings[3 * k:3 * k + 3]
+                                        for k, (i, j) in enumerate(index_pairs(self.n))}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":

@@ -1,4 +1,52 @@
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
 import moriconic
+
+SRC = os.path.dirname(os.path.dirname(moriconic.__file__))
+
+MODULE_DOC = json.dumps({
+    "n": 3,
+    "matrix": [
+        [["1", "0", "0", "0"], ["0", "0", "1", "0"]],
+        [["0", "0", "0", "1"], ["0", "1", "0", "0"]],
+    ],
+})
+FAMILY_DOC = json.dumps({
+    "n": 3,
+    "matrix": [
+        [[["1", "0", "0", "0"]], [["0", "0", "0", "0"], ["0", "1", "1", "0"]]],
+        [[["0", "0", "0", "0"], ["0", "2", "-1", "0"]], [["1", "0", "0", "0"]]],
+    ],
+})
+
+# Runs the CLI as `python -m moriconic.cli` does, then prints the loaded
+# moriconic submodules as the last line.
+CLI_SCRIPT = """
+import runpy, sys
+sys.argv = ["moriconic", *{argv!r}]
+try:
+    runpy.run_module("moriconic.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+REPORT = """
+import json, sys
+print(json.dumps(sorted(m[len("moriconic."):] for m in sys.modules if m.startswith("moriconic."))))
+"""
+
+
+def loaded_submodules(script: str) -> set[str]:
+    """The moriconic submodules a fresh interpreter has loaded after running script."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script + REPORT],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_all_is_sorted_and_unique():
@@ -14,3 +62,37 @@ def test_star_import():
     namespace = {}
     exec("from moriconic import *", namespace)
     assert set(moriconic.__all__) <= set(namespace)
+
+
+def test_dir_lists_all():
+    assert set(moriconic.__all__) <= set(dir(moriconic))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        moriconic.no_such_name
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_submodules("import moriconic") == set()
+
+
+def test_submodule_resolves_after_bare_import():
+    script = "import moriconic\nassert moriconic.chamber.resolve is moriconic.resolve\n"
+    assert loaded_submodules(script) == {"chamber", "errors", "linalg"}
+
+
+KERNEL = {"errors", "kronecker", "linalg"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["stability", "--json", MODULE_DOC], KERNEL),
+    (["stratify", "--json", MODULE_DOC], KERNEL),
+    (["conic", "--json", MODULE_DOC], KERNEL | {"conic"}),
+    (["modify", "--json", FAMILY_DOC], KERNEL | {"conic"}),
+    (["chamber", "--coeffs", '{"T":"1"}'], {"errors", "chamber", "linalg"}),
+    (["poincare", "--space", "Sym2", "--inner", '{"space":"T4","n":3}'],
+     {"errors", "motivic", "qpoly", "linalg"}),
+])
+def test_each_subcommand_loads_only_its_modules(argv, expected):
+    assert loaded_submodules(CLI_SCRIPT.format(argv=argv)) == expected

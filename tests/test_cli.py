@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moriconic import PluckerConic
 from moriconic.cli import MAX_POINCARE_DEGREE, main
@@ -52,7 +55,7 @@ def no_polynomial(monkeypatch):
     def refuse(space):
         raise AssertionError(f"a polynomial was computed for {space!r}")
 
-    monkeypatch.setattr("moriconic.cli.poincare", refuse)
+    monkeypatch.setattr("moriconic.motivic.poincare", refuse)
 
 
 def run(capsys, *argv):
@@ -465,3 +468,80 @@ def test_non_integer_documents_byte_identical(capsys, command, doc, expected):
     code, out = run(capsys, command, "--json", doc)
     assert code == 0
     assert out == expected
+
+
+# Arbitrary JSON, with keys and strings drawn often enough from the documents'
+# own vocabulary that some of it gets past the first check.
+KEYS = st.sampled_from(["n", "matrix", "coeffs", "n_mode", "space", "inner", "k", "N", "T"])
+STRINGS = st.sampled_from(["0", "1", "-1/2", "1/0", "x", "", "eq3", "Pn", "Sym2"])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | STRINGS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS | st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+COEFFS = st.sampled_from(["0", "0", "0", "1", "-1", "2", "1/2", "-3/4", "5/6"])
+GENERATORS = st.sampled_from(["Dunb", "Ddeg", "Delta", "T", "H11", "H2", "P"])
+SPACES = st.recursive(
+    st.fixed_dictionaries({
+        "space": st.sampled_from(["Pn", "Gr", "MbarP", "MbarGr", "T4", "MP2-4m+2"]),
+        "n": st.integers(-1, 12), "k": st.integers(-1, 6), "N": st.integers(-1, 12),
+    }),
+    lambda inner: st.fixed_dictionaries({"space": st.just("Sym2"), "inner": inner}),
+    max_leaves=3,
+)
+
+
+@st.composite
+def module_docs(draw, family):
+    """A module (or family) document, sometimes with one part replaced by any JSON."""
+    n = draw(st.integers(2, 4))
+    form = st.lists(COEFFS, min_size=n + 1, max_size=n + 1)
+    entry = st.lists(form, min_size=1, max_size=3) if family else form
+    matrix = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2))
+    doc = {"n": n, "matrix": matrix}
+    where = draw(st.sampled_from(["nothing"] * 4 + ["n", "matrix", "row", "entry"]))
+    if where in ("n", "matrix"):
+        doc[where] = draw(JSON)
+    elif where == "row":
+        matrix[draw(st.integers(0, 1))] = draw(JSON)
+    elif where == "entry":
+        matrix[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(JSON)
+    return doc
+
+
+@st.composite
+def requests(draw):
+    """argv for one request of any subcommand: inline JSON of a plausible shape
+    or of any shape, or now and then text that is not JSON at all."""
+    subcommand = draw(st.sampled_from(["poincare", "stability", "stratify", "conic", "modify",
+                                       "chamber"]))
+    shaped = {"poincare": SPACES, "chamber": st.dictionaries(GENERATORS, COEFFS, max_size=4)}
+    shape = shaped[subcommand] if subcommand in shaped else module_docs(subcommand == "modify")
+    doc = draw(shape | JSON)
+    as_json = draw(st.sampled_from([True] * 7 + [False]))
+    text = json.dumps(doc) if as_json else draw(st.text(max_size=12))
+    if subcommand == "poincare":
+        space = draw(st.sampled_from(["Sym2", "Pn", "Gr", "MbarP", "MbarGr", "T4", "MP2-4m+2"]))
+        flags = [f for name in ("--n", "--k", "--N") if draw(st.booleans())
+                 for f in (name, str(draw(st.integers(-2, 40))))]
+        return ["poincare", "--space", space, *flags, "--inner", text]
+    if subcommand == "chamber":
+        extra = draw(st.sampled_from([[], ["--n-mode", "eq3"], ["--n-mode", "gt3"], ["--reflect"]]))
+        return ["chamber", "--coeffs", text, *extra]
+    return [subcommand, "--json", text]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(requests())
+def test_any_request_gives_one_json_document(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 1, 2)
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert isinstance(doc, dict)
+    assert ("error" in doc) == (code != 0)
