@@ -18,9 +18,10 @@ from .errors import DomainError
 SCHEMA_VERSION = 1
 
 # The largest degree of a Poincare polynomial the CLI computes, checked on
-# the identifier before any product is formed.  The costliest request within
-# it is a Sym2 of a degree-2,000 space, whose dense square takes 0.5-0.7 s on
-# a 2-vCPU Xeon with Python 3.11.
+# the identifier before any product is formed.  The costliest requests within
+# it nest Sym2 eight or more levels deep, each level doubling the bit length
+# of the coefficients: Sym2^8 of MbarGr(4) takes 0.6-0.9 s on a 2-vCPU Xeon
+# with Python 3.11, nearly all of it in its big-integer squarings.
 MAX_POINCARE_DEGREE = 4000
 
 # Per space tag: the name of its identifier class in motivic and its integer

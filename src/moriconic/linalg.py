@@ -23,7 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-_RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# ASCII digits only: \d would also match other scripts' digits, and $ a final newline
+_RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def num_den(x) -> tuple[int, int]:
@@ -32,7 +33,7 @@ def num_den(x) -> tuple[int, int]:
     Floats are rejected: they would silently break exactness.
     """
     if isinstance(x, str):
-        if not _RAT_RE.match(x):
+        if not _RAT_RE.fullmatch(x):
             raise ValueError(f"malformed rational string: {x!r}")
         num, _, den = x.partition("/")
         return int(num), int(den) if den else 1

@@ -2,8 +2,9 @@
 
 Everything is computed symbolically in the variable q (the class of the
 affine line, so deg P(X) = dim X).  Each closed formula is one ratio of
-(1 - q^k) factors, evaluated by _ratio one two-term factor at a time:
-multiply by a numerator factor, then divide exactly by a denominator factor.
+(1 - q^k) factors, evaluated by _ratio one two-term factor at a time on a
+list of coefficients: multiply by a numerator factor (a shift and a
+subtraction), then divide exactly by a denominator factor (running sums).
 A nonzero remainder raises NotDivisible: the formulas are all claimed to have
 polynomial values, so a remainder means a transcription or implementation
 bug, never data.
@@ -15,26 +16,35 @@ place a half-integer appears; integrality of the result is enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Union
 
-from .errors import NonIntegral
-from .qpoly import QPoly, one_minus_q_pow
+from .errors import NonIntegral, NotDivisible
+from .qpoly import QPoly
 
 
 def _ratio(ups, downs, poly: QPoly | None = None) -> QPoly:
     """poly (1 if None) times the product of the (1 - q^a) over that of the (1 - q^b).
 
     Each numerator factor is followed by the denominator factor paired with
-    it, so each step costs O(degree); the pairs are ordered so that every
-    partial result is a polynomial, and a remainder raises NotDivisible.
+    it, on one coefficient list at O(degree) per step: times 1 - q^a is the
+    list minus itself shifted up by a, and over 1 - q^b is its running sums
+    with stride b (the quotient's power series), exact iff the top b sums are
+    zero.  Those are dropped; a nonzero one raises NotDivisible, never a
+    truncated result.  The pairs are ordered so that every partial result is
+    a polynomial.
     """
+    cs = [1] if poly is None else list(poly.coeffs)
     for a, b in zip(ups, downs, strict=True):
-        top = one_minus_q_pow(a)
-        if poly is not None:
-            # the sparse factor on the left, whose zero coefficients __mul__ skips
-            top = top * poly
-        poly = top.exact_div(one_minus_q_pow(b))
-    return QPoly.one() if poly is None else poly
+        pad = [0] * a
+        cs = list(map(sub, cs + pad, pad + cs))
+        for r in range(b):
+            cs[r::b] = accumulate(cs[r::b])
+        if any(cs[-b:]):
+            raise NotDivisible(f"(1 - q^{b}) does not divide the partial product")
+        del cs[-b:]
+    return QPoly(cs)
 
 
 def proj_space_poincare(n: int) -> QPoly:

@@ -5,20 +5,27 @@ holding the coefficient of q^i, with trailing zeros stripped.  The zero
 polynomial is the empty tuple; its degree is None, never an integer.
 Coefficients are Python ints, so overflow is impossible by construction.
 
+Sums and differences take one pass over the coefficients; a product is one
+big-integer multiplication by Kronecker substitution (Schoenhage 1982;
+Harvey 2009, J. Symbolic Comput. 44), so CPython's Karatsuba does the work.
+
 Division is exact polynomial long division in integers: a quotient
 coefficient that is not an integer, or a nonzero remainder, raises
-NotDivisible rather than ever being truncated.
+NotDivisible rather than ever being truncated.  The motivic formulas divide
+only by factors 1 - q^b, on coefficient lists of their own (motivic._ratio).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import repeat, starmap, zip_longest
+from operator import add, sub
 from typing import Iterable
 
 from .errors import NotDivisible
 from .linalg import json_array
 
-_INT_RE = re.compile(r"-?\d+")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class QPoly:
@@ -96,13 +103,7 @@ class QPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        return QPoly(starmap(add, zip_longest(self.coeffs, o.coeffs, fillvalue=0)))
 
     __radd__ = __add__
 
@@ -113,27 +114,39 @@ class QPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return QPoly(starmap(sub, zip_longest(self.coeffs, o.coeffs, fillvalue=0)))
 
     def __rsub__(self, other) -> "QPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other) -> "QPoly":
+        """Product by Kronecker substitution: one big-integer multiplication.
+
+        Each operand becomes one integer with k bytes per coefficient, so the
+        product's coefficients sit in its k-byte slots.  No product
+        coefficient exceeds max|a| max|b| min(len a, len b) in absolute value,
+        and k holds that bound plus a sign bit, so adding 2^(8k-1) to every
+        slot makes all slots nonnegative and no slot carries into the next.
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return QPoly(out)
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        k = bound.bit_length() // 8 + 1
+        n = len(a) + len(b) - 1
+        packed = _pack(a, k)
+        # a square packs once, and CPython squares faster than it multiplies
+        prod = packed * (packed if b is a else _pack(b, k))
+        half = 1 << (8 * k - 1)
+        prod += int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+        buf = prod.to_bytes(n * k, "little")
+        return QPoly([int.from_bytes(buf[i:i + k], "little") - half for i in range(0, n * k, k)])
 
     __rmul__ = __mul__
 
@@ -226,6 +239,18 @@ class QPoly:
         for t in terms[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
+
+
+def _pack_unsigned(cs: list[int], k: int) -> int:
+    """sum(c_i 2^(8ki)) for 0 <= c_i < 2^(8k), one k-byte slot per coefficient."""
+    return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(k), repeat("little"))), "little")
+
+
+def _pack(cs: tuple[int, ...], k: int) -> int:
+    """sum(c_i 2^(8ki)) for |c_i| < 2^(8k): the positive part minus the negative part."""
+    return _pack_unsigned([c if c > 0 else 0 for c in cs], k) - _pack_unsigned(
+        [-c if c < 0 else 0 for c in cs], k
+    )
 
 
 def one_minus_q_pow(k: int) -> QPoly:

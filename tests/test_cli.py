@@ -248,6 +248,20 @@ class TestStability:
             assert code == 1
             assert json.loads(out)["error"] == "parse_error"
 
+    @pytest.mark.parametrize("entries", [
+        ("1\n", "\u0661"),  # a trailing newline and an Arabic-Indic one
+        ("1", "-\u0661\u0662"),
+        ("1/2\n", "1"),
+        ("\uff11", "1"),  # a fullwidth one
+    ])
+    def test_non_ascii_number_grammar_is_parse_error(self, capsys, entries):
+        doc = json.loads(json.dumps(GENERIC_DOC))
+        doc["matrix"][0][0][0], doc["matrix"][1][0][3] = entries
+        for subcommand in ("stability", "stratify", "conic"):
+            code, out = run(capsys, subcommand, "--json", json.dumps(doc))
+            assert code == 1
+            assert json.loads(out)["error"] == "parse_error"
+
 
 class TestConic:
     def test_generic_conic(self, capsys):
@@ -368,6 +382,12 @@ class TestChamber:
         code, out = run(capsys, "chamber", "--in", str(path), "--n-mode", "gt3")
         assert code == 0
         assert json.loads(out)["model"] == "G"
+
+    @pytest.mark.parametrize("value", ["1\n", "\u0663", "2/\u0663", "\uff11"])
+    def test_non_ascii_coefficient_is_parse_error(self, capsys, value):
+        code, out = run(capsys, "chamber", "--coeffs", json.dumps({"T": value}))
+        assert code == 1
+        assert json.loads(out)["error"] == "parse_error"
 
     @pytest.mark.parametrize("n_mode", [(), ("--n-mode", "eq3")])
     def test_coeffs_must_be_an_object(self, capsys, tmp_path, n_mode):

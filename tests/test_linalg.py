@@ -14,6 +14,7 @@ from moriconic import (
     quadratic_gcd,
     quadratic_root_structure,
 )
+from moriconic.linalg import num_den
 
 
 def form(*coeffs):
@@ -40,6 +41,14 @@ class TestRationals:
             as_rat("1.5")
         with pytest.raises(ValueError):
             as_rat("3/0")
+
+    @pytest.mark.parametrize("text", [
+        "3\n", "1/2\n", "-\u0661\u0662", "\u0663", "1/\u0663", "\uff17", " 1", "+1",
+    ])
+    def test_ascii_digits_only(self, text):
+        # the grammar is -?[0-9]+(/[1-9][0-9]*)? and nothing around it
+        with pytest.raises(ValueError):
+            num_den(text)
 
     def test_format(self):
         assert format_rat(Fraction(3, 4)) == "3/4"

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moriconic import (
     Grassmannian,
     KontsevichProj,
     MbarGr,
     MP24m2,
+    NotDivisible,
     ProductOf,
     ProjSpace,
     QPoly,
@@ -19,6 +21,7 @@ from moriconic import (
     sym2_poincare,
     t4_poincare,
 )
+from moriconic.motivic import _ratio
 
 # Reference factored forms of the double-symmetroid polynomials, stored
 # verbatim and expanded at test time.
@@ -265,3 +268,55 @@ class TestSpaceDispatch:
             for space in spaces:
                 assert poincare(space).degree == space.dimension, space
                 assert poincare(Sym2Of(space)).degree == Sym2Of(space).dimension, space
+
+
+def dense_ratio(ups, downs, poly=QPoly.one()) -> QPoly:
+    """The reference: dense products of the factors and one long division."""
+    return (poly * product(*map(omq, ups))).exact_div(product(*map(omq, downs)))
+
+
+# each pair (b * m, b) is a polynomial step, (1 - q^(bm)) / (1 - q^b)
+divisible_pairs = st.lists(st.tuples(st.integers(1, 9), st.integers(1, 6)), max_size=6).map(
+    lambda pairs: ([b * m for b, m in pairs], [b for b, _ in pairs])
+)
+# Gaussian binomials (N choose k)_q: each step is exact only together with
+# the ones before it
+gaussian_pairs = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
+    lambda kn: (list(range(kn[1] + 1, kn[1] + kn[0] + 1)), list(range(1, kn[0] + 1)))
+)
+start_polys = st.one_of(
+    st.none(),
+    st.lists(st.integers(-(2**70), 2**70), max_size=8).map(QPoly),
+)
+
+
+class TestRatio:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.one_of(divisible_pairs, gaussian_pairs), start_polys)
+    def test_matches_dense_division(self, pairs, poly):
+        ups, downs = pairs
+        expected = dense_ratio(ups, downs, QPoly.one() if poly is None else poly)
+        assert _ratio(ups, downs, poly) == expected
+
+    def test_empty_ratio_is_one(self):
+        assert _ratio((), ()) == QPoly.one()
+        assert _ratio((), (), QPoly([0, 3])) == QPoly([0, 3])
+        assert _ratio((4,), (2,), QPoly.zero()) == QPoly.zero()
+
+    @pytest.mark.parametrize("ups, downs", [
+        ((3,), (2,)),  # a remainder
+        ((2,), (3,)),  # numerator degree below the denominator's
+        ((1,), (2,)),
+        # the whole ratio (1 - q^4)(1 - q^6) / (1 - q^2)^2 is a polynomial,
+        # but its second partial ratio is not
+        ((4, 3, 6), (2, 2, 3)),
+    ])
+    def test_non_divisible_step_raises(self, ups, downs):
+        with pytest.raises(NotDivisible):
+            _ratio(ups, downs)
+
+    def test_non_divisible_start_raises(self):
+        with pytest.raises(NotDivisible):
+            _ratio((1,), (2,), QPoly([1, 0, 1]))  # 1 + q does not divide 1 + q^2
+        with pytest.raises(NotDivisible):
+            _ratio((1,), (3,), QPoly([5, 0, 1]))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moriconic import NotDivisible, QPoly, one_minus_q_pow
 
@@ -134,6 +134,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             QPoly.from_json(data)
 
+    @pytest.mark.parametrize("digits", ["\u0663", "-\u0661\u0662", "7\n", "\uff17"])
+    def test_from_json_reads_ascii_digits_only(self, digits):
+        # Arabic-Indic and fullwidth digits, and a trailing newline
+        with pytest.raises(ValueError):
+            QPoly.from_json(["1", digits])
+
 
 small_polys = st.lists(st.integers(min_value=-30, max_value=30), max_size=7).map(QPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
@@ -168,3 +174,61 @@ class TestRingProperties:
         assert p.eval_at_one() == p(1)
         if not p.is_zero:
             assert p.exact_div(p) == QPoly.one()
+
+
+def schoolbook_product(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def coefficientwise(op, a, b):
+    width = max(len(a), len(b))
+    a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
+    return [op(a[i], b[i]) for i in range(width)]
+
+
+def canonical(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+# small, byte-boundary and 200-bit-plus magnitudes of either sign
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([127, 128, 255, 256, -127, -128, -255, -256, 2**64 - 1, -(2**64)]),
+    st.integers(-(2**300), 2**300),
+)
+coefficient_lists = st.one_of(
+    st.lists(coefficients, max_size=4),
+    st.lists(coefficients, min_size=20, max_size=48),
+)
+
+
+class TestArithmeticAgainstSchoolbook:
+    """__mul__, __add__ and __sub__ against arithmetic written out here."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(coefficient_lists, coefficient_lists)
+    @example([], [])
+    @example([], [5, -1])
+    @example([0, 0], [3])
+    @example([7], [-9])
+    @example([255], [1])  # a product coefficient at a byte boundary needs the sign bit
+    @example([-255], [1])
+    @example([11, 11], [11, 11])
+    @example([2**250, -(2**250)], [-1] * 300)
+    @example([1, 1], [1, -1])
+    def test_against_schoolbook(self, a, b):
+        p, r = QPoly(a), QPoly(b)
+        assert (p * r).coeffs == canonical(schoolbook_product(a, b))
+        assert (p * p).coeffs == canonical(schoolbook_product(a, a))
+        assert (p + r).coeffs == canonical(coefficientwise(lambda x, y: x + y, a, b))
+        assert (p - r).coeffs == canonical(coefficientwise(lambda x, y: x - y, a, b))
+        # cancellation down to zero
+        assert (p - p).coeffs == () and (p + -p).coeffs == ()
+        assert (p * r - r * p).coeffs == ()
