@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import ZeroDivisor
-from .linalg import as_rat, clear_denominators, format_rat
+from .linalg import as_rat, format_rat
 
 GENERATORS = ("Dunb", "Ddeg", "Delta", "T", "H11", "H2", "P")
 
@@ -266,8 +267,8 @@ def resolve(d: DivisorCombo) -> ChamberVerdict:
     whose three barycentric signs are all >= 0 contains the point, and the
     corners with a positive sign span the cell.
     """
-    ints = clear_denominators(v for _, v in d.coeffs)[0]
-    weights = [(g, k) for (g, _), k in zip(d.coeffs, ints)]
+    den = lcm(*(v.denominator for _, v in d.coeffs))
+    weights = [(g, v.numerator * (den // v.denominator)) for g, v in d.coeffs]
     w = sum(k for _, k in weights)
     if w == 0:
         raise ZeroDivisor("all divisor coefficients vanish")

@@ -35,28 +35,27 @@ from .kronecker import (
 from .linalg import (
     ALL_ZERO,
     BinaryForm,
+    RatMatrix,
     bareiss,
     json_array,
     lowest_terms,
     num_den,
     quadratic_gcd,
     quadratic_root_structure,
-    rat_strings,
     rationals,
     rescaled,
 )
 
 
-class PluckerConic:
+class PluckerConic(RatMatrix):
     """Tuple of binary quadratics p_I indexed by pairs I = {i < j} in {0..n}.
 
-    Stored as integer numerators nums over one denominator den, in lowest
-    terms: the coefficient triples of the p_I, flattened in index_pairs
-    order.  coords builds the quadratics when first read, as a read-only
-    mapping, so it cannot drift from the storage.
+    A matrix with one row per pair, in index_pairs order, holding the
+    coefficient triple of p_I.  coords builds the quadratics when first read,
+    as a read-only mapping, so it cannot drift from the storage.
     """
 
-    __slots__ = ("n", "nums", "den", "_coords")
+    __slots__ = ("n", "_coords")
 
     def __init__(self, n: int, coords: dict):
         expected = index_pairs(n)
@@ -68,20 +67,17 @@ class PluckerConic:
         den = lcm(*(f.den for f in forms))
         nums = [x for f in forms for x in rescaled(f.nums, f.den, den)]
         self.nums, self.den = lowest_terms(nums, den)
-        self.n, self._coords = n, None
+        self.rows, self.cols, self.n, self._coords = len(forms), 3, n, None
 
     @classmethod
     def from_ints(cls, n: int, nums, den: int = 1) -> "PluckerConic":
         """The conic whose triples, flattened in index_pairs order, are nums / den."""
-        c = object.__new__(cls)
+        c = super().from_ints(nums, den, 3)
         c.n, c._coords = n, None
-        c.nums, c.den = lowest_terms(nums, den)
         return c
 
-    def triples(self):
-        """The integer coefficient triples of den * p_I, in index_pairs order."""
-        it = iter(self.nums)
-        return zip(it, it, it)
+    # the integer coefficient triples of den * p_I, in index_pairs order
+    triples = RatMatrix.int_rows
 
     @property
     def coords(self) -> MappingProxyType:
@@ -90,23 +86,13 @@ class PluckerConic:
             self._coords = MappingProxyType(dict(zip(index_pairs(self.n), forms)))
         return self._coords
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PluckerConic):
-            return NotImplemented
-        return (self.n, self.nums, self.den) == (other.n, other.nums, other.den)
-
     def __repr__(self) -> str:
         nz = {ij: f for ij, f in self.coords.items() if not f.is_zero}
         return f"PluckerConic(n={self.n}, nonzero={nz!r})"
 
     def to_json(self) -> dict:
-        strings = rat_strings(self.nums, self.den)
-        return {"n": self.n, "coords": {f"{i},{j}": strings[3 * k:3 * k + 3]
-                                        for k, (i, j) in enumerate(index_pairs(self.n))}}
+        pairs = index_pairs(self.n)
+        return {"n": self.n, "coords": {f"{i},{j}": t for (i, j), t in zip(pairs, self.json_rows())}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":
@@ -125,47 +111,24 @@ class PluckerConic:
         return cls.from_ints(n, *rationals(x for t in triples for x in t))
 
 
-class Envelope:
-    """Span of the coefficient vectors of a conic, in reduced echelon form.
+class Envelope(RatMatrix):
+    """Span of the coefficient vectors of a conic, in reduced echelon form;
+    dim is its number of rows, and basis builds their Fractions."""
 
-    Stored as the basis rows, flattened, over one denominator in lowest
-    terms; basis builds the Fractions.
-    """
-
-    __slots__ = ("dim", "nums", "den")
+    __slots__ = ()
+    dim = RatMatrix.rows
+    basis = RatMatrix.entries
 
     def __init__(self, dim: int, basis):
-        self.dim = dim
-        self.nums, self.den = rationals(x for row in basis for x in row)
-
-    @classmethod
-    def from_rows(cls, rows, den: int) -> "Envelope":
-        e = object.__new__(cls)
-        e.dim = len(rows)
-        e.nums, e.den = lowest_terms([x for row in rows for x in row], den)
-        return e
-
-    def _rows(self, values) -> list:
-        width = len(values) // self.dim if self.dim else 0
-        return [values[k * width:(k + 1) * width] for k in range(self.dim)]
-
-    @property
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self._rows(tuple(Fraction(x, self.den) for x in self.nums)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Envelope):
-            return NotImplemented
-        return (self.dim, self.nums, self.den) == (other.dim, other.nums, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.nums, self.den))
+        super().__init__(basis)
+        if self.rows != dim:
+            raise ValueError(f"expected {dim} basis rows, got {self.rows}")
 
     def __repr__(self) -> str:
-        return f"Envelope(dim={self.dim}, basis={self._rows(rat_strings(self.nums, self.den))})"
+        return f"Envelope(dim={self.dim}, basis={self.json_rows()})"
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "basis": self._rows(rat_strings(self.nums, self.den))}
+        return {"dim": self.dim, "basis": self.json_rows()}
 
 
 def plucker_conic(M: KroneckerModule) -> PluckerConic:
@@ -181,7 +144,7 @@ def envelope(c: PluckerConic) -> Envelope:
         raise ZeroConic("the envelope of the zero conic is undefined")
     # den * the slices have the same span and the same rref
     rows, _, d = bareiss([c.nums[k::3] for k in range(3)])
-    return Envelope.from_rows(rows, d)
+    return Envelope.from_ints([x for row in rows for x in row], d, c.rows)
 
 
 def conic_degree(c: PluckerConic) -> int:

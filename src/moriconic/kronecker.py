@@ -386,20 +386,17 @@ def classify_stability(M: KroneckerModule) -> StabilityClass:
     return StabilityClass(Verdict.STRICTLY_SEMISTABLE, witness, False, None)
 
 
-def _det_gram(a, b, c, d, indices) -> list[list[int]]:
-    """2 x the Gram matrix of a*d - b*c restricted to the given coordinates."""
-    return [
-        [a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i] for j in indices]
-        for i in indices
-    ]
+def _det_gram(a, b, c, d, indices, den: int = 1) -> RatMatrix:
+    """The Gram matrix of (a*d - b*c) / den^2 restricted to the given coordinates."""
+    return RatMatrix.from_ints(
+        [a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i] for i in indices for j in indices],
+        2 * den * den, len(indices))
 
 
 def det_quadric(M: KroneckerModule) -> QuadricForm:
     """Symmetric Gram matrix of det M = m11 m22 - m12 m21."""
     a, b, c, d, den = integer_coefficients(M)
-    scale = 2 * den * den
-    gram = _det_gram(a, b, c, d, range(M.n + 1))
-    return QuadricForm(M.n, RatMatrix([[Fraction(x, scale) for x in row] for row in gram]))
+    return QuadricForm(M.n, _det_gram(a, b, c, d, range(M.n + 1), den))
 
 
 def quadric_rank(Q: QuadricForm) -> int:
@@ -422,7 +419,7 @@ def cokernel_kind(M: KroneckerModule) -> CokernelKind:
     if _destabilizing_witness(a, b, c, d) is not None:
         raise NotSemistable("cokernel shape is defined for semistable modules only")
     _, pivots, _ = bareiss([a, b, c, d])
-    r = len(bareiss(_det_gram(a, b, c, d, pivots))[1])
+    r = _det_gram(a, b, c, d, pivots).rank()
     if r >= 3:
         return CokernelKind("twisted_ideal_of_quadric", r)
     return CokernelKind("plane_pair_extension", r)

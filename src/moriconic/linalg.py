@@ -1,14 +1,15 @@
 """Exact rational scalars, dense matrices, and binary-form utilities.
 
 Nothing in this package touches floating point, because every classification
-downstream is a discrete verdict that must be exact.  A vector of rationals
-(a linear or binary form, a conic's coordinates, an envelope basis) is stored
-as a tuple of Python ints over one positive common denominator, in lowest
-terms (lowest_terms is the one place that normalizes), so equal vectors have
-equal storage.  Arithmetic and the wire strings work on those ints; the
-Fractions of .coeffs, .coords and .basis are built only when read.
-Elimination runs on integers too: rows are scaled to clear denominators
-(which changes no rank, span or reduced form) and reduced fraction-free.
+downstream is a discrete verdict that must be exact.  RatMatrix is the one
+store of rationals: its entries, row by row, as Python ints over one positive
+common denominator, in lowest terms (lowest_terms is the one place that
+normalizes), so equal matrices have equal storage.  Linear and binary forms
+are its one-row subclass RatVector; a conic's coordinates, an envelope basis
+and the determinant Gram matrix are matrices.  Arithmetic, rank and the wire
+strings work on those ints; the Fractions of .entries, .coeffs, .coords and
+.basis are built only when read.  Elimination is fraction-free on the integer
+rows (den * a matrix has the same rank, span and reduced form).
 Binary forms are homogeneous polynomials in (s, t), stored by coefficient of
 s^(d-i) t^i.  Irrational roots are never constructed; existence is certified
 through the discriminant or gcd degrees.
@@ -58,8 +59,8 @@ def format_rat(x: Fraction) -> str:
 def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     """(nums, den) scaled so that den > 0 and gcd(den, *nums) == 1.
 
-    Every rational vector is stored in this form, so it is unique: the zero
-    vector has denominator 1.
+    Every rational matrix is stored in this form, so it is unique: the zero
+    matrix has denominator 1.
     """
     nums = tuple(nums)
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
@@ -100,13 +101,6 @@ def json_array(value, what: str) -> list:
     return value
 
 
-def clear_denominators(values: Iterable) -> tuple[list[int], int]:
-    """(D * values, D) for D the least common denominator of the rationals."""
-    values = list(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
 
@@ -143,60 +137,40 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, 
 
 
 class RatMatrix:
-    """Dense matrix over Q; all elimination is exact."""
+    """Matrix over Q, rows x cols: its entries, row by row, as Python ints nums
+    over one positive denominator den, in lowest terms, so equal matrices are
+    stored alike.  entries builds the Fractions when read; rank and the wire
+    strings work on the ints."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = [tuple(as_rat(x) for x in row) for row in entries]
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        rows = [tuple(row) for row in entries]
+        self.rows, self.cols = len(rows), len(rows[0]) if rows else 0
         if any(len(r) != self.cols for r in rows):
             raise ValueError("ragged rows")
-        self.entries: tuple[tuple[Fraction, ...], ...] = tuple(rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[list(map(str, r)) for r in self.entries]})"
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.entries))) if self.rows else RatMatrix([])
-
-    def rank(self) -> int:
-        # scaling a row by a nonzero constant leaves the rank unchanged
-        return len(bareiss([clear_denominators(row)[0] for row in self.entries])[1])
-
-
-class RatVector:
-    """Exact rationals nums[i] / den: Python ints over one positive denominator,
-    in lowest terms, so equal vectors are stored alike.  coeffs builds the
-    Fractions; arithmetic and to_json work on the ints."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, size: int, coeffs: Iterable):
-        nums, den = rationals(coeffs)
-        if len(nums) != size:
-            raise ValueError(f"expected {size} coefficients, got {len(nums)}")
-        self.nums, self.den = nums, den
+        self.nums, self.den = rationals([x for row in rows for x in row])
 
     @classmethod
-    def from_ints(cls, nums: Iterable[int], den: int = 1):
-        """The vector nums / den, its length unchecked."""
-        v = object.__new__(cls)
-        v.nums, v.den = lowest_terms(nums, den)
-        return v
+    def from_ints(cls, nums: Iterable[int], den: int = 1, cols: int | None = None):
+        """The matrix nums / den, cols wide (one row when cols is None), its shape unchecked."""
+        m = object.__new__(cls)
+        m.nums, m.den = lowest_terms(nums, den)
+        m.cols = len(m.nums) if cols is None else cols
+        m.rows = len(m.nums) // m.cols if m.cols else 0
+        return m
+
+    def _split(self, flat: Sequence) -> list:
+        c = self.cols
+        return [flat[i * c:(i + 1) * c] for i in range(self.rows)]
+
+    def int_rows(self) -> list[tuple[int, ...]]:
+        """The rows of den * self, integers."""
+        return self._split(self.nums)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(tuple, self._split([Fraction(x, self.den) for x in self.nums])))
 
     @property
     def is_zero(self) -> bool:
@@ -205,10 +179,42 @@ class RatVector:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.nums == other.nums and self.den == other.den
+        return (self.rows, self.cols, self.nums, self.den) == (
+            other.rows, other.cols, other.nums, other.den)
 
     def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+        return hash((self.rows, self.cols, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"RatMatrix({self.json_rows()})"
+
+    def transpose(self) -> "RatMatrix":
+        flat = [x for col in zip(*self.int_rows()) for x in col]
+        return RatMatrix.from_ints(flat, self.den, self.rows)
+
+    def rank(self) -> int:
+        return len(bareiss(self.int_rows())[1])
+
+    def json_rows(self) -> list[list[str]]:
+        """The wire strings of the entries, row by row."""
+        return self._split(rat_strings(self.nums, self.den))
+
+
+class RatVector(RatMatrix):
+    """A one-row RatMatrix with vector arithmetic: coeffs builds the
+    Fractions; arithmetic and to_json work on the ints."""
+
+    __slots__ = ()
+
+    def __init__(self, size: int, coeffs: Iterable):
+        self.nums, self.den = rationals(coeffs)
+        self.rows, self.cols = 1, len(self.nums)
+        if self.cols != size:
+            raise ValueError(f"expected {size} coefficients, got {self.cols}")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __add__(self, other):
         if type(other) is not type(self) or len(other.nums) != len(self.nums):
@@ -217,11 +223,8 @@ class RatVector:
         xs, ys = rescaled(self.nums, self.den, den), rescaled(other.nums, other.den, den)
         return self.from_ints([a + b for a, b in zip(xs, ys)], den)
 
-    def __neg__(self):
-        return self.from_ints([-x for x in self.nums], self.den)
-
     def __sub__(self, other):
-        return self + (-other)
+        return self + -1 * other
 
     def scale(self, c):
         p, q = num_den(c)
@@ -368,26 +371,20 @@ class RootStructure:
     discriminant: Fraction | None
 
 
-def _is_square(x: Fraction) -> bool:
-    if x < 0:
-        return False
-    n, d = x.numerator, x.denominator
-    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
-
-
-def _sqrt(x: Fraction) -> Fraction:
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
-
-
-def _proj_point(s: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
-    # canonical representative: (r, 1) if t != 0, else (1, 0)
-    if t != 0:
-        return (s / t, Fraction(1))
+def _proj_point(s: int, t: int) -> tuple[Fraction, Fraction]:
+    # canonical representative: (s/t, 1) if t != 0, else (1, 0)
+    if t:
+        return (Fraction(s, t), Fraction(1))
     return (Fraction(1), Fraction(0))
 
 
 def quadratic_root_structure(f: BinaryForm) -> RootStructure:
-    """Classify the roots of a nonzero binary form of degree 0, 1, or 2."""
+    """Classify the roots of a nonzero binary form of degree 0, 1, or 2.
+
+    With f = (c0, c1, c2) / den over integers, the denominator cancels from
+    every root, and the discriminant is D / den^2 for the integer
+    D = c1^2 - 4 c0 c2, a rational square exactly when D is a square.
+    """
     if f.is_zero:
         raise ValueError("root structure of the zero form is undefined")
     if f.degree > 2:
@@ -395,25 +392,19 @@ def quadratic_root_structure(f: BinaryForm) -> RootStructure:
     if f.degree == 0:
         return RootStructure(RootKind.NO_ROOT, (), True, None)
     if f.degree == 1:
-        c0, c1 = f.coeffs
-        root = _proj_point(-c1, c0) if c0 != 0 else (Fraction(1), Fraction(0))
-        return RootStructure(RootKind.SIMPLE_ROOT, (root,), True, None)
-    c0, c1, c2 = f.coeffs
-    disc = c1 * c1 - 4 * c0 * c2
+        c0, c1 = f.nums
+        return RootStructure(RootKind.SIMPLE_ROOT, (_proj_point(-c1, c0),), True, None)
+    c0, c1, c2 = f.nums
+    d = c1 * c1 - 4 * c0 * c2
+    disc = Fraction(d, f.den * f.den)
+    if d == 0:
+        # when c0 = 0 then c1 = 0 too, and the double root is (1 : 0)
+        return RootStructure(RootKind.DOUBLE_ROOT, (_proj_point(-c1, 2 * c0),), True, disc)
     if c0 == 0:
         # t divides the form
-        if c1 == 0:
-            return RootStructure(
-                RootKind.DOUBLE_ROOT, ((Fraction(1), Fraction(0)),), True, disc
-            )
-        roots = ((Fraction(1), Fraction(0)), _proj_point(-c2, c1))
+        roots = (_proj_point(1, 0), _proj_point(-c2, c1))
         return RootStructure(RootKind.TWO_DISTINCT_ROOTS, roots, True, disc)
-    if disc == 0:
-        return RootStructure(
-            RootKind.DOUBLE_ROOT, (_proj_point(-c1, 2 * c0),), True, disc
-        )
-    if _is_square(disc):
-        w = _sqrt(disc)
+    if d > 0 and (w := math.isqrt(d)) ** 2 == d:
         roots = (_proj_point(-c1 + w, 2 * c0), _proj_point(-c1 - w, 2 * c0))
         return RootStructure(RootKind.TWO_DISTINCT_ROOTS, roots, True, disc)
     return RootStructure(RootKind.TWO_DISTINCT_ROOTS, (), False, disc)

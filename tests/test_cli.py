@@ -1,11 +1,12 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moriconic import PluckerConic
+from moriconic import KroneckerModule, PluckerConic, cokernel_kind
 from moriconic.cli import MAX_POINCARE_DEGREE, main
 
 
@@ -451,6 +452,47 @@ class TestHarnessContract:
             assert code == 0
             doc = json.loads(out)
             assert doc["schema_version"] == 1
+
+
+def fraction_calls(thunk) -> set[str]:
+    """The names of the functions in the fractions module that thunk() calls."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "fractions":
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+class TestIntegerRequestsBuildNoFraction:
+    """Integer documents are decided and written on Python ints alone: the
+    hot paths keep no Fraction arithmetic."""
+
+    @pytest.mark.parametrize("command, doc, key, value", [
+        ("conic", GENERIC_DOC, "degree", 2),
+        ("modify", DISK_FAMILY_DOC, "k", 1),
+        ("stability", GENERIC_DOC, "verdict", "stable"),
+        ("stratify", GENERIC_DOC, "stratum", "stable_locus"),
+    ])
+    def test_cli_requests(self, capsys, command, doc, key, value):
+        codes = []
+        assert fraction_calls(lambda: codes.append(main([command, "--json", json.dumps(doc)]))) == set()
+        out = json.loads(capsys.readouterr().out)
+        assert codes == [0] and out[key] == value
+        if command == "modify":
+            assert out["residual_base"]["gcd_degree"] == 0
+
+    def test_cokernel_kind(self):
+        kinds = []
+        thunk = lambda: kinds.append(cokernel_kind(KroneckerModule.from_json(GENERIC_DOC)))
+        assert fraction_calls(thunk) == set()
+        assert kinds[0].kind == "twisted_ideal_of_quadric"
 
 
 # Documents with denominators and the exact stdout each produced when rationals

@@ -5,6 +5,7 @@ import pytest
 
 from moriconic import (
     BinaryForm,
+    Envelope,
     IdenticallyZero,
     KroneckerModule,
     LambdaFamily,
@@ -147,6 +148,11 @@ class TestEnvelope:
             envelope(c)
         with pytest.raises(ZeroConic):
             conic_degree(c)
+
+    @pytest.mark.parametrize("dim, basis", [(2, [[1, 2, 3]]), (1, [[1, 0], [0, 1]]), (0, [[1]])])
+    def test_dim_must_count_the_basis_rows(self, dim, basis):
+        with pytest.raises(ValueError):
+            Envelope(dim, basis)
 
 
 class TestConicDegree:

@@ -1,13 +1,13 @@
-"""Forms, modules, conics and envelopes store integers over one denominator;
+"""Forms, modules, matrices, conics and envelopes store integers over one denominator;
 every operation must agree with the same computation on Fraction tuples."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from moriconic import (
     BinaryForm,
@@ -16,6 +16,11 @@ from moriconic import (
     LambdaFamily,
     LinearForm,
     PluckerConic,
+    RatMatrix,
+    RootKind,
+    RootStructure,
+    det_quadric,
+    quadratic_root_structure,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -210,10 +215,129 @@ def test_conic_and_envelope_match_fraction_values(triples):
         "coords": {f"{i},{j}": strings(values) for (i, j), (_, values) in zip(pairs, triples)},
     }
     same = PluckerConic(n, {pair: BinaryForm(2, rewrite(f.coeffs)) for pair, f in coords.items()})
-    assert same == c
+    flat = [v for _, values in triples for v in values]
+    den = lcm(*(v.denominator for v in flat))
+    for other in (
+        same,
+        PluckerConic.from_json({"n": n, "coords": {f"{i},{j}": rewrite(values)
+                                                   for (i, j), (_, values) in zip(pairs, triples)}}),
+        PluckerConic.from_ints(n, [int(2 * v * den) for v in flat], 2 * den),
+    ):
+        assert other == c and hash(other) == hash(c)
     rows = [values for _, values in triples[:2]]
     env = Envelope(len(rows), [rewrite(r) for r in rows])
     assert_lowest_terms(Envelope(len(rows), rows))
     assert env.basis == tuple(rows)
     assert env.to_json() == {"dim": len(rows), "basis": [strings(r) for r in rows]}
     check_equality(env, Envelope(len(rows), rows), rows, rows)
+
+
+def fraction_rows(values, cols):
+    return tuple(tuple(values[i:i + cols]) for i in range(0, len(values), cols))
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_matrix_storage_matches_fraction_values(rows, cols, data):
+    inputs, values = data.draw(vectors(rows * cols))
+    ref = fraction_rows(values, cols)
+    m = RatMatrix(fraction_rows(inputs, cols))
+    assert_lowest_terms(m)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.entries == ref and all(type(v) is Fraction for row in m.entries for v in row)
+    assert m.json_rows() == [strings(row) for row in ref]
+    for other in (
+        RatMatrix(ref),
+        RatMatrix(fraction_rows([v.numerator if v.denominator == 1 else v for v in values], cols)),
+        RatMatrix(fraction_rows(rewrite(values), cols)),
+    ):
+        assert other == m and hash(other) == hash(m)
+    assert m.transpose().entries == tuple(zip(*ref))
+    assert m.transpose().transpose() == m
+    assert m.is_zero is not any(values)
+    if rows != cols:
+        # the same flat entries in the transposed shape are another matrix
+        assert RatMatrix(fraction_rows(values, rows)) != m
+
+
+@SETTINGS
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(vectors(n + 1), min_size=4, max_size=4)))
+def test_det_quadric_matches_fraction_gram(forms):
+    a, b, c, d = (values for _, values in forms)
+    assume(any(any(v) for v in (a, b, c, d)))
+    n = len(a) - 1
+    M = KroneckerModule(n, *(LinearForm(n, inputs) for inputs, _ in forms))
+    gram = det_quadric(M).gram
+    assert_lowest_terms(gram)
+    # the Gram matrix of a*d - b*c: half the coefficient of x_i x_j off the diagonal
+    assert gram.entries == tuple(
+        tuple((a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i]) / 2 for j in range(n + 1))
+        for i in range(n + 1)
+    )
+
+
+def ref_root_structure(coeffs) -> RootStructure:
+    """The root structure computed on the Fraction coefficients."""
+
+    def point(s, t):
+        return (s / t, Fraction(1)) if t != 0 else (Fraction(1), Fraction(0))
+
+    if len(coeffs) == 1:
+        return RootStructure(RootKind.NO_ROOT, (), True, None)
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return RootStructure(RootKind.SIMPLE_ROOT, (point(-c1, c0),), True, None)
+    c0, c1, c2 = coeffs
+    disc = c1 * c1 - 4 * c0 * c2
+    if c0 == 0:
+        if c1 == 0:
+            return RootStructure(RootKind.DOUBLE_ROOT, (point(1, 0),), True, disc)
+        return RootStructure(RootKind.TWO_DISTINCT_ROOTS, (point(1, 0), point(-c2, c1)), True, disc)
+    if disc == 0:
+        return RootStructure(RootKind.DOUBLE_ROOT, (point(-c1, 2 * c0),), True, disc)
+    p, q = disc.numerator, disc.denominator
+    if p > 0 and isqrt(p) ** 2 == p and isqrt(q) ** 2 == q:
+        w = Fraction(isqrt(p), isqrt(q))
+        roots = (point(-c1 + w, 2 * c0), point(-c1 - w, 2 * c0))
+        return RootStructure(RootKind.TWO_DISTINCT_ROOTS, roots, True, disc)
+    return RootStructure(RootKind.TWO_DISTINCT_ROOTS, (), False, disc)
+
+
+SMALL = st.integers(-5, 5)
+
+
+@st.composite
+def root_forms(draw):
+    """Coefficients of a nonzero form of degree <= 2 times a rational with a
+    large denominator: random ones, and products of linear forms, which give
+    zero (a square) and square (two distinct factors) discriminants."""
+    shape = draw(st.sampled_from(["random", "random", "square", "product", "t_factor"]))
+    if shape == "random":
+        coeffs = draw(st.lists(SMALL, min_size=1, max_size=3))
+    elif shape == "t_factor":
+        coeffs = [0, draw(SMALL), draw(SMALL)]
+    else:
+        a, b = draw(SMALL), draw(SMALL)
+        c, d = (a, b) if shape == "square" else (draw(SMALL), draw(SMALL))
+        coeffs = [a * c, a * d + b * c, b * d]
+    assume(any(coeffs))
+    scale = Fraction(draw(NUMERATORS.filter(bool)), draw(DENOMINATORS))
+    return [scale * x for x in coeffs]
+
+
+@SETTINGS
+@given(root_forms())
+@example([Fraction(1, 6), Fraction(-5, 6), Fraction(1)])  # (s - 2t)(s - 3t) / 6: disc 1/36
+@example([Fraction(1, 4), Fraction(1), Fraction(1)])  # (s + 2t)^2 / 4: disc 0
+@example([Fraction(0), Fraction(2, 3), Fraction(1, 9)])  # t (6s + t) / 9
+@example([Fraction(0), Fraction(0), Fraction(5, 7)])  # a double root at (1 : 0)
+@example([Fraction(3, 10), Fraction(0), Fraction(7, 10)])  # no real root: disc -21/25
+@example([Fraction(1, 2), Fraction(1, 2)])
+@example([Fraction(0), Fraction(1, 3)])
+@example([Fraction(-2, 9)])
+def test_root_structure_matches_fraction_reference(coeffs):
+    f = BinaryForm(len(coeffs) - 1, [str(c) for c in coeffs])
+    got = quadratic_root_structure(f)
+    assert got == ref_root_structure(coeffs)
+    assert all(type(x) is Fraction for root in got.roots for x in root)
+    assert got.discriminant is None or type(got.discriminant) is Fraction
