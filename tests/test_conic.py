@@ -1,7 +1,9 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from moriconic import (
     BinaryForm,
@@ -336,3 +338,152 @@ class TestModifyFamily:
             result = modify_family(scalar_perturbation_family(n, a, b))
             assert result.k >= 1
             assert not result.conic.is_zero
+
+
+# ---------------------------------------------------------------------------
+# Families against a Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def ref_add(f, g):
+    long, short = (f, g) if len(f) >= len(g) else (g, f)
+    return [a + (short[i] if i < len(short) else 0) for i, a in enumerate(long)]
+
+
+def ref_minor_polys(n, entries):
+    """Per index pair, the (s^2, st, t^2) coefficients of the wedge as polynomials
+    in lambda (coefficient lists, lowest degree first)."""
+    (e11, e12), (e21, e22) = entries
+
+    def column(entry, i):
+        return [v[i] for v in entry]
+
+    def cross(p, q, i, j):  # p_i q_j - p_j q_i for polynomial entries p, q
+        return ref_add(ref_mul(column(p, i), column(q, j)),
+                       [-x for x in ref_mul(column(p, j), column(q, i))])
+
+    return [
+        (cross(e11, e21, i, j),
+         ref_add(cross(e11, e22, i, j), cross(e12, e21, i, j)),
+         cross(e12, e22, i, j))
+        for i, j in index_pairs(n)
+    ]
+
+
+def ref_poly_gcd(f, g):
+    """Monic gcd of univariate polynomials, highest degree first."""
+    def strip(p):
+        while p and p[0] == 0:
+            p = p[1:]
+        return p
+
+    f, g = strip(f), strip(g)
+    while g:
+        while len(f) >= len(g):
+            c = f[0] / g[0]
+            f = strip([a - c * b for a, b in zip(f, g)] + f[len(g):])
+        f, g = g, f
+    return [a / f[0] for a in f]
+
+
+def ref_form_gcd(forms):
+    """Normalized gcd of binary quadratics (coefficient i multiplies s^(2-i) t^i),
+    not all zero: t^m for m leading zeros, times the gcd in s with t = 1."""
+    forms = [f for f in forms if any(f)]
+    m = min(next(i for i, c in enumerate(f) if c) for f in forms)
+    g = []
+    for f in forms:
+        g = ref_poly_gcd(g, list(f))
+    values = [Fraction(0)] * m + g
+    d = lcm(*(v.denominator for v in values))
+    ints = [int(v * d) for v in values]
+    k = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        k = -k
+    return tuple(x // k for x in ints)
+
+
+@st.composite
+def families(draw):
+    """(n, entries as lists of Fraction vectors per lambda degree, lambda): entries
+    of lambda-degree 0..3, some empty; for about a quarter of the draws every
+    entry is a multiple of (lambda - lam), so the matrix vanishes at lam."""
+    n = draw(st.integers(2, 4))
+    # a zero in about one draw of four, for scalars, vectors and lambda alike
+    nonzero = st.builds(lambda sign, p, q: sign * Fraction(p, q),
+                        st.sampled_from([1, -1]), st.integers(1, 5), st.sampled_from([1, 1, 2, 3, 4]))
+    scalar = st.tuples(st.sampled_from([1, 1, 1, 0]), nonzero).map(lambda p: p[0] * p[1])
+    vector = st.tuples(st.sampled_from([1, 1, 1, 0]), st.tuples(*[scalar] * (n + 1))).map(
+        lambda p: tuple(p[0] * x for x in p[1]))
+    lam = draw(scalar)
+    vanish = draw(st.integers(0, 3)) == 0
+    entries = []
+    for _ in range(2):
+        row = []
+        for _ in range(2):
+            size = draw(st.sampled_from([0, 1, 1, 2, 2, 3, 4] if not vanish else [0, 1, 2, 3]))
+            entry = [draw(vector) for _ in range(size)]
+            if vanish and entry:
+                # the entry times (lambda - lam), coefficient by coefficient
+                shifted = [(Fraction(0),) * (n + 1)] + entry
+                entry = [tuple(a - lam * b for a, b in zip(hi, lo))
+                         for hi, lo in zip(shifted, entry + [(Fraction(0),) * (n + 1)])]
+            row.append(entry)
+        entries.append(row)
+    return n, entries, lam
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(families())
+@example((3, [[[(Fraction(-1, 2), 0, 0, 0), (1, 0, 0, 0)]] * 2] * 2, Fraction(1, 2)))
+@example((2, [[[(0, Fraction(-2, 3), 0), (0, 1, 0)], []],
+              [[], [(0, 0, Fraction(-2, 3)), (0, 0, 1)]]], Fraction(2, 3)))
+def test_family_matches_fraction_reference(case):
+    n, entries, lam = case
+    fam = LambdaFamily(n, [[[LinearForm(n, v) for v in entry] for entry in row] for row in entries])
+    arg = lam.numerator if lam.denominator == 1 else lam
+    assert fam.to_json() == {
+        "n": n,
+        "matrix": [[[[str(Fraction(c)) for c in v] for v in entry] for entry in row]
+                   for row in entries],
+    }
+    # the matrix and its wedge at lam
+    values = [
+        tuple(sum((Fraction(v[i]) * lam**k for k, v in enumerate(entry)), Fraction(0))
+              for i in range(n + 1))
+        for row in entries for entry in row
+    ]
+    minors = ref_minor_polys(n, entries)
+    at_lam = [tuple(sum((c * lam**k for k, c in enumerate(p)), Fraction(0)) for p in triple)
+              for triple in minors]
+    c = family_conic(fam, arg)
+    assert c.n == n and [c.coords[pair].coeffs for pair in index_pairs(n)] == at_lam
+    if any(any(v) for v in values):
+        m = fam.specialize(arg)
+        assert [f.coeffs for f in (m.m11, m.m12, m.m21, m.m22)] == values
+        assert c == plucker_conic(m)
+    else:
+        assert c.is_zero
+        with pytest.raises(ValueError):
+            fam.specialize(arg)
+    # the elementary modification: the lowest lambda power of the wedge
+    lows = [next((k for k, x in enumerate(p) if x), None) for triple in minors for p in triple]
+    if all(low is None for low in lows):
+        with pytest.raises(IdenticallyZero):
+            modify_family(fam)
+        return
+    k = min(low for low in lows if low is not None)
+    conic = [tuple(p[k] if k < len(p) else Fraction(0) for p in triple) for triple in minors]
+    result = modify_family(fam)
+    assert result.k == k
+    assert [result.conic.coords[pair].coeffs for pair in index_pairs(n)] == conic
+    assert result.base_gcd.coeffs == ref_form_gcd(conic)
+    assert all(result.base_gcd(s, t) == 0 for s, t in result.base_points)
