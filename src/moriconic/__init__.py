@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "ALL_ZERO", "AllZero", "BinaryForm", "RatMatrix", "RootKind", "RootStructure",
-        "as_rat", "format_rat", "quadratic_gcd", "quadratic_root_structure",
+        "as_rat", "quadratic_gcd", "quadratic_root_structure",
     ),
     "motivic": (
         "Grassmannian", "KontsevichProj", "MbarGr", "MP24m2", "ProductOf", "ProjSpace",

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ZeroDivisor
-from .linalg import as_rat, format_rat
+from .linalg import as_rat
 
 GENERATORS = ("Dunb", "Ddeg", "Delta", "T", "H11", "H2", "P")
 
@@ -76,13 +76,13 @@ class DivisorCombo:
     def to_json(self) -> dict:
         return {
             "n_mode": self.n_mode.value,
-            "coeffs": {g: format_rat(v) for g, v in self.coeffs if v != 0},
+            "coeffs": {g: str(v) for g, v in self.coeffs if v != 0},
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "DivisorCombo":
         mode = NMode(doc.get("n_mode", "gt3"))
-        return cls.make(doc["coeffs"], mode)
+        return cls.make(doc.get("coeffs"), mode)
 
 
 @dataclass(frozen=True)

@@ -59,22 +59,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--inner", help="JSON space identifier for Sym2")
     p.add_argument("--out")
 
-    for name, help_text in (
-        ("stability", "GIT stability verdict of a Kronecker module"),
-        ("stratify", "orbit-type stratum of a Kronecker module"),
-        ("conic", "Pluecker conic, envelope, and degree of a Kronecker module"),
+    for name, help_text, what in (
+        ("stability", "GIT stability verdict of a Kronecker module", "module"),
+        ("stratify", "orbit-type stratum of a Kronecker module", "module"),
+        ("conic", "Pluecker conic, envelope, and degree of a Kronecker module", "module"),
+        ("modify", "elementary modification of a lambda family", "family"),
     ):
         p = sub.add_parser(name, help=help_text)
         src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--in", dest="infile", help="path to a module JSON document")
-        src.add_argument("--json", dest="inline", help="inline module JSON document")
+        src.add_argument("--in", dest="infile", help=f"path to a {what} JSON document")
+        src.add_argument("--json", dest="inline", help=f"inline {what} JSON document")
         p.add_argument("--out")
-
-    p = sub.add_parser("modify", help="elementary modification of a lambda family")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="infile", help="path to a family JSON document")
-    src.add_argument("--json", dest="inline", help="inline family JSON document")
-    p.add_argument("--out")
 
     p = sub.add_parser("chamber", help="birational model of a divisor combination")
     src = p.add_mutually_exclusive_group(required=True)
@@ -155,7 +150,7 @@ def _run_poincare(args) -> dict:
     inner = _parse_json(args.inner) if args.space == "Sym2" and args.inner else None
     doc = {"space": args.space, "n": args.n, "k": args.k, "N": args.big_n, "inner": inner}
     poly = poincare(_space_from_json(doc))
-    return {"schema_version": SCHEMA_VERSION, "poly": poly.to_json()}
+    return {"poly": poly.to_json()}
 
 
 def _run_stability(args) -> dict:
@@ -164,7 +159,6 @@ def _run_stability(args) -> dict:
     module = KroneckerModule.from_json(_load_doc(args))
     cls = classify_stability(module)
     return {
-        "schema_version": SCHEMA_VERSION,
         "verdict": cls.verdict.value,
         "witness": cls.witness.to_json() if cls.witness else None,
         "closed_orbit": cls.closed_orbit,
@@ -176,7 +170,7 @@ def _run_stratify(args) -> dict:
     from .kronecker import KroneckerModule, stratify
 
     module = KroneckerModule.from_json(_load_doc(args))
-    return {"schema_version": SCHEMA_VERSION, "stratum": stratify(module).value}
+    return {"stratum": stratify(module).value}
 
 
 def _run_conic(args) -> dict:
@@ -187,7 +181,6 @@ def _run_conic(args) -> dict:
     c = plucker_conic(module)
     env = envelope(c)
     return {
-        "schema_version": SCHEMA_VERSION,
         **c.to_json(),
         "envelope": env.to_json(),
         "degree": conic_degree(c),
@@ -196,30 +189,30 @@ def _run_conic(args) -> dict:
 
 def _run_modify(args) -> dict:
     from .conic import LambdaFamily, modify_family
-    from .linalg import format_rat
 
     family = LambdaFamily.from_json(_load_doc(args))
     result = modify_family(family)
     return {
-        "schema_version": SCHEMA_VERSION,
         "k": result.k,
         "conic": result.conic.to_json(),
         "residual_base": {
             "gcd": result.base_gcd.to_json(),
             "gcd_degree": result.base_gcd.degree,
-            "rational_points": [[format_rat(s), format_rat(t)] for s, t in result.base_points],
+            "rational_points": [[str(s), str(t)] for s, t in result.base_points],
         },
     }
 
 
 def _run_chamber(args) -> dict:
-    from .chamber import DivisorCombo, NMode, duality_reflect, resolve
+    from .chamber import DivisorCombo, duality_reflect, resolve
 
     doc = _load_doc(args) if args.infile else {"coeffs": _parse_json(args.coeffs)}
-    combo = DivisorCombo.make(doc.get("coeffs"), NMode(args.n_mode or doc.get("n_mode", "gt3")))
+    if args.n_mode:
+        doc["n_mode"] = args.n_mode
+    combo = DivisorCombo.from_json(doc)
     if args.reflect:
         combo = duality_reflect(combo)
-    return {"schema_version": SCHEMA_VERSION, **resolve(combo).to_json()}
+    return resolve(combo).to_json()
 
 
 _RUNNERS = {
@@ -241,7 +234,7 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         out_path = args.out
-        doc, code = _RUNNERS[args.subcommand](args), 0
+        doc, code = {"schema_version": SCHEMA_VERSION, **_RUNNERS[args.subcommand](args)}, 0
     except DomainError as exc:
         doc, code = {"error": exc.code, "detail": str(exc)}, 2
     except (CliParseError, KeyError, TypeError, ValueError, OSError) as exc:

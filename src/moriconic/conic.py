@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
 from types import MappingProxyType
 
 from .errors import IdenticallyZero, ZeroConic
@@ -37,13 +37,14 @@ from .linalg import (
     BinaryForm,
     RatMatrix,
     bareiss,
+    common_denominator,
     json_array,
     lowest_terms,
     num_den,
     quadratic_gcd,
     quadratic_root_structure,
+    rat_strings,
     rationals,
-    rescaled,
 )
 
 
@@ -64,17 +65,22 @@ class PluckerConic(RatMatrix):
         forms = [coords[pair] for pair in expected]
         if any(f.degree != 2 for f in forms):
             raise ValueError("each Pluecker coordinate must be a binary quadratic")
-        den = lcm(*(f.den for f in forms))
-        nums = [x for f in forms for x in rescaled(f.nums, f.den, den)]
-        self.nums, self.den = lowest_terms(nums, den)
-        self.rows, self.cols, self.n, self._coords = len(forms), 3, n, None
+        nums, den = common_denominator(forms)
+        self._store(n, [x for t in nums for x in t], den)
 
     @classmethod
     def from_ints(cls, n: int, nums, den: int = 1) -> "PluckerConic":
         """The conic whose triples, flattened in index_pairs order, are nums / den."""
-        c = super().from_ints(nums, den, 3)
-        c.n, c._coords = n, None
+        c = object.__new__(cls)
+        c._store(n, nums, den)
         return c
+
+    def _store(self, n: int, nums, den: int) -> None:
+        """Every constructor's storage, after the one check of n."""
+        if n < 2:
+            raise ValueError("ambient parameter n must be >= 2")
+        self.nums, self.den = lowest_terms(nums, den)
+        self.rows, self.cols, self.n, self._coords = len(self.nums) // 3, 3, n, None
 
     # the integer coefficient triples of den * p_I, in index_pairs order
     triples = RatMatrix.int_rows
@@ -97,8 +103,6 @@ class PluckerConic(RatMatrix):
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":
         n = json_n(doc)
-        if n < 2:
-            raise ValueError("ambient parameter n must be >= 2")
         coords = doc["coords"]
         if not isinstance(coords, dict):
             raise ValueError("'coords' must be a JSON object")
@@ -131,11 +135,14 @@ class Envelope(RatMatrix):
         return {"dim": self.dim, "basis": self.json_rows()}
 
 
+def _wedge(n: int, a1, b1, a2, b2, d: int) -> PluckerConic:
+    """The conic of the pencil rows (s * a1 + t * b1) / d and (s * a2 + t * b2) / d."""
+    return PluckerConic.from_ints(n, [x for t in integer_minors(a1, b1, a2, b2) for x in t], d * d)
+
+
 def plucker_conic(M: KroneckerModule) -> PluckerConic:
     """Wedge coordinates of the pencil matrix of M, one quadratic per pair."""
-    a1, b1, a2, b2, d = integer_coefficients(M)
-    flat = [x for t in integer_minors(a1, b1, a2, b2) for x in t]
-    return PluckerConic.from_ints(M.n, flat, d * d)
+    return _wedge(M.n, *integer_coefficients(M))
 
 
 def envelope(c: PluckerConic) -> Envelope:
@@ -159,9 +166,14 @@ def conic_degree(c: PluckerConic) -> int:
 
 
 class LambdaFamily:
-    """2x2 matrix whose entries are polynomials in lambda with LinearForm coefficients."""
+    """2x2 matrix whose entries are polynomials in lambda with LinearForm coefficients.
 
-    __slots__ = ("n", "entries")
+    Stored like a RatMatrix, as ints over one positive denominator den:
+    nums[r][c] lists, per power of lambda, the numerators of the coefficient
+    form of entry (r, c).
+    """
+
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, entries):
         if n < 2:
@@ -169,30 +181,40 @@ class LambdaFamily:
         rows = tuple(tuple(tuple(e) for e in row) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("entries must form a 2x2 matrix")
-        for row in rows:
-            for entry in row:
-                for f in entry:
-                    if not isinstance(f, LinearForm) or f.n != n:
-                        raise ValueError("entry coefficients must be LinearForms sharing n")
+        forms = [f for row in rows for entry in row for f in entry]
+        if any(not isinstance(f, LinearForm) or f.n != n for f in forms):
+            raise ValueError("entry coefficients must be LinearForms sharing n")
+        nums, self.den = common_denominator(forms)
+        scaled = iter(nums)
+        self.nums = tuple(tuple(tuple(next(scaled) for _ in entry) for entry in row) for row in rows)
         self.n = n
-        self.entries = rows
+
+    def _integer_values(self, lam):
+        """(m11, m12, m21, m22, d): the coefficient tuples of d * F(lam), all integers.
+
+        With lam = p / q and K the top power of lambda, an entry sum_k c_k lam^k
+        is sum_k c_k p^k q^(K-k) / q^K, so d = den * q^K serves all four.
+        """
+        p, q = num_den(lam)
+        top = max(1, *(len(entry) for row in self.nums for entry in row)) - 1
+        weights = [p**k * q ** (top - k) for k in range(top + 1)]
+        values = [
+            [sum(w * c for w, c in zip(weights, column)) for column in zip(*entry)] or [0] * (self.n + 1)
+            for row in self.nums
+            for entry in row
+        ]
+        return (*values, self.den * q**top)
 
     def specialize(self, lam) -> KroneckerModule:
         """The module at a rational parameter value; raises if the matrix is zero there."""
-        forms = []
-        for row in self.entries:
-            for entry in row:
-                f = LinearForm.zero(self.n)
-                for coeff_form in reversed(entry):  # Horner's rule
-                    f = f.scale(lam) + coeff_form
-                forms.append(f)
-        return KroneckerModule(self.n, *forms)
+        *values, d = self._integer_values(lam)
+        return KroneckerModule(self.n, *(LinearForm.from_ints(v, d) for v in values))
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "matrix": [
-                [[f.to_json() for f in entry] for entry in row] for row in self.entries
+                [[rat_strings(f, self.den) for f in entry] for entry in row] for row in self.nums
             ],
         }
 
@@ -224,64 +246,38 @@ class ModificationResult:
 
 
 def _wedge_by_degree(F: LambdaFamily):
-    """The wedge coordinates of D * F, one list of integer triples per power of lambda.
+    """(k, triples) per power k of lambda, lazily: the wedge coordinates of den * F.
 
-    D is the least common denominator of the family, so the coordinates of F
-    are these over D^2.  The lambda^k coefficient of the minor over i < j sums,
-    over d1 + d2 = k, the minors of the pencil rows of degrees d1 and d2.
-    Returns a generator of (k, triples) and D^2.
+    The coordinates of F are these over den^2.  The lambda^k coefficient of
+    the minor over i < j sums, over d1 + d2 = k, the minors of the pencil rows
+    of degrees d1 and d2.
     """
-    d = lcm(*(f.den for row in F.entries for entry in row for f in entry))
     zero = (0,) * (F.n + 1)
-
-    def pencil(row):
-        """Per lambda degree, the coefficients of s and of t in the row."""
-        left, right = ([rescaled(f.nums, f.den, d) for f in entry] for entry in row)
-        return [
-            (left[e] if e < len(left) else zero, right[e] if e < len(right) else zero)
-            for e in range(max(1, len(left), len(right)))
-        ]
-
-    top, bottom = pencil(F.entries[0]), pencil(F.entries[1])
-
-    def degrees():
-        for k in range(len(top) + len(bottom) - 1):
-            total = None
-            for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
-                part = integer_minors(*top[d1], *bottom[k - d1])
-                total = list(part) if total is None else [
-                    (x + u, y + v, z + w) for (x, y, z), (u, v, w) in zip(total, part)
-                ]
-            yield k, total
-
-    return degrees(), d * d
+    # per row and lambda degree, the coefficients of s and of t
+    top, bottom = ([*zip_longest(*row, fillvalue=zero)] or [(zero, zero)] for row in F.nums)
+    for k in range(len(top) + len(bottom) - 1):
+        total = None
+        for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
+            part = integer_minors(*top[d1], *bottom[k - d1])
+            total = list(part) if total is None else [
+                (x + u, y + v, z + w) for (x, y, z), (u, v, w) in zip(total, part)
+            ]
+        yield k, total
 
 
 def family_conic(F: LambdaFamily, lam) -> PluckerConic:
     """Wedge coordinates of the family at a specific rational parameter value."""
-    p, q = num_den(lam)
-    degrees, den = _wedge_by_degree(F)
-    slices = [triples for _, triples in degrees]
-    # sum_k T_k (p/q)^k = sum_k T_k p^k q^(K-k) / q^K, with K the top degree
-    top = len(slices) - 1
-    weights = [p**k * q ** (top - k) for k in range(top + 1)]
-    values = [
-        sum(w * t[i] for w, t in zip(weights, column))
-        for column in zip(*slices)
-        for i in range(3)
-    ]
-    return PluckerConic.from_ints(F.n, values, den * q**top)
+    return _wedge(F.n, *F._integer_values(lam))
 
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    degrees, den = _wedge_by_degree(F)
-    for k, triples in degrees:
+    for k, triples in _wedge_by_degree(F):
         if any(any(t) for t in triples):
             break
     else:
         raise IdenticallyZero("the wedge of the family vanishes for every lambda")
-    conic = PluckerConic.from_ints(F.n, [x for t in triples for x in t], den)
+    conic = PluckerConic.from_ints(F.n, [x for t in triples for x in t], F.den * F.den)
     g = quadratic_gcd(triples)
     assert g is not ALL_ZERO  # impossible by minimality of k
     points: tuple[tuple[Fraction, Fraction], ...] = ()

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd
 
 from .errors import NotSemistable
 from .linalg import (
@@ -43,16 +43,15 @@ from .linalg import (
     BinaryForm,
     RatMatrix,
     RootKind,
-    as_rat,
+    RootStructure,
     bareiss,
-    format_rat,
     RatVector,
+    common_denominator,
     json_array,
     num_den,
     quadratic_gcd,
     quadratic_root_structure,
     rationals,
-    rescaled,
 )
 
 
@@ -206,7 +205,7 @@ class Witness:
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind.value}
-        doc["vector"] = [format_rat(c) for c in self.vector] if self.vector else None
+        doc["vector"] = [str(c) for c in self.vector] if self.vector else None
         doc["form"] = self.form.to_json() if self.form is not None else None
         return doc
 
@@ -253,10 +252,10 @@ def index_pairs(n: int) -> list[tuple[int, int]]:
 
 def pencil_matrix(M: KroneckerModule, s, t) -> RatMatrix:
     """The 2 x (n+1) coefficient matrix of M(s, t) = s * column1 + t * column2."""
-    s, t = as_rat(s), as_rat(t)
-    row1 = [s * a + t * b for a, b in zip(M.m11.coeffs, M.m12.coeffs)]
-    row2 = [s * a + t * b for a, b in zip(M.m21.coeffs, M.m22.coeffs)]
-    return RatMatrix([row1, row2])
+    (p, u), q = rationals((s, t))
+    a1, b1, a2, b2, d = integer_coefficients(M)
+    rows = [p * a + u * b for a, b in (*zip(a1, b1), *zip(a2, b2))]
+    return RatMatrix.from_ints(rows, q * d, M.n + 1)
 
 
 def integer_coefficients(M: KroneckerModule):
@@ -266,9 +265,8 @@ def integer_coefficients(M: KroneckerModule):
     forms' denominators; scaling by it changes no verdict, because verdicts
     depend only on the projective class.
     """
-    forms = (M.m11, M.m12, M.m21, M.m22)
-    d = lcm(*(f.den for f in forms))
-    return (*(rescaled(f.nums, f.den, d) for f in forms), d)
+    nums, d = common_denominator((M.m11, M.m12, M.m21, M.m22))
+    return (*nums, d)
 
 
 def integer_minors(a1, b1, a2, b2):
@@ -333,57 +331,53 @@ def _destabilizing_witness(a1, b1, a2, b2) -> Witness | None:
     return None
 
 
-def _stability(M: KroneckerModule):
-    """(instability witness, None) or (None, minor gcd), from one integer pass."""
+# Per stratum: the verdict, whether the orbit is closed, and the stabilizer.
+_CLASSES = {
+    Stratum.UNSTABLE_LOCUS: (Verdict.UNSTABLE, None, None),
+    Stratum.Y0: (Verdict.STRICTLY_SEMISTABLE, True, StabilizerKind.SL2_Z2),
+    Stratum.Z0: (Verdict.STRICTLY_SEMISTABLE, False, None),
+    Stratum.Y1: (Verdict.STRICTLY_SEMISTABLE, True, StabilizerKind.CSTAR_Z2),
+    Stratum.Z1: (Verdict.STRICTLY_SEMISTABLE, False, None),
+    Stratum.STABLE_LOCUS: (Verdict.STABLE, True, StabilizerKind.FINITE),
+}
+
+
+def _decide(M: KroneckerModule) -> tuple[Stratum, object, RootStructure | None]:
+    """(stratum, what decided it, root structure of a quadratic gcd), from one
+    integer pass.  What decided it is the instability witness for an unstable
+    module and the minor gcd for a semistable one."""
     a1, b1, a2, b2, _ = integer_coefficients(M)
     w = _destabilizing_witness(a1, b1, a2, b2)
     if w is not None:
-        return w, None
-    return None, quadratic_gcd(integer_minors(a1, b1, a2, b2))
-
-
-def _stratum_of_semistable(g) -> Stratum:
+        return Stratum.UNSTABLE_LOCUS, w, None
+    g = quadratic_gcd(integer_minors(a1, b1, a2, b2))
     if g is ALL_ZERO:
-        return Stratum.Y0
-    if g.degree == 0:
-        return Stratum.STABLE_LOCUS
-    if g.degree == 1:
-        return Stratum.Z1
+        return Stratum.Y0, g, None
+    if g.degree < 2:
+        return (Stratum.Z1 if g.degree else Stratum.STABLE_LOCUS), g, None
     rs = quadratic_root_structure(g)
-    return Stratum.Y1 if rs.kind is RootKind.TWO_DISTINCT_ROOTS else Stratum.Z0
+    return (Stratum.Y1 if rs.kind is RootKind.TWO_DISTINCT_ROOTS else Stratum.Z0), g, rs
 
 
 def stratify(M: KroneckerModule) -> Stratum:
     """Locate M in the stratification of the semistable locus by orbit type."""
-    w, g = _stability(M)
-    return Stratum.UNSTABLE_LOCUS if w is not None else _stratum_of_semistable(g)
-
-
-def _semistable_witness(g) -> Witness:
-    if g is ALL_ZERO:
-        # every direction drops the rank; (1, 0) is as good as any
-        return Witness(WitnessKind.RANK_DROP, vector=(Fraction(1), Fraction(0)))
-    rs = quadratic_root_structure(g)
-    if rs.roots:
-        s, t = rs.roots[0]
-        return Witness(WitnessKind.RANK_DROP, vector=(s, t))
-    return Witness(WitnessKind.GCD_CERTIFICATE, form=g)
+    return _decide(M)[0]
 
 
 def classify_stability(M: KroneckerModule) -> StabilityClass:
     """Full GIT verdict with witness, orbit closedness, and stabilizer kind."""
-    w, g = _stability(M)
-    if w is not None:
-        return StabilityClass(Verdict.UNSTABLE, w, None, None)
-    stratum = _stratum_of_semistable(g)
-    if stratum is Stratum.STABLE_LOCUS:
-        return StabilityClass(Verdict.STABLE, None, True, StabilizerKind.FINITE)
-    witness = _semistable_witness(g)
+    stratum, found, rs = _decide(M)
+    verdict, closed, stabilizer = _CLASSES[stratum]
+    witness = found if verdict is Verdict.UNSTABLE else None
     if stratum is Stratum.Y0:
-        return StabilityClass(Verdict.STRICTLY_SEMISTABLE, witness, True, StabilizerKind.SL2_Z2)
-    if stratum is Stratum.Y1:
-        return StabilityClass(Verdict.STRICTLY_SEMISTABLE, witness, True, StabilizerKind.CSTAR_Z2)
-    return StabilityClass(Verdict.STRICTLY_SEMISTABLE, witness, False, None)
+        # every direction drops the rank; (1, 0) is as good as any
+        witness = Witness(WitnessKind.RANK_DROP, vector=(Fraction(1), Fraction(0)))
+    elif verdict is Verdict.STRICTLY_SEMISTABLE:
+        # a linear gcd (Z1) has its one root found here
+        roots = (rs or quadratic_root_structure(found)).roots
+        witness = (Witness(WitnessKind.RANK_DROP, vector=roots[0]) if roots
+                   else Witness(WitnessKind.GCD_CERTIFICATE, form=found))
+    return StabilityClass(verdict, witness, closed, stabilizer)
 
 
 def _det_gram(a, b, c, d, indices, den: int = 1) -> RatMatrix:

@@ -51,11 +51,6 @@ def as_rat(x) -> Fraction:
     return Fraction(p, q) if q != 1 else Fraction(p)
 
 
-def format_rat(x: Fraction) -> str:
-    """Canonical wire form: 'p' or 'p/q' with q > 1."""
-    return str(x)
-
-
 def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     """(nums, den) scaled so that den > 0 and gcd(den, *nums) == 1.
 
@@ -79,12 +74,10 @@ def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
     return lowest_terms([p * (den // q) for p, q in pairs], den)
 
 
-def rescaled(nums: Sequence[int], den: int, common: int) -> Sequence[int]:
-    """The numerators of nums / den over common, a multiple of den."""
-    if den == common:
-        return nums
-    k = common // den
-    return tuple(x * k for x in nums)
+def common_denominator(vectors: Sequence[RatMatrix]) -> tuple[list[Sequence[int]], int]:
+    """([numerators of each vector over d], d), d the lcm of their denominators."""
+    d = math.lcm(*(v.den for v in vectors))
+    return [v.nums if v.den == d else tuple(x * (d // v.den) for x in v.nums) for v in vectors], d
 
 
 def rat_strings(nums: Iterable[int], den: int) -> list[str]:
@@ -219,8 +212,7 @@ class RatVector(RatMatrix):
     def __add__(self, other):
         if type(other) is not type(self) or len(other.nums) != len(self.nums):
             raise ValueError(f"cannot add {other!r} to {self!r}")
-        den = math.lcm(self.den, other.den)
-        xs, ys = rescaled(self.nums, self.den, den), rescaled(other.nums, other.den, den)
+        (xs, ys), den = common_denominator((self, other))
         return self.from_ints([a + b for a, b in zip(xs, ys)], den)
 
     def __sub__(self, other):

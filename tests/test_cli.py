@@ -6,7 +6,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moriconic import KroneckerModule, PluckerConic, cokernel_kind
+from moriconic import (
+    KroneckerModule,
+    LambdaFamily,
+    PluckerConic,
+    cokernel_kind,
+    family_conic,
+    pencil_matrix,
+    plucker_conic,
+)
 from moriconic.cli import MAX_POINCARE_DEGREE, main
 
 
@@ -493,6 +501,21 @@ class TestIntegerRequestsBuildNoFraction:
         thunk = lambda: kinds.append(cokernel_kind(KroneckerModule.from_json(GENERIC_DOC)))
         assert fraction_calls(thunk) == set()
         assert kinds[0].kind == "twisted_ideal_of_quadric"
+
+    def test_pencil_matrix_rank(self):
+        M = KroneckerModule.from_json(GENERIC_DOC)
+        ranks = []
+        assert fraction_calls(lambda: ranks.append(pencil_matrix(M, 1, 2).rank())) == set()
+        assert ranks == [2]
+
+    def test_family_at_integer_lambda(self):
+        family = LambdaFamily.from_json(DISK_FAMILY_DOC)
+        out = []
+        thunk = lambda: out.extend((family.specialize(2), family_conic(family, -3)))
+        assert fraction_calls(thunk) == set()
+        module, conic = out
+        assert module.m12.nums == (0, 2, 2, 0) and module.m12.den == 1
+        assert conic == plucker_conic(family.specialize(-3))
 
 
 # Documents with denominators and the exact stdout each produced when rationals

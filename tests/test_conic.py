@@ -114,6 +114,15 @@ class TestPluckerConic:
         with pytest.raises(ValueError):
             PluckerConic.from_json({"n": 3, "coords": {"0,1": ["0", "1", "0"]}})
 
+    @pytest.mark.parametrize("n, coords", [(0, {}), (1, {(0, 1): quad(1, 0, 0)})])
+    def test_ambient_parameter_below_two_rejected(self, n, coords):
+        from moriconic import PluckerConic
+
+        with pytest.raises(ValueError):
+            PluckerConic(n, coords)
+        with pytest.raises(ValueError):
+            PluckerConic.from_ints(n, [1, 0, 0] * len(coords))
+
     @pytest.mark.parametrize("doc", [
         {"n": 1, "coords": {"0,1": "100"}},
         {"n": 1, "coords": [["1", "0", "0"]]},

@@ -128,6 +128,17 @@ class TestClassification:
         assert cls.closed_orbit is True
         assert cls.stabilizer_kind is StabilizerKind.FINITE
 
+    @pytest.mark.parametrize("m, stratum", [(DIAG, Stratum.Y1), (UNIPOTENT, Stratum.Z0)])
+    def test_root_structure_computed_once(self, monkeypatch, m, stratum):
+        import moriconic.kronecker as kronecker
+
+        calls = []
+        real = kronecker.quadratic_root_structure
+        monkeypatch.setattr(kronecker, "quadratic_root_structure", lambda g: calls.append(g) or real(g))
+        cls = classify_stability(m)
+        assert len(calls) == 1
+        assert cls.verdict is Verdict.STRICTLY_SEMISTABLE and stratify(m) is stratum
+
     def test_witness_iff_not_stable(self, rng):
         for _ in range(100):
             m = random_module(rng, 3)

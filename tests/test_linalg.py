@@ -10,7 +10,6 @@ from moriconic import (
     RatMatrix,
     RootKind,
     as_rat,
-    format_rat,
     quadratic_gcd,
     quadratic_root_structure,
 )
@@ -49,10 +48,6 @@ class TestRationals:
         # the grammar is -?[0-9]+(/[1-9][0-9]*)? and nothing around it
         with pytest.raises(ValueError):
             num_den(text)
-
-    def test_format(self):
-        assert format_rat(Fraction(3, 4)) == "3/4"
-        assert format_rat(Fraction(-6, 3)) == "-2"
 
 
 class TestRank:
