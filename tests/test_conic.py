@@ -420,6 +420,11 @@ def ref_form_gcd(forms):
     return tuple(x // k for x in ints)
 
 
+# +-p/q for p in 1..5 and q in 1, 1, 2, 3, 4, and zero for a quarter of the list
+SCALARS = [sign * Fraction(p, q) for sign in (1, -1) for p in range(1, 6) for q in (1, 1, 2, 3, 4)]
+SCALARS = [Fraction(0)] * (len(SCALARS) // 3) + SCALARS
+
+
 @st.composite
 def families(draw):
     """(n, entries as lists of Fraction vectors per lambda degree, lambda): entries
@@ -427,9 +432,7 @@ def families(draw):
     entry is a multiple of (lambda - lam), so the matrix vanishes at lam."""
     n = draw(st.integers(2, 4))
     # a zero in about one draw of four, for scalars, vectors and lambda alike
-    nonzero = st.builds(lambda sign, p, q: sign * Fraction(p, q),
-                        st.sampled_from([1, -1]), st.integers(1, 5), st.sampled_from([1, 1, 2, 3, 4]))
-    scalar = st.tuples(st.sampled_from([1, 1, 1, 0]), nonzero).map(lambda p: p[0] * p[1])
+    scalar = st.sampled_from(SCALARS)
     vector = st.tuples(st.sampled_from([1, 1, 1, 0]), st.tuples(*[scalar] * (n + 1))).map(
         lambda p: tuple(p[0] * x for x in p[1]))
     lam = draw(scalar)
