@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
+from math import comb, lcm
 from types import MappingProxyType
 
 from .errors import IdenticallyZero, ZeroConic
@@ -27,17 +28,16 @@ from .kronecker import (
     KroneckerModule,
     LinearForm,
     index_pairs,
-    integer_coefficients,
     integer_minors,
+    json_coefficients,
     json_n,
-    json_n_and_matrix,
+    json_n_and_entries,
 )
 from .linalg import (
     ALL_ZERO,
     BinaryForm,
     RatMatrix,
     bareiss,
-    common_denominator,
     json_array,
     lowest_terms,
     num_den,
@@ -65,8 +65,8 @@ class PluckerConic(RatMatrix):
         forms = [coords[pair] for pair in expected]
         if any(f.degree != 2 for f in forms):
             raise ValueError("each Pluecker coordinate must be a binary quadratic")
-        nums, den = common_denominator(forms)
-        self._store(n, [x for t in nums for x in t], den)
+        den = lcm(*(f.den for f in forms))
+        self._store(n, [x * (den // f.den) for f in forms for x in f.nums], den)
 
     @classmethod
     def from_ints(cls, n: int, nums, den: int = 1) -> "PluckerConic":
@@ -106,8 +106,9 @@ class PluckerConic(RatMatrix):
         coords = doc["coords"]
         if not isinstance(coords, dict):
             raise ValueError("'coords' must be a JSON object")
-        keys = [f"{i},{j}" for i, j in index_pairs(n)]
-        if set(coords) != set(keys):
+        # the count first: a small document is rejected without the keys of a large n
+        keys = [f"{i},{j}" for i, j in index_pairs(n)] if len(coords) == comb(max(n + 1, 0), 2) else None
+        if keys is None or set(coords) != set(keys):
             raise ValueError("'coords' must have exactly the keys 'i,j' for 0 <= i < j <= n")
         triples = [json_array(coords[key], "a coordinate") for key in keys]
         if any(len(t) != 3 for t in triples):
@@ -142,7 +143,7 @@ def _wedge(n: int, a1, b1, a2, b2, d: int) -> PluckerConic:
 
 def plucker_conic(M: KroneckerModule) -> PluckerConic:
     """Wedge coordinates of the pencil matrix of M, one quadratic per pair."""
-    return _wedge(M.n, *integer_coefficients(M))
+    return _wedge(M.n, *M.int_rows(), M.den)
 
 
 def envelope(c: PluckerConic) -> Envelope:
@@ -168,26 +169,33 @@ def conic_degree(c: PluckerConic) -> int:
 class LambdaFamily:
     """2x2 matrix whose entries are polynomials in lambda with LinearForm coefficients.
 
-    Stored like a RatMatrix, as ints over one positive denominator den:
-    nums[r][c] lists, per power of lambda, the numerators of the coefficient
-    form of entry (r, c).
+    Stored like a KroneckerModule, as ints over one positive denominator den,
+    brought to lowest terms once when constructed: nums[r][c] lists, per power
+    of lambda, the numerators of the coefficient form of entry (r, c).
     """
 
     __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, entries):
-        if n < 2:
-            raise ValueError("ambient parameter n must be >= 2")
         rows = tuple(tuple(tuple(e) for e in row) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("entries must form a 2x2 matrix")
         forms = [f for row in rows for entry in row for f in entry]
         if any(not isinstance(f, LinearForm) or f.n != n for f in forms):
             raise ValueError("entry coefficients must be LinearForms sharing n")
-        nums, self.den = common_denominator(forms)
-        scaled = iter(nums)
-        self.nums = tuple(tuple(tuple(next(scaled) for _ in entry) for entry in row) for row in rows)
-        self.n = n
+        den = lcm(*(f.den for f in forms))
+        nums = [x * (den // f.den) for f in forms for x in f.nums]
+        self._store(n, [len(e) for row in rows for e in row], nums, den)
+
+    def _store(self, n: int, lengths, nums, den: int) -> None:
+        """Every constructor's storage, after the one check of n: nums / den in lowest
+        terms, split into forms of n + 1, lengths[i] of them in the i-th entry."""
+        if n < 2:
+            raise ValueError("ambient parameter n must be >= 2")
+        flat, self.den = lowest_terms(nums, den)
+        forms = (flat[i:i + n + 1] for i in range(0, len(flat), n + 1))
+        e11, e12, e21, e22 = (tuple(islice(forms, k)) for k in lengths)
+        self.nums, self.n = ((e11, e12), (e21, e22)), n
 
     def _integer_values(self, lam):
         """(m11, m12, m21, m22, d): the coefficient tuples of d * F(lam), all integers.
@@ -208,7 +216,7 @@ class LambdaFamily:
     def specialize(self, lam) -> KroneckerModule:
         """The module at a rational parameter value; raises if the matrix is zero there."""
         *values, d = self._integer_values(lam)
-        return KroneckerModule(self.n, *(LinearForm.from_ints(v, d) for v in values))
+        return KroneckerModule.from_ints(self.n, [x for v in values for x in v], d)
 
     def to_json(self) -> dict:
         return {
@@ -220,13 +228,12 @@ class LambdaFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LambdaFamily":
-        n, rows = json_n_and_matrix(doc)
-        entries = [
-            [[LinearForm(n, tuple(json_array(f, "a form"))) for f in json_array(e, "an entry")]
-             for e in row]
-            for row in rows
-        ]
-        return cls(n, entries)
+        n, entries = json_n_and_entries(doc)
+        entries = [[json_array(f, "a form") for f in e] for e in entries]
+        nums, den = rationals(json_coefficients(n, [f for entry in entries for f in entry]))
+        family = object.__new__(cls)
+        family._store(n, [len(e) for e in entries], nums, den)
+        return family
 
 
 @dataclass(frozen=True)
@@ -254,7 +261,7 @@ def _wedge_by_degree(F: LambdaFamily):
     """
     zero = (0,) * (F.n + 1)
     # per row and lambda degree, the coefficients of s and of t
-    top, bottom = ([*zip_longest(*row, fillvalue=zero)] or [(zero, zero)] for row in F.nums)
+    top, bottom = ([*zip_longest(*row, fillvalue=zero)] for row in F.nums)
     for k in range(len(top) + len(bottom) - 1):
         total = None
         for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
@@ -272,7 +279,9 @@ def family_conic(F: LambdaFamily, lam) -> PluckerConic:
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    for k, triples in _wedge_by_degree(F):
+    # a row with no nonzero coefficient makes every minor zero: no minor is built for it
+    no_zero_row = all(any(any(f) for entry in row for f in entry) for row in F.nums)
+    for k, triples in _wedge_by_degree(F) if no_zero_row else ():
         if any(any(t) for t in triples):
             break
     else:

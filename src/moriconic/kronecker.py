@@ -23,10 +23,12 @@ structure separates the orbit types:
     gcd of degree 0          -> stable
 
 Scaling every entry by a nonzero constant changes nothing above, so verdicts
-only depend on the projective class.  Each entry point therefore scales the
-module to integer coefficients once and decides everything with Python ints:
-proportional columns or rows by cross products, and the minor gcd from the
-span of the minors, which is at most 3-dimensional (see quadratic_gcd).
+only depend on the projective class.  A module is stored as four integer
+rows over one denominator, brought there once when it is constructed, and
+each entry point decides everything with those rows' Python ints, as if the
+denominator were 1: proportional columns or rows by cross products, and the
+minor gcd from the span of the minors, which is at most 3-dimensional (see
+quadratic_gcd).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 from .errors import NotSemistable
 from .linalg import (
@@ -46,11 +48,12 @@ from .linalg import (
     RootStructure,
     bareiss,
     RatVector,
-    common_denominator,
     json_array,
+    lowest_terms,
     num_den,
     quadratic_gcd,
     quadratic_root_structure,
+    rat_strings,
     rationals,
 )
 
@@ -68,10 +71,6 @@ class LinearForm(RatVector):
         return len(self.nums) - 1
 
     @classmethod
-    def zero(cls, n: int) -> "LinearForm":
-        return cls.from_ints((0,) * (n + 1))
-
-    @classmethod
     def variable(cls, i: int, n: int) -> "LinearForm":
         """The coordinate form x_i."""
         if not 0 <= i <= n:
@@ -82,35 +81,68 @@ class LinearForm(RatVector):
         return f"LinearForm(n={self.n}, coeffs={self.to_json()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KroneckerModule:
-    """2x2 matrix of linear forms on an (n+1)-dimensional space, n >= 2."""
+    """2x2 matrix of linear forms on an (n+1)-dimensional space, n >= 2.
+
+    Stored in the RatMatrix layout: the rows m11, m12, m21, m22 of n + 1
+    coefficients each, flattened, as ints nums over one positive denominator
+    den in lowest terms.  m11 .. m22 build their LinearForms when read.
+    """
 
     n: int
-    m11: LinearForm
-    m12: LinearForm
-    m21: LinearForm
-    m22: LinearForm
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, m11: LinearForm, m12: LinearForm, m21: LinearForm, m22: LinearForm):
+        forms = (m11, m12, m21, m22)
+        if any(f.n != n for f in forms):
+            raise ValueError("all entries must share the ambient parameter n")
+        den = lcm(*(f.den for f in forms))
+        self._store(n, [x * (den // f.den) for f in forms for x in f.nums], den)
+
+    @classmethod
+    def from_ints(cls, n: int, nums, den: int = 1) -> "KroneckerModule":
+        """The module whose rows m11, m12, m21, m22, flattened, are nums / den."""
+        M = object.__new__(cls)
+        M._store(n, nums, den)
+        return M
+
+    def _store(self, n: int, nums, den: int) -> None:
+        """Every constructor's storage, after the one check of n, the length and the zero matrix."""
+        if n < 2:
             raise ValueError("ambient parameter n must be >= 2")
-        for f in (self.m11, self.m12, self.m21, self.m22):
-            if f.n != self.n:
-                raise ValueError("all entries must share the ambient parameter n")
-        if all(f.is_zero for f in (self.m11, self.m12, self.m21, self.m22)):
+        nums, den = lowest_terms(nums, den)
+        if len(nums) != 4 * (n + 1):
+            raise ValueError(f"expected {4 * (n + 1)} coefficients, got {len(nums)}")
+        if not any(nums):
             raise ValueError("the zero matrix is not a point of the projective space")
+        for field, value in (("n", n), ("nums", nums), ("den", den)):
+            object.__setattr__(self, field, value)
+
+    def int_rows(self) -> list[tuple[int, ...]]:
+        """The rows m11, m12, m21, m22 of den * self, integers."""
+        size = self.n + 1
+        return [self.nums[i:i + size] for i in range(0, 4 * size, size)]
 
     def entries(self):
-        return ((self.m11, self.m12), (self.m21, self.m22))
+        m11, m12, m21, m22 = (LinearForm.from_ints(r, self.den) for r in self.int_rows())
+        return ((m11, m12), (m21, m22))
+
+    m11 = property(lambda self: self.entries()[0][0])
+    m12 = property(lambda self: self.entries()[0][1])
+    m21 = property(lambda self: self.entries()[1][0])
+    m22 = property(lambda self: self.entries()[1][1])
 
     def transpose(self) -> "KroneckerModule":
-        return KroneckerModule(self.n, self.m11, self.m21, self.m12, self.m22)
+        a, b, c, d = self.int_rows()
+        return KroneckerModule.from_ints(self.n, a + c + b + d, self.den)
 
     def scale(self, c) -> "KroneckerModule":
-        if num_den(c)[0] == 0:
+        p, q = num_den(c)
+        if p == 0:
             raise ValueError("scaling by zero leaves the projective space")
-        return KroneckerModule(self.n, c * self.m11, c * self.m12, c * self.m21, c * self.m22)
+        return KroneckerModule.from_ints(self.n, [p * x for x in self.nums], self.den * q)
 
     def transform(self, A, B) -> "KroneckerModule":
         """A . M . B^{-1} for constant 2x2 matrices A, B (det B != 0).
@@ -123,31 +155,24 @@ class KroneckerModule:
         det_b = b11 * b22 - b12 * b21
         if det_b == 0:
             raise ValueError("B must be invertible")
-        m11, m12, m21, m22, d = integer_coefficients(self)
-        forms = []
+        m11, m12, m21, m22 = self.int_rows()
+        rows = []
         for x1, x2 in ((q * a11, q * a12), (q * a21, q * a22)):
             # a row of q A' M', times each column of adj(B')
             left = [x1 * u + x2 * v for u, v in zip(m11, m21)]
             right = [x1 * u + x2 * v for u, v in zip(m12, m22)]
             for y1, y2 in ((b22, -b21), (-b12, b11)):
-                forms.append(LinearForm.from_ints(
-                    [y1 * u + y2 * v for u, v in zip(left, right)], p * d * det_b))
-        return KroneckerModule(self.n, *forms)
+                rows += [y1 * u + y2 * v for u, v in zip(left, right)]
+        return KroneckerModule.from_ints(self.n, rows, p * self.den * det_b)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "matrix": [
-                [self.m11.to_json(), self.m12.to_json()],
-                [self.m21.to_json(), self.m22.to_json()],
-            ],
-        }
+        m11, m12, m21, m22 = (rat_strings(r, self.den) for r in self.int_rows())
+        return {"n": self.n, "matrix": [[m11, m12], [m21, m22]]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "KroneckerModule":
-        n, rows = json_n_and_matrix(doc)
-        forms = [LinearForm(n, tuple(json_array(e, "an entry"))) for row in rows for e in row]
-        return cls(n, *forms)
+        n, forms = json_n_and_entries(doc)
+        return cls.from_ints(n, *rationals(json_coefficients(n, forms)))
 
 
 def json_n(doc: dict) -> int:
@@ -158,13 +183,23 @@ def json_n(doc: dict) -> int:
     return n
 
 
-def json_n_and_matrix(doc: dict) -> tuple[int, list]:
-    """A module or family document's 'n' and 2x2 'matrix' of arrays."""
+def json_n_and_entries(doc: dict) -> tuple[int, list]:
+    """A module or family document's 'n' and the four entries, in row order,
+    of its 2x2 'matrix' of arrays."""
     n = json_n(doc)
     rows = json_array(doc["matrix"], "'matrix'")
     if len(rows) != 2 or any(len(json_array(r, "a row of 'matrix'")) != 2 for r in rows):
         raise ValueError("'matrix' must be 2x2")
-    return n, rows
+    return n, [json_array(e, "an entry") for row in rows for e in row]
+
+
+def json_coefficients(n: int, forms: list) -> list:
+    """The coefficients of linear forms given as JSON arrays, one form after
+    another, each form checked to hold n + 1 of them."""
+    for f in forms:
+        if len(f) != n + 1:
+            raise ValueError(f"expected {n + 1} coefficients, got {len(f)}")
+    return [x for f in forms for x in f]
 
 
 class Verdict(Enum):
@@ -253,20 +288,9 @@ def index_pairs(n: int) -> list[tuple[int, int]]:
 def pencil_matrix(M: KroneckerModule, s, t) -> RatMatrix:
     """The 2 x (n+1) coefficient matrix of M(s, t) = s * column1 + t * column2."""
     (p, u), q = rationals((s, t))
-    a1, b1, a2, b2, d = integer_coefficients(M)
+    a1, b1, a2, b2 = M.int_rows()
     rows = [p * a + u * b for a, b in (*zip(a1, b1), *zip(a2, b2))]
-    return RatMatrix.from_ints(rows, q * d, M.n + 1)
-
-
-def integer_coefficients(M: KroneckerModule):
-    """(m11, m12, m21, m22, D): the coefficient tuples of D * M, all integers.
-
-    D is the least common denominator of the module, the lcm of its four
-    forms' denominators; scaling by it changes no verdict, because verdicts
-    depend only on the projective class.
-    """
-    nums, d = common_denominator((M.m11, M.m12, M.m21, M.m22))
-    return (*nums, d)
+    return RatMatrix.from_ints(rows, q * M.den, M.n + 1)
 
 
 def integer_minors(a1, b1, a2, b2):
@@ -291,14 +315,12 @@ def column_minors(M: KroneckerModule) -> list[BinaryForm]:
     m_k1) + t * (x_i coefficient of m_k2); the minor over columns i < j is a
     binary quadratic.  Minors are listed in lexicographic pair order.
     """
-    a1, b1, a2, b2, d = integer_coefficients(M)
-    return [BinaryForm.from_ints(t, d * d) for t in integer_minors(a1, b1, a2, b2)]
+    return [BinaryForm.from_ints(t, M.den * M.den) for t in integer_minors(*M.int_rows())]
 
 
 def minor_gcd(M: KroneckerModule):
     """Gcd of all column minors; ALL_ZERO exactly on the scalar-matrix locus."""
-    a1, b1, a2, b2, _ = integer_coefficients(M)
-    return quadratic_gcd(integer_minors(a1, b1, a2, b2))
+    return quadratic_gcd(integer_minors(*M.int_rows()))
 
 
 def _dependency(u, w) -> tuple[int, int] | None:
@@ -346,7 +368,7 @@ def _decide(M: KroneckerModule) -> tuple[Stratum, object, RootStructure | None]:
     """(stratum, what decided it, root structure of a quadratic gcd), from one
     integer pass.  What decided it is the instability witness for an unstable
     module and the minor gcd for a semistable one."""
-    a1, b1, a2, b2, _ = integer_coefficients(M)
+    a1, b1, a2, b2 = M.int_rows()
     w = _destabilizing_witness(a1, b1, a2, b2)
     if w is not None:
         return Stratum.UNSTABLE_LOCUS, w, None
@@ -389,8 +411,7 @@ def _det_gram(a, b, c, d, indices, den: int = 1) -> RatMatrix:
 
 def det_quadric(M: KroneckerModule) -> QuadricForm:
     """Symmetric Gram matrix of det M = m11 m22 - m12 m21."""
-    a, b, c, d, den = integer_coefficients(M)
-    return QuadricForm(M.n, _det_gram(a, b, c, d, range(M.n + 1), den))
+    return QuadricForm(M.n, _det_gram(*M.int_rows(), range(M.n + 1), M.den))
 
 
 def quadric_rank(Q: QuadricForm) -> int:
@@ -409,7 +430,7 @@ def cokernel_kind(M: KroneckerModule) -> CokernelKind:
     W_P, then W = T W_P with T of full column rank, so the determinant rank is
     the rank of the r x r block of the Gram matrix on P.
     """
-    a, b, c, d, _ = integer_coefficients(M)
+    a, b, c, d = M.int_rows()
     if _destabilizing_witness(a, b, c, d) is not None:
         raise NotSemistable("cokernel shape is defined for semistable modules only")
     _, pivots, _ = bareiss([a, b, c, d])

@@ -26,6 +26,8 @@ from typing import Iterable, Sequence
 
 # ASCII digits only: \d would also match other scripts' digits, and $ a final newline
 _RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+# integer strings joined by ",", with exactly one comma per join when no string holds one
+_INT_LIST_RE = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
 
 
 def num_den(x) -> tuple[int, int]:
@@ -69,15 +71,12 @@ def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
     values = tuple(values)
     if all(type(x) is int for x in values):
         return values, 1
+    text = ",".join(values) if all(type(x) is str for x in values) else ""
+    if _INT_LIST_RE.fullmatch(text) and text.count(",") == len(values) - 1:
+        return tuple(map(int, values)), 1
     pairs = [num_den(x) for x in values]
     den = math.lcm(*(q for _, q in pairs))
     return lowest_terms([p * (den // q) for p, q in pairs], den)
-
-
-def common_denominator(vectors: Sequence[RatMatrix]) -> tuple[list[Sequence[int]], int]:
-    """([numerators of each vector over d], d), d the lcm of their denominators."""
-    d = math.lcm(*(v.den for v in vectors))
-    return [v.nums if v.den == d else tuple(x * (d // v.den) for x in v.nums) for v in vectors], d
 
 
 def rat_strings(nums: Iterable[int], den: int) -> list[str]:
@@ -212,8 +211,8 @@ class RatVector(RatMatrix):
     def __add__(self, other):
         if type(other) is not type(self) or len(other.nums) != len(self.nums):
             raise ValueError(f"cannot add {other!r} to {self!r}")
-        (xs, ys), den = common_denominator((self, other))
-        return self.from_ints([a + b for a, b in zip(xs, ys)], den)
+        p, q = self.den, other.den
+        return self.from_ints([a * q + b * p for a, b in zip(self.nums, other.nums)], p * q)
 
     def __sub__(self, other):
         return self + -1 * other

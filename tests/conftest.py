@@ -59,7 +59,7 @@ def lin_comb(n: int, coeffs: dict[int, object]) -> LinearForm:
 
 def scalar_module(rng, n) -> KroneckerModule:
     g = random_nonzero_form(rng, n)
-    z = LinearForm.zero(n)
+    z = LinearForm(n, [0] * (n + 1))
     return KroneckerModule(n, g, z, z, g)
 
 
@@ -67,12 +67,12 @@ def proportional_triangular_module(rng, n) -> KroneckerModule:
     """Triangular with proportional diagonal and an off-diagonal entry outside <g>."""
     g, k = independent_forms(rng, n, 2)
     c = Fraction(rng.choice([x for x in range(-3, 4) if x != 0]))
-    return KroneckerModule(n, g, k, LinearForm.zero(n), c * g)
+    return KroneckerModule(n, g, k, LinearForm(n, [0] * (n + 1)), c * g)
 
 
 def nonscalar_diagonal_module(rng, n) -> KroneckerModule:
     g, h = independent_forms(rng, n, 2)
-    z = LinearForm.zero(n)
+    z = LinearForm(n, [0] * (n + 1))
     return KroneckerModule(n, g, z, z, h)
 
 
@@ -86,13 +86,13 @@ def irrational_diagonalizable_module(rng, n) -> KroneckerModule:
 def generic_triangular_module(rng, n) -> KroneckerModule:
     """Triangular with off-diagonal entry outside the span of the diagonal."""
     g, h, k = independent_forms(rng, n, 3)
-    return KroneckerModule(n, g, k, LinearForm.zero(n), h)
+    return KroneckerModule(n, g, k, LinearForm(n, [0] * (n + 1)), h)
 
 
 def zero_row_module(rng, n) -> KroneckerModule:
     g = random_nonzero_form(rng, n)
     h = random_form(rng, n)
-    z = LinearForm.zero(n)
+    z = LinearForm(n, [0] * (n + 1))
     return KroneckerModule(n, g, h, z, z)
 
 

@@ -313,6 +313,21 @@ class TestModify:
         assert code == 2
         assert json.loads(out)["error"] == "identically_zero"
 
+    @pytest.mark.parametrize("n, matrix", [
+        (10**6, [[[], []], [[], []]]),  # no coefficient at all
+        (3, [[[["0", "0", "0", "0"]], []], [[["1", "0", "0", "0"]], [["0", "1", "0", "0"]]]]),
+    ])
+    def test_zero_row_family_builds_no_minor(self, capsys, monkeypatch, n, matrix):
+        def refuse(*rows):
+            raise AssertionError("a minor was built")
+
+        monkeypatch.setattr("moriconic.conic.integer_minors", refuse)
+        code, out = run(capsys, "modify", "--json", json.dumps({"n": n, "matrix": matrix}))
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "identically_zero", "detail": "the wedge of the family vanishes for every lambda",
+        }
+
     @pytest.mark.parametrize("n, width", [(True, 2), (1, 2), (0, 1), ("3", 4), (3.0, 4)])
     def test_bad_n_is_parse_error(self, capsys, n, width):
         row = ["1"] + ["0"] * (width - 1)

@@ -31,7 +31,7 @@ def x(i, n=3):
 
 
 def z(n=3):
-    return LinearForm.zero(n)
+    return LinearForm(n, [0] * (n + 1))
 
 
 def quad(c0, c1, c2):
@@ -42,7 +42,7 @@ def scalar_perturbation_family(n, a, b) -> LambdaFamily:
     """[[x0, L * sum a_i x_i], [L * sum b_i x_i, x0]], sums over i = 1..n."""
     sa = lin_comb(n, {i: a[i] for i in range(1, n + 1)})
     sb = lin_comb(n, {i: b[i] for i in range(1, n + 1)})
-    zero = LinearForm.zero(n)
+    zero = LinearForm(n, [0] * (n + 1))
     return LambdaFamily(
         n,
         [
@@ -56,7 +56,7 @@ def diagonal_perturbation_family(n, a, b) -> LambdaFamily:
     """[[x0, L * sum_{i>=2} a_i x_i], [L * sum_{i>=2} b_i x_i, x1]]."""
     sa = lin_comb(n, {i: a[i] for i in range(2, n + 1)})
     sb = lin_comb(n, {i: b[i] for i in range(2, n + 1)})
-    zero = LinearForm.zero(n)
+    zero = LinearForm(n, [0] * (n + 1))
     return LambdaFamily(
         n,
         [
@@ -139,6 +139,17 @@ class TestPluckerConic:
 
         with pytest.raises(ValueError):
             PluckerConic.from_json(doc)
+
+    def test_key_count_checked_before_the_keys_are_built(self, monkeypatch):
+        from moriconic import PluckerConic
+
+        def refuse(n):
+            raise AssertionError("the index pairs were built")
+
+        monkeypatch.setattr("moriconic.conic.index_pairs", refuse)
+        for coords in ({}, {"0,1": ["1", "0", "0"]}):
+            with pytest.raises(ValueError, match="exactly the keys"):
+                PluckerConic.from_json({"n": 10**6, "coords": coords})
 
 
 class TestEnvelope:

@@ -45,7 +45,7 @@ def degenerate_modules(draw):
     entries = st.lists(st.sampled_from(VALUES), min_size=n + 1, max_size=n + 1)
     a, b, c, d = (LinearForm(n, tuple(draw(entries))) for _ in range(4))
     lam = draw(st.sampled_from(VALUES))
-    zero = LinearForm.zero(n)
+    zero = LinearForm(n, [0] * (n + 1))
     tie = draw(st.sampled_from(TIES))
     if tie == "columns":
         b, d = lam * a, lam * c

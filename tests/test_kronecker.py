@@ -39,7 +39,7 @@ def x(i, n=3):
 
 
 def z(n=3):
-    return LinearForm.zero(n)
+    return LinearForm(n, [0] * (n + 1))
 
 
 def module(n, rows):
@@ -58,7 +58,7 @@ TRIANGULAR = module(3, [[x(0), x(1)], [z(), x(2)]])
 class TestConstruction:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            KroneckerModule(1, *(LinearForm.zero(1) for _ in range(3)), LinearForm.variable(0, 1))
+            KroneckerModule(1, *(z(1) for _ in range(3)), LinearForm.variable(0, 1))
 
     def test_rejects_zero_matrix(self):
         with pytest.raises(ValueError):

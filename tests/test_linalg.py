@@ -1,4 +1,7 @@
+import re
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 import sympy as sp
@@ -13,7 +16,7 @@ from moriconic import (
     quadratic_gcd,
     quadratic_root_structure,
 )
-from moriconic.linalg import num_den
+from moriconic.linalg import num_den, rationals
 
 
 def form(*coeffs):
@@ -48,6 +51,45 @@ class TestRationals:
         # the grammar is -?[0-9]+(/[1-9][0-9]*)? and nothing around it
         with pytest.raises(ValueError):
             num_den(text)
+
+
+# The README grammar of a rational string, read with Fraction: a reference for
+# rationals that shares no code with linalg.
+README_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def reference_rationals(values):
+    """(nums, den) in lowest terms, or the detail naming the first malformed string."""
+    bad = [v for v in values if not README_RATIONAL.fullmatch(v)]
+    if bad:
+        return f"malformed rational string: {bad[0]!r}"
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(int(f * den) for f in fracs), den
+
+
+def read(values):
+    try:
+        return rationals(values)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRationalsGrammar:
+    # int() or a join of integer strings would accept each of these
+    NAMED = ["1\n", "+1", "1_0", " 1", "\u0661", "1,2"]
+
+    @pytest.mark.parametrize("text", NAMED)
+    def test_named_strings_rejected(self, text):
+        for values in ([text], ["1", text], [text, "1"]):
+            assert read(values) == f"malformed rational string: {text!r}"
+
+    def test_every_short_string_reads_like_the_reference(self):
+        alphabet = "019-/,\n +_\u0661"
+        words = ["".join(p) for k in range(5) for p in product(alphabet, repeat=k)]
+        for word in words:
+            for values in ([word], ["1", word], [word, "1"]):
+                assert read(values) == reference_rationals(values), values
 
 
 class TestRank:

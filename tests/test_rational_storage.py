@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -180,6 +181,28 @@ def test_module_transform_matches_fraction_arithmetic(forms, a_entries, b_entrie
     b_in = [[b_entries[0][0], b_entries[1][0]], [b_entries[2][0], b_entries[3][0]]]
     expected = ref_transform(((values[0], values[1]), (values[2], values[3])), a, b)
     assume(any(any(v) for v in expected))
+    assert_lowest_terms(M)
+    identity = [[1, 0], [0, 1]]
+    unreduced = {"n": n, "matrix": [[rewrite(values[0]), rewrite(values[1])],
+                                    [rewrite(values[2]), rewrite(values[3])]]}
+    for other in (
+        KroneckerModule(n, *(LinearForm(n, rewrite(v)) for v in values)),
+        KroneckerModule.from_json(unreduced),
+        M.scale(1),
+        M.transform(identity, identity),
+    ):
+        assert other == M and hash(other) == hash(M)
+        assert (other.nums, other.den) == (M.nums, M.den)
+    # all-integer documents are read in one pass, with no per-entry parse
+    den = lcm(*(v.denominator for vals in values for v in vals))
+    ints = [[str(int(v * den)) for v in vals] for vals in values]
+    module_doc = {"n": n, "matrix": [ints[:2], ints[2:]]}
+    family_doc = {"n": n, "matrix": [[[ints[0], ints[1]], []], [[ints[2]], [ints[3], ints[0]]]]}
+    with mock.patch("moriconic.linalg.num_den", side_effect=AssertionError("num_den called")):
+        module = KroneckerModule.from_json(module_doc)
+        family = LambdaFamily.from_json(family_doc)
+    assert module == M.scale(den) and module.to_json() == module_doc
+    assert family.to_json() == family_doc
     moved = M.transform(a_in, b_in)
     got = (moved.m11, moved.m12, moved.m21, moved.m22)
     assert [f.coeffs for f in got] == expected
