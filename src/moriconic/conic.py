@@ -253,7 +253,8 @@ class ModificationResult:
 
 
 def _wedge_by_degree(F: LambdaFamily):
-    """(k, triples) per power k of lambda, lazily: the wedge coordinates of den * F.
+    """(k, triples) per power k of lambda, lazily: the wedge coordinates of den * F,
+    for F without a zero row.
 
     The coordinates of F are these over den^2.  The lambda^k coefficient of
     the minor over i < j sums, over d1 + d2 = k, the minors of the pencil rows
@@ -279,7 +280,7 @@ def family_conic(F: LambdaFamily, lam) -> PluckerConic:
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    # a row with no nonzero coefficient makes every minor zero: no minor is built for it
+    # a row without a nonzero coefficient makes every minor zero, so no minor is built then
     no_zero_row = all(any(any(f) for entry in row for f in entry) for row in F.nums)
     for k, triples in _wedge_by_degree(F) if no_zero_row else ():
         if any(any(t) for t in triples):

@@ -129,10 +129,10 @@ class KroneckerModule:
         m11, m12, m21, m22 = (LinearForm.from_ints(r, self.den) for r in self.int_rows())
         return ((m11, m12), (m21, m22))
 
-    m11 = property(lambda self: self.entries()[0][0])
-    m12 = property(lambda self: self.entries()[0][1])
-    m21 = property(lambda self: self.entries()[1][0])
-    m22 = property(lambda self: self.entries()[1][1])
+    m11 = property(lambda self: LinearForm.from_ints(self.int_rows()[0], self.den))
+    m12 = property(lambda self: LinearForm.from_ints(self.int_rows()[1], self.den))
+    m21 = property(lambda self: LinearForm.from_ints(self.int_rows()[2], self.den))
+    m22 = property(lambda self: LinearForm.from_ints(self.int_rows()[3], self.den))
 
     def transpose(self) -> "KroneckerModule":
         a, b, c, d = self.int_rows()
