@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import combinations, islice, zip_longest
 from math import comb, lcm
 from types import MappingProxyType
 
@@ -46,6 +46,11 @@ from .linalg import (
     rat_strings,
     rationals,
 )
+
+
+def _pair_keys(n: int) -> list[str]:
+    """The wire keys "i,j" of the pairs i < j in {0..n}, in index_pairs order."""
+    return list(map(",".join, combinations(map(str, range(n + 1)), 2)))
 
 
 class PluckerConic(RatMatrix):
@@ -82,8 +87,9 @@ class PluckerConic(RatMatrix):
         self.nums, self.den = lowest_terms(nums, den)
         self.rows, self.cols, self.n, self._coords = len(self.nums) // 3, 3, n, None
 
-    # the integer coefficient triples of den * p_I, in index_pairs order
-    triples = RatMatrix.int_rows
+    def triples(self):
+        """The integer coefficient triples of den * p_I, lazily, in index_pairs order."""
+        return self._split(self.nums)
 
     @property
     def coords(self) -> MappingProxyType:
@@ -97,8 +103,7 @@ class PluckerConic(RatMatrix):
         return f"PluckerConic(n={self.n}, nonzero={nz!r})"
 
     def to_json(self) -> dict:
-        pairs = index_pairs(self.n)
-        return {"n": self.n, "coords": {f"{i},{j}": t for (i, j), t in zip(pairs, self.json_rows())}}
+        return {"n": self.n, "coords": dict(zip(_pair_keys(self.n), self.json_rows()))}
 
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":
@@ -107,7 +112,7 @@ class PluckerConic(RatMatrix):
         if not isinstance(coords, dict):
             raise ValueError("'coords' must be a JSON object")
         # the count first: a small document is rejected without the keys of a large n
-        keys = [f"{i},{j}" for i, j in index_pairs(n)] if len(coords) == comb(max(n + 1, 0), 2) else None
+        keys = _pair_keys(n) if len(coords) == comb(max(n + 1, 0), 2) else None
         if keys is None or set(coords) != set(keys):
             raise ValueError("'coords' must have exactly the keys 'i,j' for 0 <= i < j <= n")
         triples = [json_array(coords[key], "a coordinate") for key in keys]
@@ -254,15 +259,23 @@ class ModificationResult:
 
 def _wedge_by_degree(F: LambdaFamily):
     """(k, triples) per power k of lambda, lazily: the wedge coordinates of den * F,
-    for F without a zero row.
+    from the lowest power that can be nonzero; nothing when a row of F is zero.
 
     The coordinates of F are these over den^2.  The lambda^k coefficient of
     the minor over i < j sums, over d1 + d2 = k, the minors of the pencil rows
-    of degrees d1 and d2.
+    of degrees d1 and d2.  Each row starts at its lowest nonzero power, so k
+    starts at the sum of the two, and leading zero powers cost no minors.
     """
     zero = (0,) * (F.n + 1)
-    # per row and lambda degree, the coefficients of s and of t
-    top, bottom = ([*zip_longest(*row, fillvalue=zero)] for row in F.nums)
+    rows = []
+    for row in F.nums:
+        # per lambda degree, the coefficients of s and of t
+        degrees = [*zip_longest(*row, fillvalue=zero)]
+        low = next((d for d, (s, t) in enumerate(degrees) if any(s) or any(t)), None)
+        if low is None:
+            return
+        rows.append((low, degrees[low:]))
+    (low1, top), (low2, bottom) = rows
     for k in range(len(top) + len(bottom) - 1):
         total = None
         for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
@@ -270,7 +283,7 @@ def _wedge_by_degree(F: LambdaFamily):
             total = list(part) if total is None else [
                 (x + u, y + v, z + w) for (x, y, z), (u, v, w) in zip(total, part)
             ]
-        yield k, total
+        yield low1 + low2 + k, total
 
 
 def family_conic(F: LambdaFamily, lam) -> PluckerConic:
@@ -280,9 +293,7 @@ def family_conic(F: LambdaFamily, lam) -> PluckerConic:
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    # a row without a nonzero coefficient makes every minor zero, so no minor is built then
-    no_zero_row = all(any(any(f) for entry in row for f in entry) for row in F.nums)
-    for k, triples in _wedge_by_degree(F) if no_zero_row else ():
+    for k, triples in _wedge_by_degree(F):
         if any(any(t) for t in triples):
             break
     else:

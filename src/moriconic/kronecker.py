@@ -70,13 +70,6 @@ class LinearForm(RatVector):
     def n(self) -> int:
         return len(self.nums) - 1
 
-    @classmethod
-    def variable(cls, i: int, n: int) -> "LinearForm":
-        """The coordinate form x_i."""
-        if not 0 <= i <= n:
-            raise ValueError(f"variable index {i} out of range for n={n}")
-        return cls.from_ints(tuple(1 if j == i else 0 for j in range(n + 1)))
-
     def __repr__(self) -> str:
         return f"LinearForm(n={self.n}, coeffs={self.to_json()})"
 

@@ -22,7 +22,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 # ASCII digits only: \d would also match other scripts' digits, and $ a final newline
 _RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -80,10 +81,18 @@ def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
 
 
 def rat_strings(nums: Iterable[int], den: int) -> list[str]:
-    """The wire strings of nums[i] / den, each as str(Fraction) writes it."""
+    """The wire strings of nums[i] / den, each as str(Fraction) writes it.
+
+    Each gcd(x, den) divides den, so the "/q" suffix is built once per
+    distinct gcd, and a zero is written "0" without a division.
+    """
     if den == 1:
         return list(map(str, nums))
-    return [f"{x // g}/{den // g}" if (g := math.gcd(x, den)) != den else str(x // g) for x in nums]
+    nums = tuple(nums)
+    gcds = list(map(math.gcd, nums, repeat(den)))
+    suffix = {g: f"/{den // g}" for g in set(gcds)}
+    suffix[den] = ""
+    return [f"{x // g}{suffix[g]}" if x else "0" for x, g in zip(nums, gcds)]
 
 
 def json_array(value, what: str) -> list:
@@ -152,17 +161,19 @@ class RatMatrix:
         m.rows = len(m.nums) // m.cols if m.cols else 0
         return m
 
-    def _split(self, flat: Sequence) -> list:
-        c = self.cols
-        return [flat[i * c:(i + 1) * c] for i in range(self.rows)]
+    def _split(self, flat: Iterable) -> Iterator[tuple]:
+        """flat, row by row, lazily: self.rows tuples of self.cols entries."""
+        if not self.cols:
+            return repeat((), self.rows)
+        return zip(*[iter(flat)] * self.cols)
 
     def int_rows(self) -> list[tuple[int, ...]]:
         """The rows of den * self, integers."""
-        return self._split(self.nums)
+        return list(self._split(self.nums))
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(map(tuple, self._split([Fraction(x, self.den) for x in self.nums])))
+        return tuple(self._split(Fraction(x, self.den) for x in self.nums))
 
     @property
     def is_zero(self) -> bool:
@@ -189,7 +200,7 @@ class RatMatrix:
 
     def json_rows(self) -> list[list[str]]:
         """The wire strings of the entries, row by row."""
-        return self._split(rat_strings(self.nums, self.den))
+        return list(map(list, self._split(rat_strings(self.nums, self.den))))
 
 
 class RatVector(RatMatrix):

@@ -27,7 +27,7 @@ from conftest import lin_comb, random_sl2, random_stable_module
 
 
 def x(i, n=3):
-    return LinearForm.variable(i, n)
+    return LinearForm.from_ints([int(j == i) for j in range(n + 1)])
 
 
 def z(n=3):

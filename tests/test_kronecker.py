@@ -35,7 +35,7 @@ from conftest import (
 
 
 def x(i, n=3):
-    return LinearForm.variable(i, n)
+    return LinearForm.from_ints([int(j == i) for j in range(n + 1)])
 
 
 def z(n=3):
@@ -58,7 +58,7 @@ TRIANGULAR = module(3, [[x(0), x(1)], [z(), x(2)]])
 class TestConstruction:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            KroneckerModule(1, *(z(1) for _ in range(3)), LinearForm.variable(0, 1))
+            KroneckerModule(1, *(z(1) for _ in range(3)), x(0, 1))
 
     def test_rejects_zero_matrix(self):
         with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ class TestConstruction:
 
     def test_rejects_mismatched_n(self):
         with pytest.raises(ValueError):
-            KroneckerModule(3, x(0), z(), z(), LinearForm.variable(0, 4))
+            KroneckerModule(3, x(0), z(), z(), x(0, 4))
 
     def test_json_round_trip(self):
         doc = GENERIC.to_json()
