@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import random
 import sys
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -568,6 +571,91 @@ def test_non_integer_documents_byte_identical(capsys, command, doc, expected):
     code, out = run(capsys, command, "--json", doc)
     assert code == 0
     assert out == expected
+
+
+def ref_minors(a1, b1, a2, b2):
+    """The (s^2, st, t^2) coefficients of the 2x2 minors of the pencil rows, over pairs i < j."""
+    return [
+        (a1[i] * a2[j] - a1[j] * a2[i],
+         a1[i] * b2[j] + b1[i] * a2[j] - a1[j] * b2[i] - b1[j] * a2[i],
+         b1[i] * b2[j] - b1[j] * b2[i])
+        for i, j in combinations(range(len(a1)), 2)
+    ]
+
+
+def ref_rref(rows):
+    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan on Fractions."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0])):
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+def ref_stdout(doc: dict) -> str:
+    return json.dumps({"schema_version": 1, **doc}, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def wide_forms(rng, n):
+    """A rational form with denominators up to 9, negative entries, no x_n term,
+    and one numerator over 64 bits."""
+    pool = [Fraction(p, q) for p in range(-6, 7) for q in (1, 2, 3, 4, 6, 9)]
+    form = [rng.choice(pool) for _ in range(n)] + [Fraction(0)]
+    form[rng.randrange(n)] = Fraction(rng.choice([-1, 1]) * (2**70 + rng.randrange(2**20)), rng.choice([3, 4]))
+    return form
+
+
+# At n = 11 the key "0,10" sorts before "0,2", so sorted keys are not pair order.
+# No form has an x_11 term, so every pair (i, 11) has an all-zero triple.
+WIDE_N = 11
+
+
+def wide_case():
+    rng = random.Random(WIDE_N)
+    a1, b1, a2, b2, j1, j2 = (wide_forms(rng, WIDE_N) for _ in range(6))
+    minors = ref_minors(a1, b1, a2, b2)
+    values = [x for t in minors for x in t]
+    assert min(values) < 0 < max(values) and (0, 0, 0) in minors
+    assert max(abs(x.numerator) for x in values).bit_length() > 64
+    assert len({x.denominator for x in values}) >= 3
+    coords = {f"{i},{j}": [str(x) for x in t] for (i, j), t in zip(combinations(range(WIDE_N + 1), 2), minors)}
+    basis = ref_rref([[t[k] for t in minors] for k in range(3)])
+    # the minors span a plane, so they share no factor and the conic has degree 2
+    assert len(basis) == 3
+    assert len({x.denominator for row in basis for x in row}) >= 3
+    return (a1, b1, a2, b2, j1, j2), coords, [[str(x) for x in row] for row in basis]
+
+
+def test_wide_conic_byte_identical(capsys):
+    (a1, b1, a2, b2, _, _), coords, basis = wide_case()
+    doc = {"n": WIDE_N, "matrix": [[[str(x) for x in f] for f in row] for row in ((a1, b1), (a2, b2))]}
+    expected = ref_stdout({"n": WIDE_N, "coords": coords, "envelope": {"dim": 3, "basis": basis}, "degree": 2})
+    assert expected.index('"0,10"') < expected.index('"0,2"')
+    assert run(capsys, "conic", "--json", json.dumps(doc)) == (0, expected)
+
+
+def test_wide_modify_byte_identical(capsys):
+    # rows lambda^2 (a1 s + b1 t) + lambda^3 j1 s and lambda (a2 s + b2 t) + lambda^2 j2 s:
+    # the wedge divides by lambda^3, leaving the conic of (a1, b1, a2, b2)
+    (a1, b1, a2, b2, j1, j2), coords, _ = wide_case()
+    zero = ["0"] * (WIDE_N + 1)
+    a1, b1, a2, b2, j1, j2 = ([str(x) for x in f] for f in (a1, b1, a2, b2, j1, j2))
+    doc = {"n": WIDE_N, "matrix": [[[zero, zero, a1, j1], [zero, zero, b1]], [[zero, a2, j2], [zero, b2]]]}
+    expected = ref_stdout({
+        "k": 3,
+        "conic": {"n": WIDE_N, "coords": coords},
+        "residual_base": {"gcd": ["1"], "gcd_degree": 0, "rational_points": []},
+    })
+    assert run(capsys, "modify", "--json", json.dumps(doc)) == (0, expected)
 
 
 # Arbitrary JSON, with keys and strings drawn often enough from the documents'

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -22,6 +23,8 @@ from moriconic import (
     modify_family,
     plucker_conic,
 )
+
+from moriconic.kronecker import integer_minors
 
 from conftest import lin_comb, random_sl2, random_stable_module
 
@@ -64,6 +67,14 @@ def diagonal_perturbation_family(n, a, b) -> LambdaFamily:
             [[zero, sb], [x(1, n)]],
         ],
     )
+
+
+def row_power_shift(family: LambdaFamily, k1: int, k2: int) -> LambdaFamily:
+    """The family with its rows multiplied by lambda^k1 and lambda^k2."""
+    doc = family.to_json()
+    zero = ["0"] * (family.n + 1)
+    doc["matrix"] = [[[zero] * k + entry for entry in row] for row, k in zip(doc["matrix"], (k1, k2))]
+    return LambdaFamily.from_json(doc)
 
 
 def random_coeffs(rng, n, start):
@@ -343,6 +354,28 @@ class TestModifyFamily:
                 assert result.base_points == ()
                 free += 1
         assert free >= 8  # the common-factor locus has measure zero
+
+    @pytest.mark.parametrize("k1, k2", [(0, 3), (4, 0), (2, 5), (150, 90)])
+    def test_row_powers_of_lambda_add_to_k(self, rng, monkeypatch, k1, k2):
+        # every minor gains the factor lambda^(k1 + k2); the leading zero powers build no minor
+        built = []
+
+        def counted(*rows):
+            built.append(rows)
+            return integer_minors(*rows)
+
+        monkeypatch.setattr("moriconic.conic.integer_minors", counted)
+        n = 4
+        for family in (
+            scalar_perturbation_family(n, random_coeffs(rng, n, 1), random_coeffs(rng, n, 1)),
+            diagonal_perturbation_family(n, random_coeffs(rng, n, 2), random_coeffs(rng, n, 2)),
+        ):
+            built.clear()
+            want = modify_family(family)
+            base_count = len(built)
+            got = modify_family(row_power_shift(family, k1, k2))
+            assert got == replace(want, k=want.k + k1 + k2)
+            assert len(built) == 2 * base_count
 
     def test_identically_zero_wedge(self):
         # both rows stay proportional for every parameter value

@@ -8,6 +8,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from moriconic import (
@@ -23,6 +24,7 @@ from moriconic import (
     det_quadric,
     quadratic_root_structure,
 )
+from moriconic.linalg import rat_strings
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -281,6 +283,34 @@ def test_matrix_storage_matches_fraction_values(rows, cols, data):
     if rows != cols:
         # the same flat entries in the transposed shape are another matrix
         assert RatMatrix(fraction_rows(values, rows)) != m
+
+
+# denominators with many divisors, so the numerators fall in many gcd classes
+WIRE_DENOMINATORS = st.one_of(
+    st.sampled_from([1, 720, 5040, 2**64, 3**41 * 720]),
+    st.integers(1, 10**6),
+    st.integers(2**64, 2**90),
+)
+WIRE_NUMERATORS = st.one_of(
+    st.just(0),
+    st.builds(lambda d, m: d * m, st.sampled_from([1, 2, 6, 8, 9, 45, 720, 2**64, 3**41]),
+              st.integers(-2**80, 2**80)),
+)
+
+
+@SETTINGS
+@given(WIRE_DENOMINATORS, st.lists(WIRE_NUMERATORS, max_size=30))
+def test_rat_strings_match_str_of_fraction(den, nums):
+    assert rat_strings(nums, den) == [str(Fraction(x, den)) for x in nums]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_zero_width_matrix_keeps_its_rows(rows):
+    m = RatMatrix([[]] * rows)
+    assert (m.rows, m.cols) == (rows, 0)
+    assert m.int_rows() == [()] * rows
+    assert m.json_rows() == [[]] * rows
+    assert m.entries == ((),) * rows
 
 
 @SETTINGS
