@@ -71,21 +71,33 @@ class PluckerConic(RatMatrix):
         if any(f.degree != 2 for f in forms):
             raise ValueError("each Pluecker coordinate must be a binary quadratic")
         den = lcm(*(f.den for f in forms))
-        self._store(n, [x * (den // f.den) for f in forms for x in f.nums], den)
+        self._store(n, *lowest_terms([x * (den // f.den) for f in forms for x in f.nums], den))
 
     @classmethod
     def from_ints(cls, n: int, nums, den: int = 1) -> "PluckerConic":
         """The conic whose triples, flattened in index_pairs order, are nums / den."""
         c = object.__new__(cls)
-        c._store(n, nums, den)
+        c._store(n, *lowest_terms(nums, den))
         return c
 
-    def _store(self, n: int, nums, den: int) -> None:
-        """Every constructor's storage, after the one check of n."""
+    @classmethod
+    def from_triples(cls, n: int, triples: dict, den: int = 1) -> "PluckerConic":
+        """The conic whose triple at index_pairs position p is triples[p] / den, and
+        zero at every position triples lacks; only the given triples are reduced."""
+        flat, den = lowest_terms([x for t in triples.values() for x in t], den)
+        nums = [0] * (3 * comb(n + 1, 2))
+        for p, i in zip(triples, range(0, len(flat), 3)):
+            nums[3 * p:3 * p + 3] = flat[i:i + 3]
+        c = object.__new__(cls)
+        c._store(n, tuple(nums), den)
+        return c
+
+    def _store(self, n: int, nums: tuple, den: int) -> None:
+        """Every constructor's storage of nums / den, in lowest terms, after the one check of n."""
         if n < 2:
             raise ValueError("ambient parameter n must be >= 2")
-        self.nums, self.den = lowest_terms(nums, den)
-        self.rows, self.cols, self.n, self._coords = len(self.nums) // 3, 3, n, None
+        self.nums, self.den = nums, den
+        self.rows, self.cols, self.n, self._coords = len(nums) // 3, 3, n, None
 
     def triples(self):
         """The integer coefficient triples of den * p_I, lazily, in index_pairs order."""
@@ -257,33 +269,59 @@ class ModificationResult:
     base_points: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _wedge_by_degree(F: LambdaFamily):
-    """(k, triples) per power k of lambda, lazily: the wedge coordinates of den * F,
-    from the lowest power that can be nonzero; nothing when a row of F is zero.
+def _part_minors(top, bottom, offsets):
+    """(position, triple) for each column i of top's support and j != i of
+    bottom's: the terms of the wedge coordinate of the pair {i, j} that read
+    the first pencil row at column i and the second at column j.
+
+    top and bottom list (column, s coefficient, t coefficient) over the nonzero
+    columns of two pencil rows, and offsets[i] + j is the index_pairs position
+    of i < j.  The minor over i < j reads the first row at i with sign + and at
+    j with sign -.
+    """
+    for i, a, b in top:
+        for j, u, v in bottom:
+            if i < j:
+                yield offsets[i] + j, (a * u, a * v + b * u, b * v)
+            elif i > j:
+                yield offsets[j] + i, (-a * u, -a * v - b * u, -b * v)
+
+
+def _lowest_wedge(F: LambdaFamily):
+    """(k, {position: triple}): the lowest power k of lambda at which the wedge of
+    den * F has a nonzero coordinate, and those coordinates by index_pairs
+    position; None when the wedge vanishes for every lambda.
 
     The coordinates of F are these over den^2.  The lambda^k coefficient of
     the minor over i < j sums, over d1 + d2 = k, the minors of the pencil rows
-    of degrees d1 and d2.  Each row starts at its lowest nonzero power, so k
-    starts at the sum of the two, and leading zero powers cost no minors.
+    of degrees d1 and d2, and each term of such a minor needs a nonzero column
+    in both rows, so a part adds only the pairs with a column in each row's
+    support.  Each row starts at its lowest nonzero power, so k starts at the
+    sum of the two, and leading zero powers cost nothing.
     """
-    zero = (0,) * (F.n + 1)
     rows = []
-    for row in F.nums:
-        # per lambda degree, the coefficients of s and of t
-        degrees = [*zip_longest(*row, fillvalue=zero)]
-        low = next((d for d, (s, t) in enumerate(degrees) if any(s) or any(t)), None)
+    for s_entry, t_entry in F.nums:
+        # per lambda degree, the nonzero columns with their coefficients of s and of t
+        supports = [
+            [(i, a, b) for i, (a, b) in enumerate(zip_longest(s, t, fillvalue=0)) if a or b]
+            for s, t in zip_longest(s_entry, t_entry, fillvalue=())
+        ]
+        low = next((d for d, support in enumerate(supports) if support), None)
         if low is None:
-            return
-        rows.append((low, degrees[low:]))
+            return None
+        rows.append((low, supports[low:]))
     (low1, top), (low2, bottom) = rows
+    offsets = [i * (2 * F.n - i - 1) // 2 - 1 for i in range(F.n + 1)]
     for k in range(len(top) + len(bottom) - 1):
-        total = None
+        wedge = {}
         for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
-            part = integer_minors(*top[d1], *bottom[k - d1])
-            total = list(part) if total is None else [
-                (x + u, y + v, z + w) for (x, y, z), (u, v, w) in zip(total, part)
-            ]
-        yield low1 + low2 + k, total
+            for p, (x, y, z) in _part_minors(top[d1], bottom[k - d1], offsets):
+                old = wedge.get(p)
+                wedge[p] = (x, y, z) if old is None else (old[0] + x, old[1] + y, old[2] + z)
+        wedge = {p: t for p, t in wedge.items() if any(t)}
+        if wedge:
+            return low1 + low2 + k, wedge
+    return None
 
 
 def family_conic(F: LambdaFamily, lam) -> PluckerConic:
@@ -293,13 +331,13 @@ def family_conic(F: LambdaFamily, lam) -> PluckerConic:
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    for k, triples in _wedge_by_degree(F):
-        if any(any(t) for t in triples):
-            break
-    else:
+    lowest = _lowest_wedge(F)
+    if lowest is None:
         raise IdenticallyZero("the wedge of the family vanishes for every lambda")
-    conic = PluckerConic.from_ints(F.n, [x for t in triples for x in t], F.den * F.den)
-    g = quadratic_gcd(triples)
+    k, wedge = lowest
+    conic = PluckerConic.from_triples(F.n, wedge, F.den * F.den)
+    # the zero triples leave the gcd as it is
+    g = quadratic_gcd(wedge.values())
     assert g is not ALL_ZERO  # impossible by minimality of k
     points: tuple[tuple[Fraction, Fraction], ...] = ()
     if g.degree >= 1:

@@ -24,7 +24,7 @@ from moriconic import (
     plucker_conic,
 )
 
-from moriconic.kronecker import integer_minors
+from moriconic.conic import _part_minors
 
 from conftest import lin_comb, random_sl2, random_stable_module
 
@@ -357,14 +357,15 @@ class TestModifyFamily:
 
     @pytest.mark.parametrize("k1, k2", [(0, 3), (4, 0), (2, 5), (150, 90)])
     def test_row_powers_of_lambda_add_to_k(self, rng, monkeypatch, k1, k2):
-        # every minor gains the factor lambda^(k1 + k2); the leading zero powers build no minor
+        # every minor gains the factor lambda^(k1 + k2); the leading zero powers add no minor term
         built = []
 
-        def counted(*rows):
-            built.append(rows)
-            return integer_minors(*rows)
+        def counted(*args):
+            for term in _part_minors(*args):
+                built.append(term)
+                yield term
 
-        monkeypatch.setattr("moriconic.conic.integer_minors", counted)
+        monkeypatch.setattr("moriconic.conic._part_minors", counted)
         n = 4
         for family in (
             scalar_perturbation_family(n, random_coeffs(rng, n, 1), random_coeffs(rng, n, 1)),
@@ -376,6 +377,27 @@ class TestModifyFamily:
             got = modify_family(row_power_shift(family, k1, k2))
             assert got == replace(want, k=want.k + k1 + k2)
             assert len(built) == 2 * base_count
+
+    def test_scalar_perturbation_adds_at_most_2n_minor_terms(self, rng, monkeypatch):
+        # the rows are nonzero only at x0 for lambda^0 and off x0 for lambda^1, so
+        # only the pairs (0, i) get terms: n from each of the two parts of lambda^1
+        terms = []
+
+        def counted(*args):
+            for term in _part_minors(*args):
+                terms.append(term)
+                yield term
+
+        monkeypatch.setattr("moriconic.conic._part_minors", counted)
+        n = 30
+        a = random_coeffs(rng, n, 1)
+        b = random_coeffs(rng, n, 1)
+        result = modify_family(scalar_perturbation_family(n, a, b))
+        assert len(terms) <= 2 * n
+        assert result.k == 1
+        for i in range(1, n + 1):
+            assert result.conic.coords[(0, i)] == quad(b[i], 0, -a[i])
+        assert all(f.is_zero for (i, _), f in result.conic.coords.items() if i)
 
     def test_identically_zero_wedge(self):
         # both rows stay proportional for every parameter value
@@ -473,12 +495,19 @@ SCALARS = [Fraction(0)] * (len(SCALARS) // 3) + SCALARS
 def families(draw):
     """(n, entries as lists of Fraction vectors per lambda degree, lambda): entries
     of lambda-degree 0..3, some empty; for about a quarter of the draws every
-    entry is a multiple of (lambda - lam), so the matrix vanishes at lam."""
+    entry is a multiple of (lambda - lam), so the matrix vanishes at lam.  In
+    about half of the draws every vector is nonzero in at most two columns, so
+    the rows' supports are small and often share a column."""
     n = draw(st.integers(2, 4))
     # a zero in about one draw of four, for scalars, vectors and lambda alike
     scalar = st.sampled_from(SCALARS)
-    vector = st.tuples(st.sampled_from([1, 1, 1, 0]), st.tuples(*[scalar] * (n + 1))).map(
-        lambda p: tuple(p[0] * x for x in p[1]))
+    if draw(st.booleans()):
+        vector = st.tuples(st.sets(st.integers(0, n), min_size=1, max_size=2),
+                           st.tuples(*[scalar] * (n + 1))).map(
+            lambda p: tuple(x if i in p[0] else Fraction(0) for i, x in enumerate(p[1])))
+    else:
+        vector = st.tuples(st.sampled_from([1, 1, 1, 0]), st.tuples(*[scalar] * (n + 1))).map(
+            lambda p: tuple(p[0] * x for x in p[1]))
     lam = draw(scalar)
     vanish = draw(st.integers(0, 3)) == 0
     entries = []
@@ -502,6 +531,15 @@ def families(draw):
 @example((3, [[[(Fraction(-1, 2), 0, 0, 0), (1, 0, 0, 0)]] * 2] * 2, Fraction(1, 2)))
 @example((2, [[[(0, Fraction(-2, 3), 0), (0, 1, 0)], []],
               [[], [(0, 0, Fraction(-2, 3)), (0, 0, 1)]]], Fraction(2, 3)))
+# [[x0, L (x1 - 2 x2 + x3 / 2)], [L (3 x1 + x3 / 4), x0]]: k = 1, only the pairs (0, i)
+@example((3, [[[(1, 0, 0, 0)], [(0, 0, 0, 0), (0, 1, -2, Fraction(1, 2))]],
+              [[(0, 0, 0, 0), (0, 3, 0, Fraction(1, 4))], [(1, 0, 0, 0)]]], Fraction(1)))
+# rows s (x0 + L x1) and s (x0 + L x1) + t L x2: at lambda^1 the parts (0, 1) and
+# (1, 0) cancel at the pair (0, 1), and the pair (0, 2) is left
+@example((2, [[[(1, 0, 0), (0, 1, 0)], []],
+              [[(1, 0, 0), (0, 1, 0)], [(0, 0, 0), (0, 0, 1)]]], Fraction(-1, 2)))
+# rows s x0 + t x1 and s x1 + t x0 share both columns: the pair (0, 1) is s^2 - t^2
+@example((2, [[[(1, 0, 0)], [(0, 1, 0)]], [[(0, 1, 0)], [(1, 0, 0)]]], Fraction(3)))
 def test_family_matches_fraction_reference(case):
     n, entries, lam = case
     fam = LambdaFamily(n, [[[LinearForm(n, v) for v in entry] for entry in row] for row in entries])
