@@ -270,15 +270,11 @@ class ModificationResult:
 
 
 def _part_minors(top, bottom, offsets):
-    """(position, triple) for each column i of top's support and j != i of
-    bottom's: the terms of the wedge coordinate of the pair {i, j} that read
-    the first pencil row at column i and the second at column j.
-
-    top and bottom list (column, s coefficient, t coefficient) over the nonzero
-    columns of two pencil rows, and offsets[i] + j is the index_pairs position
-    of i < j.  The minor over i < j reads the first row at i with sign + and at
-    j with sign -.
-    """
+    """(position, triple), lazily: the wedge terms that read the first pencil row
+    at a column i of its support top and the second at a column j != i of bottom,
+    each support listed as (column, s coefficient, t coefficient).  The minor over
+    i < j, at index_pairs position offsets[i] + j, reads the first row at i with
+    sign + and at j with sign -."""
     for i, a, b in top:
         for j, u, v in bottom:
             if i < j:

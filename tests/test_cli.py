@@ -322,7 +322,7 @@ class TestModify:
     ])
     def test_zero_row_family_builds_no_minor(self, capsys, monkeypatch, n, matrix):
         def refuse(*rows):
-            raise AssertionError("a minor was built")
+            raise AssertionError("a minor term was added")
 
         monkeypatch.setattr("moriconic.conic._part_minors", refuse)
         code, out = run(capsys, "modify", "--json", json.dumps({"n": n, "matrix": matrix}))

@@ -84,6 +84,19 @@ def random_coeffs(rng, n, start):
             return vals
 
 
+def count_minor_terms(monkeypatch) -> list:
+    """The wedge terms that modify_family adds from now on, in the order it adds them."""
+    terms = []
+
+    def counted(*args):
+        for term in _part_minors(*args):
+            terms.append(term)
+            yield term
+
+    monkeypatch.setattr("moriconic.conic._part_minors", counted)
+    return terms
+
+
 class TestPluckerConic:
     def test_scalar_perturbation_at_lambda_one(self, rng):
         # wedge table of the perturbed-scalar matrix with the parameter set to 1
@@ -358,14 +371,7 @@ class TestModifyFamily:
     @pytest.mark.parametrize("k1, k2", [(0, 3), (4, 0), (2, 5), (150, 90)])
     def test_row_powers_of_lambda_add_to_k(self, rng, monkeypatch, k1, k2):
         # every minor gains the factor lambda^(k1 + k2); the leading zero powers add no minor term
-        built = []
-
-        def counted(*args):
-            for term in _part_minors(*args):
-                built.append(term)
-                yield term
-
-        monkeypatch.setattr("moriconic.conic._part_minors", counted)
+        built = count_minor_terms(monkeypatch)
         n = 4
         for family in (
             scalar_perturbation_family(n, random_coeffs(rng, n, 1), random_coeffs(rng, n, 1)),
@@ -381,14 +387,7 @@ class TestModifyFamily:
     def test_scalar_perturbation_adds_at_most_2n_minor_terms(self, rng, monkeypatch):
         # the rows are nonzero only at x0 for lambda^0 and off x0 for lambda^1, so
         # only the pairs (0, i) get terms: n from each of the two parts of lambda^1
-        terms = []
-
-        def counted(*args):
-            for term in _part_minors(*args):
-                terms.append(term)
-                yield term
-
-        monkeypatch.setattr("moriconic.conic._part_minors", counted)
+        terms = count_minor_terms(monkeypatch)
         n = 30
         a = random_coeffs(rng, n, 1)
         b = random_coeffs(rng, n, 1)
