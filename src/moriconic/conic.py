@@ -81,7 +81,7 @@ class PluckerConic(RatMatrix):
         return c
 
     @classmethod
-    def from_triples(cls, n: int, triples: dict, den: int = 1) -> "PluckerConic":
+    def from_triples(cls, n: int, triples: dict, den: int) -> "PluckerConic":
         """The conic whose triple at index_pairs position p is triples[p] / den, and
         zero at every position triples lacks; only the given triples are reduced."""
         flat, den = lowest_terms([x for t in triples.values() for x in t], den)

@@ -83,9 +83,9 @@ def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
         elif _RAT_LIST_RE.fullmatch(text):
             # every string is valid: split each at "/", read each distinct denominator once
             heads, _, tails = zip(*map(str.partition, values, repeat("/")))
-            scales = {q: int(q) for q in set(tails) if q}
-            den = math.lcm(*scales.values())
-            scales = {q: den // d for q, d in scales.items()}
+            dens = {q: int(q) for q in set(tails) if q}
+            den = math.lcm(*dens.values())
+            scales = {q: den // d for q, d in dens.items()}
             scales[""] = den
             return lowest_terms(map(mul, map(int, heads), map(scales.__getitem__, tails)), den)
     # the first malformed string is reported by num_den
