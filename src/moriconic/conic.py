@@ -17,9 +17,10 @@ act; the blow-up charts beyond that point are out of scope.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, zip_longest
+from itertools import chain, combinations, islice, zip_longest
 from math import comb, lcm
 from types import MappingProxyType
 
@@ -71,33 +72,21 @@ class PluckerConic(RatMatrix):
         if any(f.degree != 2 for f in forms):
             raise ValueError("each Pluecker coordinate must be a binary quadratic")
         den = lcm(*(f.den for f in forms))
-        self._store(n, *lowest_terms([x * (den // f.den) for f in forms for x in f.nums], den))
+        self._store(n, [x * (den // f.den) for f in forms for x in f.nums], den)
 
     @classmethod
     def from_ints(cls, n: int, nums, den: int = 1) -> "PluckerConic":
         """The conic whose triples, flattened in index_pairs order, are nums / den."""
         c = object.__new__(cls)
-        c._store(n, *lowest_terms(nums, den))
+        c._store(n, nums, den)
         return c
 
-    @classmethod
-    def from_triples(cls, n: int, triples: dict, den: int) -> "PluckerConic":
-        """The conic whose triple at index_pairs position p is triples[p] / den, and
-        zero at every position triples lacks; only the given triples are reduced."""
-        flat, den = lowest_terms([x for t in triples.values() for x in t], den)
-        nums = [0] * (3 * comb(n + 1, 2))
-        for p, i in zip(triples, range(0, len(flat), 3)):
-            nums[3 * p:3 * p + 3] = flat[i:i + 3]
-        c = object.__new__(cls)
-        c._store(n, tuple(nums), den)
-        return c
-
-    def _store(self, n: int, nums: tuple, den: int) -> None:
-        """Every constructor's storage of nums / den, in lowest terms, after the one check of n."""
+    def _store(self, n: int, nums, den: int) -> None:
+        """Every constructor's storage, after the one check of n."""
         if n < 2:
             raise ValueError("ambient parameter n must be >= 2")
-        self.nums, self.den = nums, den
-        self.rows, self.cols, self.n, self._coords = len(nums) // 3, 3, n, None
+        self.nums, self.den = lowest_terms(nums, den)
+        self.rows, self.cols, self.n, self._coords = len(self.nums) // 3, 3, n, None
 
     def triples(self):
         """The integer coefficient triples of den * p_I, lazily, in index_pairs order."""
@@ -269,53 +258,71 @@ class ModificationResult:
     base_points: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _part_minors(top, bottom, offsets):
-    """(position, triple), lazily: the wedge terms that read the first pencil row
-    at a column i of its support top and the second at a column j != i of bottom,
-    each support listed as (column, s coefficient, t coefficient).  The minor over
-    i < j, at index_pairs position offsets[i] + j, reads the first row at i with
-    sign + and at j with sign -."""
-    for i, a, b in top:
-        for j, u, v in bottom:
-            if i < j:
-                yield offsets[i] + j, (a * u, a * v + b * u, b * v)
-            elif i > j:
-                yield offsets[j] + i, (-a * u, -a * v - b * u, -b * v)
+_ZERO_TRIPLE = (0, 0, 0)
+
+
+def _part_minors(row1, row2, offsets) -> dict:
+    """{position: triple}: the minors over i < j of two pencil rows, each given as
+    (s coefficients, t coefficients, support), that can be nonzero.  Every term
+    of a minor reads one row at i and the other at j, so the pair needs a column
+    in each support: i in the first and j in the second, or the other way round.
+    The minor over i < j sits at index_pairs position offsets[i] + j."""
+    a1, b1, support1 = row1
+    a2, b2, support2 = row2
+    only1, only2 = set(support1).difference(support2), set(support2).difference(support1)
+    either = sorted(set(support1).union(support2))
+    minors = {}
+    for i in either:
+        partners = support2 if i in only1 else support1 if i in only2 else either
+        a1i, b1i, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
+        base = offsets[i]
+        for j in partners[bisect_right(partners, i):]:
+            a1j, b1j, a2j, b2j = a1[j], b1[j], a2[j], b2[j]
+            minors[base + j] = (
+                a1i * a2j - a1j * a2i,
+                a1i * b2j + b1i * a2j - a1j * b2i - b1j * a2i,
+                b1i * b2j - b1j * b2i,
+            )
+    return minors
 
 
 def _lowest_wedge(F: LambdaFamily):
     """(k, {position: triple}): the lowest power k of lambda at which the wedge of
-    den * F has a nonzero coordinate, and those coordinates by index_pairs
-    position; None when the wedge vanishes for every lambda.
+    den * F has a nonzero coordinate, and the coordinates that have a term at
+    lambda^k, by index_pairs position; None when the wedge vanishes for every
+    lambda.
 
     The coordinates of F are these over den^2.  The lambda^k coefficient of
     the minor over i < j sums, over d1 + d2 = k, the minors of the pencil rows
-    of degrees d1 and d2, and each term of such a minor needs a nonzero column
-    in both rows, so a part adds only the pairs with a column in each row's
-    support.  Each row starts at its lowest nonzero power, so k starts at the
-    sum of the two, and leading zero powers cost nothing.
+    of degrees d1 and d2, and a part adds only the pairs with a column in each
+    row's support.  Each row starts at its lowest nonzero power, so k starts at
+    the sum of the two, and leading zero powers cost nothing.
     """
+    zero = (0,) * (F.n + 1)
     rows = []
     for s_entry, t_entry in F.nums:
-        # per lambda degree, the nonzero columns with their coefficients of s and of t
-        supports = [
-            [(i, a, b) for i, (a, b) in enumerate(zip_longest(s, t, fillvalue=0)) if a or b]
-            for s, t in zip_longest(s_entry, t_entry, fillvalue=())
+        # per lambda degree, the coefficients of s and of t and the columns where one is nonzero
+        degrees = [
+            (s, t, [i for i, (a, b) in enumerate(zip(s, t)) if a or b])
+            for s, t in zip_longest(s_entry, t_entry, fillvalue=zero)
         ]
-        low = next((d for d, support in enumerate(supports) if support), None)
+        low = next((d for d, (_, _, support) in enumerate(degrees) if support), None)
         if low is None:
             return None
-        rows.append((low, supports[low:]))
+        rows.append((low, degrees[low:]))
     (low1, top), (low2, bottom) = rows
     offsets = [i * (2 * F.n - i - 1) // 2 - 1 for i in range(F.n + 1)]
     for k in range(len(top) + len(bottom) - 1):
         wedge = {}
         for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
-            for p, (x, y, z) in _part_minors(top[d1], bottom[k - d1], offsets):
-                old = wedge.get(p)
-                wedge[p] = (x, y, z) if old is None else (old[0] + x, old[1] + y, old[2] + z)
-        wedge = {p: t for p, t in wedge.items() if any(t)}
-        if wedge:
+            part = _part_minors(top[d1], bottom[k - d1], offsets)
+            if not wedge:
+                wedge = part
+                continue
+            for p, (x, y, z) in part.items():
+                u, v, w = wedge.get(p, _ZERO_TRIPLE)
+                wedge[p] = (u + x, v + y, w + z)
+        if any(map(any, wedge.values())):
             return low1 + low2 + k, wedge
     return None
 
@@ -331,7 +338,13 @@ def modify_family(F: LambdaFamily) -> ModificationResult:
     if lowest is None:
         raise IdenticallyZero("the wedge of the family vanishes for every lambda")
     k, wedge = lowest
-    conic = PluckerConic.from_triples(F.n, wedge, F.den * F.den)
+    # lowest terms over the triples that have a term first, so that the conic's
+    # own reduction over all C(n + 1, 2) triples has no zero left to divide
+    flat, den = lowest_terms(chain.from_iterable(wedge.values()), F.den * F.den)
+    triples = [_ZERO_TRIPLE] * comb(F.n + 1, 2)
+    for p, t in zip(wedge, zip(*[iter(flat)] * 3)):
+        triples[p] = t
+    conic = PluckerConic.from_ints(F.n, chain.from_iterable(triples), den)
     # the zero triples leave the gcd as it is
     g = quadratic_gcd(wedge.values())
     assert g is not ALL_ZERO  # impossible by minimality of k

@@ -23,15 +23,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
+from operator import floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
 # ASCII digits only: \d would also match other scripts' digits, and $ a final newline
 _RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-# integer or rational strings joined by ",", with exactly one comma per join when
-# no string holds one
-_INT_LIST_RE = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
-_RAT_LIST_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?(,-?[0-9]+(/[1-9][0-9]*)?)*")
+# integer or p/q strings joined by ",", with exactly one comma per join when no
+# string holds one
+_RAT_LIST_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?(?:,-?[0-9]+(?:/[1-9][0-9]*)?)*")
 
 
 def num_den(x) -> tuple[int, int]:
@@ -67,7 +66,7 @@ def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     if g == 1:
         return nums, den
-    return tuple(x // g for x in nums), den // g
+    return tuple(map(floordiv, nums, repeat(g))), den // g
 
 
 def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
@@ -76,18 +75,16 @@ def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
     if all(type(x) is int for x in values):
         return values, 1
     text = ",".join(values) if all(type(x) is str for x in values) else ""
-    if text.count(",") == len(values) - 1:
+    if _RAT_LIST_RE.fullmatch(text) and text.count(",") == len(values) - 1:
         if "/" not in text:
-            if _INT_LIST_RE.fullmatch(text):
-                return tuple(map(int, values)), 1
-        elif _RAT_LIST_RE.fullmatch(text):
-            # every string is valid: split each at "/", read each distinct denominator once
-            heads, _, tails = zip(*map(str.partition, values, repeat("/")))
-            dens = {q: int(q) for q in set(tails) if q}
-            den = math.lcm(*dens.values())
-            scales = {q: den // d for q, d in dens.items()}
-            scales[""] = den
-            return lowest_terms(map(mul, map(int, heads), map(scales.__getitem__, tails)), den)
+            return tuple(map(int, values)), 1
+        # split each string at "/", read each distinct denominator once
+        heads, _, tails = zip(*map(str.partition, values, repeat("/")))
+        dens = {q: int(q) for q in set(tails) if q}
+        den = math.lcm(*dens.values())
+        scales = {q: den // d for q, d in dens.items()}
+        scales[""] = den
+        return lowest_terms(map(mul, map(int, heads), map(scales.__getitem__, tails)), den)
     # the first malformed string is reported by num_den
     pairs = [num_den(x) for x in values]
     den = math.lcm(*(q for _, q in pairs))

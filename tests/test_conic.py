@@ -85,13 +85,14 @@ def random_coeffs(rng, n, start):
 
 
 def count_minor_terms(monkeypatch) -> list:
-    """The wedge terms that modify_family adds from now on, in the order it adds them."""
+    """The minors that modify_family builds from now on, as (position, triple), in
+    the order it builds them."""
     terms = []
 
     def counted(*args):
-        for term in _part_minors(*args):
-            terms.append(term)
-            yield term
+        minors = _part_minors(*args)
+        terms.extend(minors.items())
+        return minors
 
     monkeypatch.setattr("moriconic.conic._part_minors", counted)
     return terms
@@ -398,6 +399,19 @@ class TestModifyFamily:
             assert result.conic.coords[(0, i)] == quad(b[i], 0, -a[i])
         assert all(f.is_zero for (i, _), f in result.conic.coords.items() if i)
 
+    def test_full_support_rows_build_each_pair_once(self, monkeypatch):
+        # rows nonzero in every column: the one part of lambda^0 builds each of
+        # the C(n + 1, 2) minors once, as the module conic does
+        built = count_minor_terms(monkeypatch)
+        n = 6
+        coeffs = ((1, 0), (2, -15), (-1, 9), (3, 1))
+        forms = [LinearForm(n, [c * (i + 1) + d for i in range(n + 1)]) for c, d in coeffs]
+        fam = LambdaFamily(n, [[[forms[0]], [forms[1]]], [[forms[2]], [forms[3]]]])
+        result = modify_family(fam)
+        assert len(built) == len({p for p, _ in built}) == len(index_pairs(n))
+        assert result.k == 0
+        assert result.conic == family_conic(fam, 0)
+
     def test_identically_zero_wedge(self):
         # both rows stay proportional for every parameter value
         fam = LambdaFamily(3, [[[x(0)], [z(), x(0)]], [[x(0)], [z(), x(0)]]])
@@ -539,6 +553,9 @@ def families(draw):
               [[(1, 0, 0), (0, 1, 0)], [(0, 0, 0), (0, 0, 1)]]], Fraction(-1, 2)))
 # rows s x0 + t x1 and s x1 + t x0 share both columns: the pair (0, 1) is s^2 - t^2
 @example((2, [[[(1, 0, 0)], [(0, 1, 0)]], [[(0, 1, 0)], [(1, 0, 0)]]], Fraction(3)))
+# rows s (x0 + x1) and t x0: column 0 is in both supports and column 1 only in
+# the first, and the pair (0, 1) is -st
+@example((2, [[[(1, 1, 0)], []], [[], [(1, 0, 0)]]], Fraction(2)))
 def test_family_matches_fraction_reference(case):
     n, entries, lam = case
     fam = LambdaFamily(n, [[[LinearForm(n, v) for v in entry] for entry in row] for row in entries])
