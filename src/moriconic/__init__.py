@@ -46,7 +46,7 @@ _EXPORTS = {
         "mbar_gr_poincare", "mp2_4m2_poincare", "poincare", "proj_space_poincare",
         "sym2_poincare", "t4_poincare",
     ),
-    "qpoly": ("QPoly", "one_minus_q_pow"),
+    "qpoly": ("QPoly",),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, zip_longest
-from math import comb, lcm
+from math import comb
 from types import MappingProxyType
 
 from .errors import IdenticallyZero, ZeroConic
@@ -39,6 +39,7 @@ from .linalg import (
     BinaryForm,
     RatMatrix,
     bareiss,
+    common_denominator,
     json_array,
     lowest_terms,
     num_den,
@@ -58,11 +59,11 @@ class PluckerConic(RatMatrix):
     """Tuple of binary quadratics p_I indexed by pairs I = {i < j} in {0..n}.
 
     A matrix with one row per pair, in index_pairs order, holding the
-    coefficient triple of p_I.  coords builds the quadratics when first read,
-    as a read-only mapping, so it cannot drift from the storage.
+    coefficient triple of p_I.  coords builds every quadratic on each read, as
+    a read-only mapping: read it once to look up many.
     """
 
-    __slots__ = ("n", "_coords")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, coords: dict):
         expected = index_pairs(n)
@@ -71,8 +72,7 @@ class PluckerConic(RatMatrix):
         forms = [coords[pair] for pair in expected]
         if any(f.degree != 2 for f in forms):
             raise ValueError("each Pluecker coordinate must be a binary quadratic")
-        den = lcm(*(f.den for f in forms))
-        self._store(n, [x * (den // f.den) for f in forms for x in f.nums], den)
+        self._store(n, *common_denominator(forms))
 
     @classmethod
     def from_ints(cls, n: int, nums, den: int = 1) -> "PluckerConic":
@@ -86,7 +86,7 @@ class PluckerConic(RatMatrix):
         if n < 2:
             raise ValueError("ambient parameter n must be >= 2")
         self.nums, self.den = lowest_terms(nums, den)
-        self.rows, self.cols, self.n, self._coords = len(self.nums) // 3, 3, n, None
+        self.rows, self.cols, self.n = len(self.nums) // 3, 3, n
 
     def triples(self):
         """The integer coefficient triples of den * p_I, lazily, in index_pairs order."""
@@ -94,10 +94,8 @@ class PluckerConic(RatMatrix):
 
     @property
     def coords(self) -> MappingProxyType:
-        if self._coords is None:
-            forms = (BinaryForm.from_ints(t, self.den) for t in self.triples())
-            self._coords = MappingProxyType(dict(zip(index_pairs(self.n), forms)))
-        return self._coords
+        forms = (BinaryForm.from_ints(t, self.den) for t in self.triples())
+        return MappingProxyType(dict(zip(index_pairs(self.n), forms)))
 
     def __repr__(self) -> str:
         nz = {ij: f for ij, f in self.coords.items() if not f.is_zero}
@@ -189,9 +187,7 @@ class LambdaFamily:
         forms = [f for row in rows for entry in row for f in entry]
         if any(not isinstance(f, LinearForm) or f.n != n for f in forms):
             raise ValueError("entry coefficients must be LinearForms sharing n")
-        den = lcm(*(f.den for f in forms))
-        nums = [x * (den // f.den) for f in forms for x in f.nums]
-        self._store(n, [len(e) for row in rows for e in row], nums, den)
+        self._store(n, [len(e) for row in rows for e in row], *common_denominator(forms))
 
     def _store(self, n: int, lengths, nums, den: int) -> None:
         """Every constructor's storage, after the one check of n: nums / den in lowest
@@ -298,6 +294,8 @@ def _lowest_wedge(F: LambdaFamily):
     row's support.  Each row starts at its lowest nonzero power, so k starts at
     the sum of the two, and leading zero powers cost nothing.
     """
+    if not all(s_entry or t_entry for s_entry, t_entry in F.nums):
+        return None  # a row with no form is zero, and nothing in the document bounds n
     zero = (0,) * (F.n + 1)
     rows = []
     for s_entry, t_entry in F.nums:

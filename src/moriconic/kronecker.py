@@ -23,7 +23,7 @@ structure separates the orbit types:
     gcd of degree 0          -> stable
 
 Scaling every entry by a nonzero constant changes nothing above, so verdicts
-only depend on the projective class.  A module is stored as four integer
+only depend on the projective class.  A module is a RatMatrix: four integer
 rows over one denominator, brought there once when it is constructed, and
 each entry point decides everything with those rows' Python ints, as if the
 denominator were 1: proportional columns or rows by cross products, and the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd
 
 from .errors import NotSemistable
 from .linalg import (
@@ -47,13 +47,13 @@ from .linalg import (
     RootKind,
     RootStructure,
     bareiss,
+    common_denominator,
     RatVector,
     json_array,
     lowest_terms,
     num_den,
     quadratic_gcd,
     quadratic_root_structure,
-    rat_strings,
     rationals,
 )
 
@@ -74,25 +74,20 @@ class LinearForm(RatVector):
         return f"LinearForm(n={self.n}, coeffs={self.to_json()})"
 
 
-@dataclass(frozen=True, init=False)
-class KroneckerModule:
+class KroneckerModule(RatMatrix):
     """2x2 matrix of linear forms on an (n+1)-dimensional space, n >= 2.
 
-    Stored in the RatMatrix layout: the rows m11, m12, m21, m22 of n + 1
-    coefficients each, flattened, as ints nums over one positive denominator
-    den in lowest terms.  m11 .. m22 build their LinearForms when read.
+    A RatMatrix of 4 rows, the entries m11, m12, m21, m22, of n + 1
+    coefficients each.  m11 .. m22 build their LinearForms when read.
     """
 
-    n: int
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("n",)
 
     def __init__(self, n: int, m11: LinearForm, m12: LinearForm, m21: LinearForm, m22: LinearForm):
         forms = (m11, m12, m21, m22)
         if any(f.n != n for f in forms):
             raise ValueError("all entries must share the ambient parameter n")
-        den = lcm(*(f.den for f in forms))
-        self._store(n, [x * (den // f.den) for f in forms for x in f.nums], den)
+        self._store(n, *common_denominator(forms))
 
     @classmethod
     def from_ints(cls, n: int, nums, den: int = 1) -> "KroneckerModule":
@@ -105,18 +100,15 @@ class KroneckerModule:
         """Every constructor's storage, after the one check of n, the length and the zero matrix."""
         if n < 2:
             raise ValueError("ambient parameter n must be >= 2")
-        nums, den = lowest_terms(nums, den)
-        if len(nums) != 4 * (n + 1):
-            raise ValueError(f"expected {4 * (n + 1)} coefficients, got {len(nums)}")
-        if not any(nums):
+        self.nums, self.den = lowest_terms(nums, den)
+        if len(self.nums) != 4 * (n + 1):
+            raise ValueError(f"expected {4 * (n + 1)} coefficients, got {len(self.nums)}")
+        if not any(self.nums):
             raise ValueError("the zero matrix is not a point of the projective space")
-        for field, value in (("n", n), ("nums", nums), ("den", den)):
-            object.__setattr__(self, field, value)
+        self.rows, self.cols, self.n = 4, n + 1, n
 
-    def int_rows(self) -> list[tuple[int, ...]]:
-        """The rows m11, m12, m21, m22 of den * self, integers."""
-        size = self.n + 1
-        return [self.nums[i:i + size] for i in range(0, 4 * size, size)]
+    def __repr__(self) -> str:
+        return f"KroneckerModule(n={self.n}, matrix={self.to_json()['matrix']})"
 
     def entries(self):
         m11, m12, m21, m22 = (LinearForm.from_ints(r, self.den) for r in self.int_rows())
@@ -128,6 +120,7 @@ class KroneckerModule:
     m22 = property(lambda self: LinearForm.from_ints(self.int_rows()[3], self.den))
 
     def transpose(self) -> "KroneckerModule":
+        """The module's 2 x 2 transpose, m12 and m21 swapped (not the 4 x (n + 1) matrix's)."""
         a, b, c, d = self.int_rows()
         return KroneckerModule.from_ints(self.n, a + c + b + d, self.den)
 
@@ -159,7 +152,7 @@ class KroneckerModule:
         return KroneckerModule.from_ints(self.n, rows, p * self.den * det_b)
 
     def to_json(self) -> dict:
-        m11, m12, m21, m22 = (rat_strings(r, self.den) for r in self.int_rows())
+        m11, m12, m21, m22 = self.json_rows()
         return {"n": self.n, "matrix": [[m11, m12], [m21, m22]]}
 
     @classmethod

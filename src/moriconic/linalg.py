@@ -27,10 +27,11 @@ from operator import floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
 # ASCII digits only: \d would also match other scripts' digits, and $ a final newline
-_RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_RAT = r"-?[0-9]+(?:/[1-9][0-9]*)?"
+_RAT_RE = re.compile(_RAT)
 # integer or p/q strings joined by ",", with exactly one comma per join when no
 # string holds one
-_RAT_LIST_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?(?:,-?[0-9]+(?:/[1-9][0-9]*)?)*")
+_RAT_LIST_RE = re.compile(f"{_RAT}(?:,{_RAT})*")
 
 
 def num_den(x) -> tuple[int, int]:
@@ -69,11 +70,15 @@ def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(map(floordiv, nums, repeat(g))), den // g
 
 
+def common_denominator(vectors: Sequence[RatMatrix]) -> tuple[list[int], int]:
+    """(the entries of the vectors, one after another, over d, d), d the lcm of their denominators."""
+    d = math.lcm(*(v.den for v in vectors))
+    return [x * (d // v.den) for v in vectors for x in v.nums], d
+
+
 def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
     """Exact rationals (ints, Fractions, 'p/q' strings) as lowest-terms (nums, den)."""
     values = tuple(values)
-    if all(type(x) is int for x in values):
-        return values, 1
     text = ",".join(values) if all(type(x) is str for x in values) else ""
     if _RAT_LIST_RE.fullmatch(text) and text.count(",") == len(values) - 1:
         if "/" not in text:

@@ -9,10 +9,8 @@ Sums and differences take one pass over the coefficients; a product is one
 big-integer multiplication by Kronecker substitution (Schoenhage 1982;
 Harvey 2009, J. Symbolic Comput. 44), so CPython's Karatsuba does the work.
 
-Division is exact polynomial long division in integers: a quotient
-coefficient that is not an integer, or a nonzero remainder, raises
-NotDivisible rather than ever being truncated.  The motivic formulas divide
-only by factors 1 - q^b, on coefficient lists of their own (motivic._ratio).
+There is no general division: the motivic formulas divide only by factors
+1 - q^b, exactly, on coefficient lists of their own (motivic._ratio).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from itertools import repeat, starmap, zip_longest
 from operator import add, sub
 from typing import Iterable
 
-from .errors import NotDivisible
 from .linalg import json_array
 
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -150,34 +147,7 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    # -- exact division and substitution ------------------------------------
-
-    def exact_div(self, den: "QPoly") -> "QPoly":
-        """Quotient r with self = den * r exactly; NotDivisible otherwise."""
-        if den.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return QPoly()
-        dn = len(den.coeffs) - 1
-        qn = len(self.coeffs) - 1 - dn
-        if qn < 0:
-            raise NotDivisible("numerator degree below denominator degree")
-        rem = list(self.coeffs)
-        lead = den.coeffs[-1]
-        # each step cancels the top term exactly, so only lower terms change
-        terms = [(j, dj) for j, dj in enumerate(den.coeffs[:-1]) if dj]
-        quot = [0] * (qn + 1)
-        for k in range(qn, -1, -1):
-            c, r = divmod(rem[k + dn], lead)
-            if r:
-                raise NotDivisible("quotient has non-integer coefficients")
-            quot[k] = c
-            if c:
-                for j, dj in terms:
-                    rem[k + j] -= c * dj
-        if any(rem[:dn]):
-            raise NotDivisible("long division left a nonzero remainder")
-        return QPoly(quot)
+    # -- substitution and evaluation --------------------------------------
 
     def subst_q_power(self, k: int) -> "QPoly":
         """The polynomial evaluated at q^k, for k >= 1."""
@@ -252,9 +222,3 @@ def _pack(cs: tuple[int, ...], k: int) -> int:
         [-c if c < 0 else 0 for c in cs], k
     )
 
-
-def one_minus_q_pow(k: int) -> QPoly:
-    """The factor 1 - q^k, the building block of every closed formula here."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    return QPoly([1] + [0] * (k - 1) + [-1])

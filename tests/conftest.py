@@ -1,5 +1,6 @@
-"""Shared builders: random SL2(Q) changes of basis, normal-form modules, and
-the independent sympy route for cross-checking minor-gcd classifications."""
+"""Shared builders: random SL2(Q) changes of basis, normal-form modules, the
+independent sympy route for cross-checking minor-gcd classifications, and
+reference polynomial arithmetic on coefficient tuples."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from moriconic import KroneckerModule, LinearForm, RatMatrix, Stratum
+from moriconic import KroneckerModule, LinearForm, NotDivisible, RatMatrix, Stratum
 
 
 def random_sl2(rng: random.Random, size: int = 5):
@@ -173,6 +174,54 @@ def sympy_stratum(M: KroneckerModule) -> Stratum:
     c2 = p.coeff_monomial(t**2)
     disc = sp.expand(c1**2 - 4 * c0 * c2)
     return Stratum.Z0 if disc == 0 else Stratum.Y1
+
+
+# Reference polynomial arithmetic on coefficient tuples (lowest degree first),
+# sharing no code with the package.
+
+
+def canonical(cs) -> tuple[int, ...]:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def schoolbook_product(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def one_minus_q_pow(k: int) -> tuple[int, ...]:
+    """1 - q^k."""
+    return (1,) + (0,) * (k - 1) + (-1,)
+
+
+def exact_div(num, den) -> tuple[int, ...]:
+    """The quotient r with num = den * r, by long division from the top term;
+    NotDivisible when a quotient coefficient is not an integer or a remainder
+    is left."""
+    num, den = list(canonical(num)), canonical(den)
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num:
+        return ()
+    if len(num) < len(den):
+        raise NotDivisible("numerator degree below denominator degree")
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quot))):
+        c, r = divmod(num[k + len(den) - 1], den[-1])
+        if r:
+            raise NotDivisible("quotient has non-integer coefficients")
+        quot[k] = c
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    if any(num):
+        raise NotDivisible("long division left a nonzero remainder")
+    return tuple(quot)
 
 
 @pytest.fixture

@@ -154,11 +154,12 @@ def test_criterion_6_plucker_suite():
     rng = random.Random(606)
 
     def relations_vanish(c):
+        p = c.coords  # each read builds every quadratic
         for i, j, k, l in combinations(range(c.n + 1), 4):
             rel = (
-                c.coords[(i, j)] * c.coords[(k, l)]
-                - c.coords[(i, k)] * c.coords[(j, l)]
-                + c.coords[(i, l)] * c.coords[(j, k)]
+                p[(i, j)] * p[(k, l)]
+                - p[(i, k)] * p[(j, l)]
+                + p[(i, l)] * p[(j, k)]
             )
             if not rel.is_zero:
                 return False

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,8 @@ from moriconic import (
     t4_poincare,
 )
 from moriconic.motivic import _ratio
+
+from conftest import exact_div, one_minus_q_pow, schoolbook_product
 
 # Reference factored forms of the double-symmetroid polynomials, stored
 # verbatim and expanded at test time.
@@ -60,6 +64,11 @@ def product(*polys) -> QPoly:
     return out
 
 
+def divide(num: QPoly, den: QPoly) -> QPoly:
+    """num / den by the long division of conftest.exact_div."""
+    return QPoly(exact_div(num.coeffs, den.coeffs))
+
+
 def bracket(n: int) -> QPoly:
     """(1+q^(n+1))(1+q^3) - q(1+q)(q^2+q^(n-1)), the extra factor of P(MbarGr(n))."""
     one, q = QPoly.one(), QPoly.monomial(1)
@@ -71,13 +80,14 @@ def bracket(n: int) -> QPoly:
 def dense_t4(n: int) -> QPoly:
     """P(T4(n)) by the excision formula with dense numerators and denominators:
     P(MbarGr(n)) - (P(MbarP(n)) - 1) P(P^n) - (P(P^(n-2))^2 - 1) (P(Sym^2 P^n) - P(P^n))."""
-    total = product(bracket(n), omq(n + 1), omq(n), omq(n - 1)).exact_div(
-        product(omq(1), omq(1), omq(1), omq(2), omq(2))
+    total = divide(
+        product(bracket(n), omq(n + 1), omq(n), omq(n - 1)),
+        product(omq(1), omq(1), omq(1), omq(2), omq(2)),
     )
-    fiber1 = product(omq(n + 1), omq(n), omq(n - 1)).exact_div(product(omq(1), omq(1), omq(2)))
-    ppn = omq(n + 1).exact_div(omq(1))
+    fiber1 = divide(product(omq(n + 1), omq(n), omq(n - 1)), product(omq(1), omq(1), omq(2)))
+    ppn = divide(omq(n + 1), omq(1))
     pairs = sym2_poincare(ppn) - ppn
-    small = omq(n - 1).exact_div(omq(1))
+    small = divide(omq(n - 1), omq(1))
     return total - (fiber1 - 1) * ppn - (small * small - 1) * pairs
 
 
@@ -271,8 +281,11 @@ class TestSpaceDispatch:
 
 
 def dense_ratio(ups, downs, poly=QPoly.one()) -> QPoly:
-    """The reference: dense products of the factors and one long division."""
-    return (poly * product(*map(omq, ups))).exact_div(product(*map(omq, downs)))
+    """The reference: dense schoolbook products of the factors and one long
+    division, none of it the package's arithmetic."""
+    num = reduce(schoolbook_product, map(one_minus_q_pow, ups), poly.coeffs)
+    den = reduce(schoolbook_product, map(one_minus_q_pow, downs), (1,))
+    return QPoly(exact_div(num, den))
 
 
 # each pair (b * m, b) is a polynomial step, (1 - q^(bm)) / (1 - q^b)

@@ -24,7 +24,7 @@ from moriconic import (
     det_quadric,
     quadratic_root_structure,
 )
-from moriconic.linalg import rat_strings
+from moriconic.linalg import bareiss, rat_strings
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -311,6 +311,20 @@ def test_zero_width_matrix_keeps_its_rows(rows):
     assert m.int_rows() == [()] * rows
     assert m.json_rows() == [[]] * rows
     assert m.entries == ((),) * rows
+
+
+@SETTINGS
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(vectors(n + 1), min_size=4, max_size=4)))
+def test_module_is_a_rat_matrix_of_its_four_entries(forms):
+    assume(any(any(values) for _, values in forms))
+    n = len(forms[0][1]) - 1
+    M = KroneckerModule(n, *(LinearForm(n, inputs) for inputs, _ in forms))
+    assert isinstance(M, RatMatrix)
+    assert (M.rows, M.cols) == (4, n + 1)
+    (m11, m12), (m21, m22) = M.to_json()["matrix"]
+    assert M.json_rows() == [m11, m12, m21, m22]
+    assert M.rank() == len(bareiss(M.int_rows())[1])
+    assert M.rank() == RatMatrix([values for _, values in forms]).rank()
 
 
 @SETTINGS
