@@ -100,17 +100,18 @@ class KroneckerModule(RatMatrix):
         """Every constructor's storage, after the one check of n, the length and the zero matrix."""
         if n < 2:
             raise ValueError("ambient parameter n must be >= 2")
-        self.nums, self.den = lowest_terms(nums, den)
-        if len(self.nums) != 4 * (n + 1):
-            raise ValueError(f"expected {4 * (n + 1)} coefficients, got {len(self.nums)}")
-        if not any(self.nums):
+        nums, den = lowest_terms(nums, den)
+        if len(nums) != 4 * (n + 1):
+            raise ValueError(f"expected {4 * (n + 1)} coefficients, got {len(nums)}")
+        if not any(nums):
             raise ValueError("the zero matrix is not a point of the projective space")
-        self.rows, self.cols, self.n = 4, n + 1, n
+        self.nums, self.den, self.rows, self.cols, self.n = nums, den, 4, n + 1, n
 
     def __repr__(self) -> str:
         return f"KroneckerModule(n={self.n}, matrix={self.to_json()['matrix']})"
 
     def entries(self):
+        """((m11, m12), (m21, m22)) as LinearForms, not the matrix's rows of Fractions."""
         m11, m12, m21, m22 = (LinearForm.from_ints(r, self.den) for r in self.int_rows())
         return ((m11, m12), (m21, m22))
 

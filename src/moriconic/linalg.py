@@ -5,11 +5,12 @@ downstream is a discrete verdict that must be exact.  RatMatrix is the one
 store of rationals: its entries, row by row, as Python ints over one positive
 common denominator, in lowest terms (lowest_terms is the one place that
 normalizes), so equal matrices have equal storage.  Linear and binary forms
-are its one-row subclass RatVector; a conic's coordinates, an envelope basis
-and the determinant Gram matrix are matrices.  Arithmetic, rank and the wire
-strings work on those ints; the Fractions of .entries, .coeffs, .coords and
-.basis are built only when read.  Elimination is fraction-free on the integer
-rows (den * a matrix has the same rank, span and reduced form).
+are its one-row subclass RatVector; a Kronecker module, a conic's coordinates,
+an envelope basis and the determinant Gram matrix are matrices.  Arithmetic,
+rank and the wire strings work on those ints; the Fractions of .entries,
+.coeffs, .coords and .basis are built only when read.  Elimination is
+fraction-free on the integer rows (den * a matrix has the same rank, span and
+reduced form).
 Binary forms are homogeneous polynomials in (s, t), stored by coefficient of
 s^(d-i) t^i.  Irrational roots are never constructed; existence is certified
 through the discriminant or gcd degrees.

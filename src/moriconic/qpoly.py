@@ -147,7 +147,7 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    # -- substitution and evaluation --------------------------------------
+    # -- substitution and evaluation ---------------------------------------
 
     def subst_q_power(self, k: int) -> "QPoly":
         """The polynomial evaluated at q^k, for k >= 1."""
@@ -221,4 +221,3 @@ def _pack(cs: tuple[int, ...], k: int) -> int:
     return _pack_unsigned([c if c > 0 else 0 for c in cs], k) - _pack_unsigned(
         [-c if c < 0 else 0 for c in cs], k
     )
-
