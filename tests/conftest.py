@@ -197,6 +197,7 @@ def schoolbook_product(a, b) -> list[int]:
 
 def one_minus_q_pow(k: int) -> tuple[int, ...]:
     """1 - q^k."""
+    assert k >= 1
     return (1,) + (0,) * (k - 1) + (-1,)
 
 

@@ -318,9 +318,9 @@ class TestModify:
 
     @pytest.mark.parametrize("n, matrix", [
         (10**6, [[[], []], [[], []]]),  # no coefficient at all
+        (3, [[[["0", "0", "0", "0"]], []], [[["1", "0", "0", "0"]], [["0", "1", "0", "0"]]]]),
         (10**12, [[[], []], [[], []]]),  # n bounded by nothing in the document
         (2**70, [[[], []], [[], []]]),
-        (3, [[[["0", "0", "0", "0"]], []], [[["1", "0", "0", "0"]], [["0", "1", "0", "0"]]]]),
     ])
     def test_zero_row_family_builds_no_minor(self, capsys, monkeypatch, n, matrix):
         def refuse(*rows):

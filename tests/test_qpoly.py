@@ -61,7 +61,7 @@ class TestMul:
 
 
 class TestExactDiv:
-    """Products of QPoly against the long division of conftest.exact_div."""
+    """The reference long division of conftest.exact_div, and QPoly products against it."""
 
     def test_geometric_series(self):
         assert exact_div(one_minus_q_pow(3), one_minus_q_pow(1)) == P(1, 1, 1).coeffs
