@@ -3,19 +3,21 @@
 The effective cone is simplicial on Dunb, Ddeg, Delta; a nonnegative
 combination of the seven named generators is located inside a fixed 2D
 cross-section of that cone, triangulated into 9 open triangles, 15 open
-edges, and 7 vertices.  Each cell carries the birational model its divisors
-define.  The point is located in the closed triangle containing it; its cell
-is spanned by the corners with a positive barycentric coordinate.  Those
-signs are exact integer orientation tests, so a combination on a wall is
-assigned the wall's own label, never a neighbouring chamber's.
+edges, and 7 vertices.  The point is located in the closed triangle
+containing it; its cell is spanned by the corners with a positive
+barycentric coordinate.  Those signs are exact integer orientation tests, so
+a combination on a wall is assigned the wall's own label, never a
+neighbouring chamber's.
 
 The cross-section coordinates realize the required incidences: Dunb, H11, T
 are collinear; Ddeg, H2, T are collinear; and P is the intersection of the
 segments H11-Ddeg and H2-Dunb.
 
-Two label tables share this geometry: the generic one (ambient parameter
-n > 3) and the self-dual n = 3 one, where reflection through the vertical
-Delta-P axis (swapping Dunb with Ddeg and H11 with H2) conjugates models.
+_MODELS writes each birational model once per mode, with its case, identifier,
+description and the cells whose divisors define it.  The modes share the
+geometry: the generic one (ambient parameter n > 3) and the self-dual n = 3
+one, where reflection through the vertical Delta-P axis (swapping Dunb with
+Ddeg and H11 with H2) conjugates models.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .errors import ZeroDivisor
-from .linalg import as_rat
+from .linalg import rat_strings, rationals
 
 GENERATORS = ("Dunb", "Ddeg", "Delta", "T", "H11", "H2", "P")
 
@@ -51,32 +52,47 @@ class NMode(Enum):
 
 @dataclass(frozen=True)
 class DivisorCombo:
-    """Nonnegative rational combination of the seven generators."""
+    """Nonnegative rational combination of the seven generators.
 
-    coeffs: tuple[tuple[str, Fraction], ...]
+    The coefficient of GENERATORS[i] is nums[i] / den, in lowest terms, so
+    equal combinations are equal values.  Build one with make or from_json.
+    """
+
+    nums: tuple[int, ...]
+    den: int
     n_mode: NMode = NMode.GT3
 
     @classmethod
     def make(cls, coeffs: dict, n_mode: NMode = NMode.GT3) -> "DivisorCombo":
+        """The combination of a {generator: rational} mapping.
+
+        Faults are reported by kind, each kind's first in document order: not
+        a mapping, an unknown generator, a malformed value, a negative value.
+        """
         if not isinstance(coeffs, dict):
             raise ValueError("coeffs must be a JSON object of generator coefficients")
-        table = {}
-        for name, value in coeffs.items():
+        for name in coeffs:
             if name not in GENERATORS:
                 raise ValueError(f"unknown divisor generator: {name!r}")
-            v = as_rat(value)
-            if v < 0:
+        nums, den = rationals(coeffs.values())
+        table = dict(zip(coeffs, nums))
+        for name, x in table.items():
+            if x < 0:
                 raise ValueError(f"coefficient of {name} must be nonnegative")
-            table[name] = v
-        return cls(tuple((g, table.get(g, Fraction(0))) for g in GENERATORS), n_mode)
+        return cls(tuple(table.get(g, 0) for g in GENERATORS), den, n_mode)
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((g, Fraction(x, self.den)) for g, x in zip(GENERATORS, self.nums))
 
     def coefficient(self, name: str) -> Fraction:
-        return dict(self.coeffs)[name]
+        return Fraction(self.nums[GENERATORS.index(name)], self.den)
 
     def to_json(self) -> dict:
+        strings = rat_strings(self.nums, self.den)
         return {
             "n_mode": self.n_mode.value,
-            "coeffs": {g: str(v) for g, v in self.coeffs if v != 0},
+            "coeffs": {g: s for g, x, s in zip(GENERATORS, self.nums, strings) if x},
         }
 
     @classmethod
@@ -109,112 +125,57 @@ class ChamberVerdict:
 
 Label = tuple[int, str, str]
 
-# Case tables: vertices by generator, edges and triangles by generator set.
-
-_GT3_TRIANGLES: dict[frozenset, Label] = {
-    frozenset({"H11", "H2", "T"}): (1, "M", "the conic stable-map space itself"),
-    frozenset({"H11", "T", "Delta"}): (
-        11, "R", "normalization of the incidence between the dual sheaf moduli and the quasi-map model"),
-    frozenset({"H2", "T", "Delta"}): (
-        6, "X1modG", "intermediate space of the partial desingularization of the Kronecker moduli"),
-    frozenset({"H11", "Dunb", "Delta"}): (
-        10, "KS", "relative Kronecker/sheaf moduli over Gr(4, V*)"),
-    frozenset({"H2", "Ddeg", "Delta"}): (
-        5, "K", "Kronecker moduli space, a component of the sheaf moduli on P(V)"),
-    frozenset({"H11", "H2", "P"}): (3, "H", "Hilbert scheme of conics"),
-    frozenset({"H11", "P", "Dunb"}): (
-        9, "B", "blow-up of the Grassmannian bundle along its orthogonal Grassmannian bundle"),
-    frozenset({"H2", "P", "Ddeg"}): (
-        7, "Gtilde", "flip of the Grassmannian bundle over the envelope image"),
-    frozenset({"Dunb", "P", "Ddeg"}): (
-        8, "G", "Grassmannian bundle Gr(3, wedge^2 S) over Gr(4, V*)"),
+# Each model once per mode: (case, identifier, description, cells), a cell
+# written as the generators spanning it.
+_MODELS: dict[NMode, tuple[tuple[int, str, str, tuple[str, ...]], ...]] = {
+    NMode.GT3: (
+        (1, "M", "the conic stable-map space itself", ("H11 H2 T",)),
+        (2, "C", "normalization of the Chow variety of conics", ("H11 H2",)),
+        (3, "H", "Hilbert scheme of conics", ("H11 H2 P",)),
+        (4, "U", "normalized image in the quasi-map quotient", ("T Delta", "T")),
+        (5, "K", "Kronecker moduli space, a component of the sheaf moduli on P(V)",
+         ("H2 Ddeg Delta", "H2 Delta", "H2 Ddeg", "H2")),
+        (6, "X1modG", "intermediate space of the partial desingularization of the Kronecker moduli",
+         ("H2 T Delta", "H2 T")),
+        (7, "Gtilde", "flip of the Grassmannian bundle over the envelope image", ("H2 P Ddeg", "H2 P")),
+        (8, "G", "Grassmannian bundle Gr(3, wedge^2 S) over Gr(4, V*)", ("Dunb P Ddeg", "P Dunb")),
+        (9, "B", "blow-up of the Grassmannian bundle along its orthogonal Grassmannian bundle",
+         ("H11 P Dunb",)),
+        (10, "KS", "relative Kronecker/sheaf moduli over Gr(4, V*)", ("H11 Dunb Delta", "H11 Dunb")),
+        (11, "R", "normalization of the incidence between the dual sheaf moduli and the quasi-map model",
+         ("H11 T Delta", "H11 T")),
+        (12, "L", "closure of the locus of sheaves on smooth quadrics, normalized", ("H11 Delta", "H11")),
+        (13, "Gbar", "normalization of the image of the envelope map", ("P Ddeg", "P")),
+        (14, "Ghat", "blow-up of the envelope image along an orthogonal Grassmannian bundle", ("H11 P",)),
+        (15, "Point", "a point", ("Delta Ddeg", "Delta", "Ddeg")),
+        (16, "Gr4Vdual", "the Grassmannian Gr(4, V*) = Gr(n-3, V)", ("Delta Dunb", "Dunb Ddeg", "Dunb")),
+    ),
+    NMode.EQ3: (
+        (1, "M", "the conic stable-map space itself", ("H11 H2 T",)),
+        (2, "H", "Hilbert scheme of conics", ("H11 H2 P",)),
+        (3, "K", "Kronecker moduli = sheaf moduli on P^3 = the double symmetroid",
+         ("H2 Ddeg Delta", "H2 Delta", "H2 Ddeg", "H2")),
+        (4, "X1modG", "intermediate partial desingularization of the Kronecker moduli",
+         ("H2 T Delta", "H2 T")),
+        (5, "BlG_sigma11", "blow-up of Gr(3, wedge^2 V) along the first orthogonal Grassmannian",
+         ("H2 P Ddeg", "H2 P")),
+        (6, "Gr3w2V", "the Grassmannian Gr(3, wedge^2 V)", ("Dunb P Ddeg", "P Ddeg", "P Dunb", "P")),
+        (7, "BlG_sigma2", "blow-up of Gr(3, wedge^2 V) along the second orthogonal Grassmannian",
+         ("H11 P Dunb", "H11 P")),
+        (8, "Kstar", "dual Kronecker moduli = sheaf moduli on the dual P^3",
+         ("H11 Dunb Delta", "H11 Delta", "H11 Dunb", "H11")),
+        (9, "X1modG_star", "intermediate partial desingularization of the dual Kronecker moduli",
+         ("H11 T Delta", "H11 T")),
+        (10, "U", "normalized image in the quasi-map quotient", ("T Delta", "T")),
+        (11, "C", "normalization of the Chow variety of conics", ("H11 H2",)),
+        (12, "Point", "a point", ("Delta Ddeg", "Delta Dunb", "Dunb Ddeg", "Delta", "Ddeg", "Dunb")),
+    ),
 }
 
-_GT3_EDGES: dict[frozenset, Label] = {
-    frozenset({"H11", "H2"}): (2, "C", "normalization of the Chow variety of conics"),
-    frozenset({"T", "Delta"}): (4, "U", "normalized image in the quasi-map quotient"),
-    frozenset({"H11", "Delta"}): (
-        12, "L", "closure of the locus of sheaves on smooth quadrics, normalized"),
-    frozenset({"H2", "Delta"}): (5, "K", "Kronecker moduli space, a component of the sheaf moduli on P(V)"),
-    frozenset({"H11", "T"}): (
-        11, "R", "normalization of the incidence between the dual sheaf moduli and the quasi-map model"),
-    frozenset({"H2", "T"}): (
-        6, "X1modG", "intermediate space of the partial desingularization of the Kronecker moduli"),
-    frozenset({"H11", "P"}): (14, "Ghat", "blow-up of the envelope image along an orthogonal Grassmannian bundle"),
-    frozenset({"H2", "P"}): (7, "Gtilde", "flip of the Grassmannian bundle over the envelope image"),
-    frozenset({"P", "Ddeg"}): (13, "Gbar", "normalization of the image of the envelope map"),
-    frozenset({"P", "Dunb"}): (8, "G", "Grassmannian bundle Gr(3, wedge^2 S) over Gr(4, V*)"),
-    frozenset({"H11", "Dunb"}): (10, "KS", "relative Kronecker/sheaf moduli over Gr(4, V*)"),
-    frozenset({"H2", "Ddeg"}): (5, "K", "Kronecker moduli space, a component of the sheaf moduli on P(V)"),
-    frozenset({"Delta", "Ddeg"}): (15, "Point", "a point"),
-    frozenset({"Delta", "Dunb"}): (16, "Gr4Vdual", "the Grassmannian Gr(4, V*) = Gr(n-3, V)"),
-    frozenset({"Dunb", "Ddeg"}): (16, "Gr4Vdual", "the Grassmannian Gr(4, V*) = Gr(n-3, V)"),
-}
-
-_GT3_VERTICES: dict[str, Label] = {
-    "H11": (12, "L", "closure of the locus of sheaves on smooth quadrics, normalized"),
-    "H2": (5, "K", "Kronecker moduli space, a component of the sheaf moduli on P(V)"),
-    "T": (4, "U", "normalized image in the quasi-map quotient"),
-    "P": (13, "Gbar", "normalization of the image of the envelope map"),
-    "Delta": (15, "Point", "a point"),
-    "Ddeg": (15, "Point", "a point"),
-    "Dunb": (16, "Gr4Vdual", "the Grassmannian Gr(4, V*) = Gr(n-3, V)"),
-}
-
-_EQ3_K = (3, "K", "Kronecker moduli = sheaf moduli on P^3 = the double symmetroid")
-_EQ3_KSTAR = (8, "Kstar", "dual Kronecker moduli = sheaf moduli on the dual P^3")
-_EQ3_X1 = (4, "X1modG", "intermediate partial desingularization of the Kronecker moduli")
-_EQ3_X1STAR = (9, "X1modG_star", "intermediate partial desingularization of the dual Kronecker moduli")
-_EQ3_BL11 = (5, "BlG_sigma11", "blow-up of Gr(3, wedge^2 V) along the first orthogonal Grassmannian")
-_EQ3_BL2 = (7, "BlG_sigma2", "blow-up of Gr(3, wedge^2 V) along the second orthogonal Grassmannian")
-_EQ3_GR3 = (6, "Gr3w2V", "the Grassmannian Gr(3, wedge^2 V)")
-_EQ3_U = (10, "U", "normalized image in the quasi-map quotient")
-_EQ3_POINT = (12, "Point", "a point")
-
-_EQ3_TRIANGLES: dict[frozenset, Label] = {
-    frozenset({"H11", "H2", "T"}): (1, "M", "the conic stable-map space itself"),
-    frozenset({"H11", "H2", "P"}): (2, "H", "Hilbert scheme of conics"),
-    frozenset({"H2", "Ddeg", "Delta"}): _EQ3_K,
-    frozenset({"H2", "T", "Delta"}): _EQ3_X1,
-    frozenset({"H2", "P", "Ddeg"}): _EQ3_BL11,
-    frozenset({"Dunb", "P", "Ddeg"}): _EQ3_GR3,
-    frozenset({"H11", "P", "Dunb"}): _EQ3_BL2,
-    frozenset({"H11", "Dunb", "Delta"}): _EQ3_KSTAR,
-    frozenset({"H11", "T", "Delta"}): _EQ3_X1STAR,
-}
-
-_EQ3_EDGES: dict[frozenset, Label] = {
-    frozenset({"H11", "H2"}): (11, "C", "normalization of the Chow variety of conics"),
-    frozenset({"T", "Delta"}): _EQ3_U,
-    frozenset({"H2", "Delta"}): _EQ3_K,
-    frozenset({"H2", "Ddeg"}): _EQ3_K,
-    frozenset({"H2", "T"}): _EQ3_X1,
-    frozenset({"H2", "P"}): _EQ3_BL11,
-    frozenset({"P", "Ddeg"}): _EQ3_GR3,
-    frozenset({"P", "Dunb"}): _EQ3_GR3,
-    frozenset({"H11", "P"}): _EQ3_BL2,
-    frozenset({"H11", "Delta"}): _EQ3_KSTAR,
-    frozenset({"H11", "Dunb"}): _EQ3_KSTAR,
-    frozenset({"H11", "T"}): _EQ3_X1STAR,
-    frozenset({"Delta", "Ddeg"}): _EQ3_POINT,
-    frozenset({"Delta", "Dunb"}): _EQ3_POINT,
-    frozenset({"Dunb", "Ddeg"}): _EQ3_POINT,
-}
-
-_EQ3_VERTICES: dict[str, Label] = {
-    "H11": _EQ3_KSTAR,
-    "H2": _EQ3_K,
-    "T": _EQ3_U,
-    "P": _EQ3_GR3,
-    "Delta": _EQ3_POINT,
-    "Ddeg": _EQ3_POINT,
-    "Dunb": _EQ3_POINT,
-}
-
-
-_TABLES = {
-    NMode.GT3: (_GT3_VERTICES, _GT3_EDGES, _GT3_TRIANGLES),
-    NMode.EQ3: (_EQ3_VERTICES, _EQ3_EDGES, _EQ3_TRIANGLES),
+# Per mode, each cell's label by the set of generators spanning it.
+_CELLS: dict[NMode, dict[frozenset, Label]] = {
+    mode: {frozenset(cell.split()): (case, model, desc) for case, model, desc, cells in rows for cell in cells}
+    for mode, rows in _MODELS.items()
 }
 
 
@@ -230,14 +191,14 @@ class ChamberComplex:
 
 
 def build_complex(n_mode: NMode = NMode.GT3) -> ChamberComplex:
-    """The cross-section complex with the label table for the given mode."""
-    vertices, edges, triangles = _TABLES[n_mode]
+    """The cross-section complex with the labels of the given mode."""
+    cells = _CELLS[n_mode].items()
     return ChamberComplex(
         n_mode,
         tuple(_COORDS.items()),
-        tuple(vertices.items()),
-        tuple(edges.items()),
-        tuple(triangles.items()),
+        tuple((g, label) for gens, label in cells if len(gens) == 1 for g in gens),
+        tuple((gens, label) for gens, label in cells if len(gens) == 2),
+        tuple((gens, label) for gens, label in cells if len(gens) == 3),
     )
 
 
@@ -255,24 +216,22 @@ def _counterclockwise(a, b, c) -> tuple[str, str, str]:
 
 
 # The 9 triangles (the same in both modes), corners in counterclockwise order.
-_TRIANGLES = tuple(_counterclockwise(*_sorted_gens(gens)) for gens in _GT3_TRIANGLES)
+_TRIANGLES = tuple(_counterclockwise(*_sorted_gens(gens)) for gens in _CELLS[NMode.GT3] if len(gens) == 3)
 
 
 def resolve(d: DivisorCombo) -> ChamberVerdict:
     """Locate the combination's cross-section point and return its cell's model.
 
-    With the coefficients cleared to integer weights of sum w, the point is
-    p / w for p the weighted sum of the _GRID points; the sign tests compare
+    The point is p / w for p the nums-weighted sum of the _GRID points and w
+    the sum of nums (the common denominator cancels); the sign tests compare
     p with the grid scaled by w, all in integers.  The first closed triangle
     whose three barycentric signs are all >= 0 contains the point, and the
     corners with a positive sign span the cell.
     """
-    den = lcm(*(v.denominator for _, v in d.coeffs))
-    weights = [(g, v.numerator * (den // v.denominator)) for g, v in d.coeffs]
-    w = sum(k for _, k in weights)
+    w = sum(d.nums)
     if w == 0:
         raise ZeroDivisor("all divisor coefficients vanish")
-    p = (sum(k * _GRID[g][0] for g, k in weights), sum(k * _GRID[g][1] for g, k in weights))
+    p = tuple(sum(k * _GRID[g][i] for g, k in zip(GENERATORS, d.nums)) for i in (0, 1))
     grid = {g: (w * x, w * y) for g, (x, y) in _GRID.items()}
     for a, b, c in _TRIANGLES:
         ga, gb, gc = grid[a], grid[b], grid[c]
@@ -282,15 +241,14 @@ def resolve(d: DivisorCombo) -> ChamberVerdict:
     else:
         raise AssertionError("cross-section point escaped the cell partition")
     gens = _sorted_gens(g for g, s in zip((a, b, c), signs) if s)
-    table = _TABLES[d.n_mode][len(gens) - 1]
-    case, model, desc = table[gens[0] if len(gens) == 1 else frozenset(gens)]
+    case, model, desc = _CELLS[d.n_mode][frozenset(gens)]
     return ChamberVerdict(case, model, desc, Cell(len(gens) - 1, gens))
 
 
-_DUALITY_SWAP = {"Dunb": "Ddeg", "Ddeg": "Dunb", "H11": "H2", "H2": "H11"}
+# Position i of a reflected combination holds the coefficient of GENERATORS[_REFLECTED[i]].
+_REFLECTED = tuple(map(GENERATORS.index, ("Ddeg", "Dunb", "Delta", "T", "H2", "H11", "P")))
 
 
 def duality_reflect(d: DivisorCombo) -> DivisorCombo:
     """The reflection through the Delta-P axis: swaps Dunb/Ddeg and H11/H2."""
-    coeffs = {_DUALITY_SWAP.get(g, g): v for g, v in d.coeffs}
-    return DivisorCombo.make(coeffs, d.n_mode)
+    return DivisorCombo(tuple(d.nums[i] for i in _REFLECTED), d.den, d.n_mode)

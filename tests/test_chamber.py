@@ -1,5 +1,7 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -52,6 +54,8 @@ EQ3_ITEMS = [
     (11, "C", ("H11", "H2"), ()),
 ]
 
+GENERATOR_SWAP = {"Dunb": "Ddeg", "Ddeg": "Dunb", "H11": "H2", "H2": "H11"}
+
 EQ3_SWAP = {
     "M": "M",
     "H": "H",
@@ -94,6 +98,30 @@ class TestGeometry:
             assert len(cx.triangles) == 9
             assert len(cx.edges) == 15
             assert len(cx.vertices) == 7
+
+    @pytest.mark.parametrize("mode", tuple(NMode))
+    def test_every_face_is_labelled_once(self, mode):
+        # resolve looks up the cell it finds; a face missing from the table
+        # would turn a valid combination into a parse error
+        cx = build_complex(mode)
+        triangles = {gens for gens, _ in cx.triangles}
+        assert triangles == {gens for gens, _ in build_complex(NMode.GT3).triangles}
+        assert all(len(gens) == 3 and gens <= set(GENERATORS) for gens in triangles)
+        faces = {frozenset(f) for t in triangles for k in (1, 2, 3) for f in combinations(t, k)}
+        labelled = [frozenset({g}) for g, _ in cx.vertices] + [gens for gens, _ in cx.edges] + list(triangles)
+        assert len(faces) == len(labelled) == 31
+        assert set(labelled) == faces
+
+    @pytest.mark.parametrize("mode", tuple(NMode))
+    def test_one_case_and_description_per_model(self, mode):
+        cx = build_complex(mode)
+        labels = {label for _, label in cx.vertices + cx.edges + cx.triangles}
+        by_model, by_case = defaultdict(set), defaultdict(set)
+        for case, model, description in labels:
+            by_model[model].add((case, description))
+            by_case[case].add(model)
+        assert all(len(v) == 1 for v in by_model.values())
+        assert all(len(v) == 1 for v in by_case.values())
 
     def test_collinearities(self):
         dunb, h11, t = _COORDS["Dunb"], _COORDS["H11"], _COORDS["T"]
@@ -229,6 +257,8 @@ class TestDuality:
                 coeffs["T"] = Fraction(1)
             d = combo(coeffs)
             assert duality_reflect(duality_reflect(d)) == d
+            swapped = {GENERATOR_SWAP.get(g, g): v for g, v in coeffs.items()}
+            assert duality_reflect(d) == DivisorCombo.make(swapped, d.n_mode)
 
     def test_eq3_conjugation(self):
         rng = random.Random(23)

@@ -418,6 +418,30 @@ class TestChamber:
         assert code == 1
         assert json.loads(out)["error"] == "parse_error"
 
+    @pytest.mark.parametrize(
+        "coeffs,detail",
+        [
+            # one fault each: the detail names it
+            ("[1, 2]", "coeffs must be a JSON object of generator coefficients"),
+            ('{"Bogus":"1"}', "unknown divisor generator: 'Bogus'"),
+            ('{"T":"x"}', "malformed rational string: 'x'"),
+            ('{"T":"-1"}', "coefficient of T must be nonnegative"),
+            # two faults: unknown generator, then malformed, then negative
+            ('{"T":"x","Bogus":"1"}', "unknown divisor generator: 'Bogus'"),
+            ('{"T":"-1","Bogus":"1"}', "unknown divisor generator: 'Bogus'"),
+            ('{"T":"-1","H2":"x"}', "malformed rational string: 'x'"),
+            ('{"T":"-1","H2":1.5}', "exact rational expected, got float"),
+            # two faults of one kind: the first in document order
+            ('{"Foo":"1","Bar":"1"}', "unknown divisor generator: 'Foo'"),
+            ('{"T":"y","H2":"x"}', "malformed rational string: 'y'"),
+            ('{"H2":"-2","T":"-1"}', "coefficient of H2 must be nonnegative"),
+        ],
+    )
+    def test_fault_order(self, capsys, coeffs, detail):
+        code, out = run(capsys, "chamber", "--coeffs", coeffs)
+        assert code == 1
+        assert json.loads(out) == {"error": "parse_error", "detail": detail}
+
     @pytest.mark.parametrize("n_mode", [(), ("--n-mode", "eq3")])
     def test_coeffs_must_be_an_object(self, capsys, tmp_path, n_mode):
         path = tmp_path / "d.json"
