@@ -41,8 +41,8 @@ _EXPORTS = {
         "as_rat", "quadratic_gcd", "quadratic_root_structure",
     ),
     "motivic": (
-        "Grassmannian", "KontsevichProj", "MbarGr", "MP24m2", "ProductOf", "ProjSpace",
-        "SpaceId", "Sym2Of", "T4", "grassmannian_poincare", "kontsevich_proj_poincare",
+        "Grassmannian", "KontsevichProj", "MbarGr", "MP24m2", "ProjSpace", "SpaceId",
+        "Sym2Of", "T4", "grassmannian_poincare", "kontsevich_proj_poincare",
         "mbar_gr_poincare", "mp2_4m2_poincare", "poincare", "proj_space_poincare",
         "sym2_poincare", "t4_poincare",
     ),

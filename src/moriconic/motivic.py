@@ -1,10 +1,17 @@
 """Virtual Poincare polynomials of the moduli spaces in play, exactly.
 
 Everything is computed symbolically in the variable q (the class of the
-affine line, so deg P(X) = dim X).  Each closed formula is one ratio of
-(1 - q^k) factors, evaluated by _ratio one two-term factor at a time on a
-list of coefficients: multiply by a numerator factor (a shift and a
-subtraction), then divide exactly by a denominator factor (running sums).
+affine line, so deg P(X) = dim X).  Each fixed-shape formula (P^n, MbarP,
+MbarGr, T4 and the sheaf moduli) is one sparse numerator over one product of
+(1 - q^b) factors: the numerator is a signed sum of products of two-term
+factors (1 - q^a), expanded as a map from exponent to coefficient with at
+most 32 terms per product at any n; T4 and the sheaf moduli sum their
+excision terms over the common denominator (1-q)^3 (1-q^2)^2.  _ratio lays
+the numerator out as one coefficient list and divides it exactly by each
+denominator factor in turn (running sums).  Every partial division is exact:
+if a product of factors divides N, so does each sub-product of it.  Gaussian
+binomials are the exception: their numerator would have up to 2^k terms, so
+_ratio applies their numerator factors one at a time between the divisions.
 A nonzero remainder raises NotDivisible: the formulas are all claimed to have
 polynomial values, so a remainder means a transcription or implementation
 bug, never data.
@@ -24,21 +31,44 @@ from .errors import NonIntegral, NotDivisible
 from .qpoly import QPoly
 
 
-def _ratio(ups, downs, poly: QPoly | None = None) -> QPoly:
-    """poly (1 if None) times the product of the (1 - q^a) over that of the (1 - q^b).
+def _numerator(*products) -> dict[int, int]:
+    """The sum of the signed products of two-term factors, as exponent -> coefficient.
 
-    Each numerator factor is followed by the denominator factor paired with
-    it, on one coefficient list at O(degree) per step: times 1 - q^a is the
-    list minus itself shifted up by a, and over 1 - q^b is its running sums
-    with stride b (the quotient's power series), exact iff the top b sums are
-    zero.  Those are dropped; a nonzero one raises NotDivisible, never a
-    truncated result.  The pairs are ordered so that every partial result is
-    a polynomial.
+    Each product is (sign, a1, ..., ak), standing for sign (1 - q^a1) ... (1 - q^ak);
+    it has at most 2^k terms, whatever the exponents.
     """
-    cs = [1] if poly is None else list(poly.coeffs)
-    for a, b in zip(ups, downs, strict=True):
-        pad = [0] * a
-        cs = list(map(sub, cs + pad, pad + cs))
+    out: dict[int, int] = {}
+    for sign, *exps in products:
+        terms = [(0, sign)]
+        for a in exps:
+            terms += [(e + a, -c) for e, c in terms]
+        for e, c in terms:
+            out[e] = out.get(e, 0) + c
+    return out
+
+
+def _ratio(num: dict[int, int], downs, ups=()) -> QPoly:
+    """num times the (1 - q^a) for a in ups, over the product of the (1 - q^b) for b in downs.
+
+    The sparse numerator num (exponent -> coefficient) is laid out as one
+    coefficient list.  Step i multiplies it by 1 - q^ups[i], if ups has an
+    i-th entry (a shift and a subtraction), then divides it exactly by
+    1 - q^downs[i], at O(degree) per step: over 1 - q^b is its running sums
+    with stride b (the quotient's power series), exact iff the top b sums
+    are zero.  Those are dropped; a nonzero one raises NotDivisible, never a
+    truncated result.  ups longer than downs raises ValueError.  The caller
+    orders the steps so that every partial result is a polynomial.
+    """
+    if len(ups) > len(downs):
+        raise ValueError("more paired numerator factors than denominator factors")
+    cs = [0] * (max((e for e, c in num.items() if c), default=-1) + 1)
+    for e, c in num.items():
+        if c:
+            cs[e] = c
+    for i, b in enumerate(downs):
+        if i < len(ups):
+            pad = [0] * ups[i]
+            cs = list(map(sub, cs + pad, pad + cs))
         for r in range(b):
             cs[r::b] = accumulate(cs[r::b])
         if any(cs[-b:]):
@@ -47,10 +77,14 @@ def _ratio(ups, downs, poly: QPoly | None = None) -> QPoly:
     return QPoly(cs)
 
 
+# The common denominator of MbarGr, T4 and the sheaf moduli, (1-q)^3 (1-q^2)^2.
+_DEN = (1, 1, 1, 2, 2)
+
+
 def proj_space_poincare(n: int) -> QPoly:
     """P(P^n) = (1 - q^(n+1)) / (1 - q) = 1 + q + ... + q^n."""
     ProjSpace(n)  # checks the domain
-    return _ratio((n + 1,), (1,))
+    return _ratio(_numerator((1, n + 1)), (1,))
 
 
 def grassmannian_poincare(k: int, big_n: int) -> QPoly:
@@ -60,10 +94,12 @@ def grassmannian_poincare(k: int, big_n: int) -> QPoly:
     by min(k, N - k) since Gr(k, N) = Gr(N - k, N).  After step i the value
     is the Gaussian binomial (N-k+i choose i)_q, so each division is exact,
     and no intermediate exceeds the answer's degree k(N-k) by more than k.
+    The numerator factors are applied one per step rather than expanded
+    first: expanded, the numerator would have up to 2^k terms.
     """
     Grassmannian(k, big_n)  # checks the domain
     k = min(k, big_n - k)
-    return _ratio(range(big_n - k + 1, big_n + 1), range(1, k + 1))
+    return _ratio({0: 1}, range(1, k + 1), range(big_n - k + 1, big_n + 1))
 
 
 def kontsevich_proj_poincare(n: int) -> QPoly:
@@ -71,7 +107,7 @@ def kontsevich_proj_poincare(n: int) -> QPoly:
     (1-q^(n+1))(1-q^n)(1-q^(n-1)) / ((1-q)^2 (1-q^2)).
     """
     KontsevichProj(n)  # checks the domain
-    return _ratio((n + 1, n, n - 1), (1, 1, 2))
+    return _ratio(_numerator((1, n + 1, n, n - 1)), (1, 1, 2))
 
 
 def mbar_gr_poincare(n: int) -> QPoly:
@@ -83,7 +119,7 @@ def mbar_gr_poincare(n: int) -> QPoly:
     palindromic.
     """
     MbarGr(n)  # checks the domain
-    return _ratio((4, n, n + 1, n, n - 1), (1, 1, 1, 2, 2))
+    return _ratio(_numerator((1, 4, n, n + 1, n, n - 1)), _DEN)
 
 
 def sym2_poincare(p: QPoly) -> QPoly:
@@ -94,6 +130,20 @@ def sym2_poincare(p: QPoly) -> QPoly:
     return QPoly([c // 2 for c in doubled.coeffs])
 
 
+def _t4_products(n: int) -> tuple[tuple[int, ...], ...]:
+    """The signed products of P(T4(n)) (1-q)^3 (1-q^2)^2; see t4_poincare."""
+    return (
+        (1, 4, n, n + 1, n, n - 1),  # P(MbarGr(n))
+        (-1, n + 1, n + 1, n, n - 1, 2),  # - [n+1] P(MbarP(n))
+        (1, n + 1, 1, 1, 2, 2),  # + [n+1]
+        # - ([n-1]^2 - 1) pairs, both differences multiplied out
+        (-1, n - 1, n - 1, n + 2, n + 1, 2),
+        (1, n - 1, n - 1, n + 1, 2, 2),
+        (1, 1, 1, n + 2, n + 1, 2),
+        (-1, 1, 1, n + 1, 2, 2),
+    )
+
+
 def t4_poincare(n: int) -> QPoly:
     """The double cover of the rank <= 4 quadric locus in P(Sym^2 V*), dim V = n+1.
 
@@ -101,16 +151,25 @@ def t4_poincare(n: int) -> QPoly:
     from the stable-map space: over the double-hyperplane locus (a P^n) the
     fiber is the space of degree-2 stable maps to P^(n-1); over distinct
     hyperplane pairs (Sym^2 P^n, whose Poincare polynomial is the Gaussian
-    binomial (n+2 choose 2)_q, minus the diagonal) it is (P^(n-2))^2.  Each
-    product with a q-integer [m] = (1 - q^m) / (1 - q) is a ratio step.
+    binomial (n+2 choose 2)_q, minus the diagonal) it is (P^(n-2))^2:
+
+        P(MbarGr(n)) - [n+1] P(MbarP(n)) + [n+1] - ([n-1]^2 - 1) pairs,
+
+    with [m] = (1 - q^m) / (1 - q) = P(P^(m-1)) and pairs = (n+2 choose 2)_q - [n+1].
+    Every term has a denominator dividing (1-q)^3 (1-q^2)^2, so the sum is
+    one sparse numerator over it:
+
+        (1-q^4)(1-q^n)(1-q^(n+1))(1-q^n)(1-q^(n-1))
+        - (1-q^(n+1))^2 (1-q^n)(1-q^(n-1))(1-q^2)
+        + (1-q^(n+1))(1-q)^2 (1-q^2)^2
+        - ((1-q^(n-1))^2 - (1-q)^2) ((1-q^(n+2))(1-q^(n+1)) - (1-q^(n+1))(1-q^2)) (1-q^2),
+
+    at most 7 * 32 terms at any n, divided by the five factors in turn.  Each
+    partial division is exact: the denominator divides the numerator N, so
+    does every sub-product of it, and N over a sub-product is a polynomial.
     """
     T4(n)  # checks the domain
-    ppn = proj_space_poincare(n)
-    pairs = grassmannian_poincare(2, n + 2) - ppn  # unordered pairs of distinct hyperplanes
-    # (P(MbarP(n)) - 1) P(P^n) and (P(P^(n-2))^2 - 1) pairs
-    over_doubles = _ratio((n + 1,), (1,), kontsevich_proj_poincare(n)) - ppn
-    over_pairs = _ratio((n - 1, n - 1), (1, 1), pairs) - pairs
-    return mbar_gr_poincare(n) - over_doubles - over_pairs
+    return _ratio(_numerator(*_t4_products(n)), _DEN)
 
 
 # Reference value of the degree-17 polynomial for the sheaf moduli space
@@ -122,12 +181,18 @@ def mp2_4m2_poincare() -> QPoly:
     """Moduli of one-dimensional semistable sheaves on P^2 with Hilbert polynomial 4m+2.
 
     Assembled from two wall-crossing excisions and the n = 5 double cover:
-    (P(P^14) - P(P^2)) + P(P^2 x P^2)(P(P^12) - 1) + P(T4(5)).
+    (P(P^14) - P(P^2)) + P(P^2 x P^2)(P(P^12) - 1) + P(T4(5)), as one sparse
+    numerator over T4's denominator (1-q)^3 (1-q^2)^2.
     """
-    value = (
-        (proj_space_poincare(14) - proj_space_poincare(2))
-        + _ratio((3, 3), (1, 1), proj_space_poincare(12) - 1)  # P(P^2)^2 (P(P^12) - 1)
-        + t4_poincare(5)
+    value = _ratio(
+        _numerator(
+            (1, 15, 1, 1, 2, 2),  # P(P^14) - P(P^2) = ((1-q^15) - (1-q^3)) / (1-q)
+            (-1, 3, 1, 1, 2, 2),
+            (1, 3, 3, 13, 2, 2),  # P(P^2)^2 (P(P^12) - 1) = [3]^2 ((1-q^13) - (1-q)) / (1-q)
+            (-1, 3, 3, 1, 2, 2),
+            *_t4_products(5),
+        ),
+        _DEN,
     )
     if value != QPoly(_MP2_4M2_COEFFS):
         raise RuntimeError(
@@ -210,16 +275,6 @@ class Sym2Of:
 
 
 @dataclass(frozen=True)
-class ProductOf:
-    left: "SpaceId"
-    right: "SpaceId"
-
-    @property
-    def dimension(self) -> int:
-        return self.left.dimension + self.right.dimension
-
-
-@dataclass(frozen=True)
 class T4:
     n: int
 
@@ -237,7 +292,7 @@ class MP24m2:
     dimension = 17
 
 
-SpaceId = Union[ProjSpace, Grassmannian, KontsevichProj, MbarGr, Sym2Of, ProductOf, T4, MP24m2]
+SpaceId = Union[ProjSpace, Grassmannian, KontsevichProj, MbarGr, Sym2Of, T4, MP24m2]
 
 
 def poincare(space: SpaceId) -> QPoly:
@@ -252,8 +307,6 @@ def poincare(space: SpaceId) -> QPoly:
         return mbar_gr_poincare(space.n)
     if isinstance(space, Sym2Of):
         return sym2_poincare(poincare(space.inner))
-    if isinstance(space, ProductOf):
-        return poincare(space.left) * poincare(space.right)
     if isinstance(space, T4):
         return t4_poincare(space.n)
     if isinstance(space, MP24m2):

@@ -9,7 +9,6 @@ from moriconic import (
     MbarGr,
     MP24m2,
     NotDivisible,
-    ProductOf,
     ProjSpace,
     QPoly,
     Sym2Of,
@@ -23,7 +22,7 @@ from moriconic import (
     sym2_poincare,
     t4_poincare,
 )
-from moriconic.motivic import _ratio
+from moriconic.motivic import _DEN, _numerator, _ratio, _t4_products
 
 from conftest import exact_div, one_minus_q_pow, schoolbook_product
 
@@ -77,14 +76,27 @@ def bracket(n: int) -> QPoly:
     )
 
 
-def dense_t4(n: int) -> QPoly:
-    """P(T4(n)) by the excision formula with dense numerators and denominators:
-    P(MbarGr(n)) - (P(MbarP(n)) - 1) P(P^n) - (P(P^(n-2))^2 - 1) (P(Sym^2 P^n) - P(P^n))."""
-    total = divide(
+def dense_mbar_gr(n: int) -> QPoly:
+    """P(MbarGr(n)) with the bracket, dense numerator and denominator."""
+    return divide(
         product(bracket(n), omq(n + 1), omq(n), omq(n - 1)),
         product(omq(1), omq(1), omq(1), omq(2), omq(2)),
     )
-    fiber1 = divide(product(omq(n + 1), omq(n), omq(n - 1)), product(omq(1), omq(1), omq(2)))
+
+
+def dense_kontsevich(n: int) -> QPoly:
+    """P(MbarP(n)), dense numerator and denominator."""
+    return divide(product(omq(n + 1), omq(n), omq(n - 1)), product(omq(1), omq(1), omq(2)))
+
+
+DENSE_SIZES = [*range(3, 61), 200]
+
+
+def dense_t4(n: int) -> QPoly:
+    """P(T4(n)) by the excision formula with dense numerators and denominators:
+    P(MbarGr(n)) - (P(MbarP(n)) - 1) P(P^n) - (P(P^(n-2))^2 - 1) (P(Sym^2 P^n) - P(P^n))."""
+    total = dense_mbar_gr(n)
+    fiber1 = dense_kontsevich(n)
     ppn = divide(omq(n + 1), omq(1))
     pairs = sym2_poincare(ppn) - ppn
     small = divide(omq(n - 1), omq(1))
@@ -104,6 +116,10 @@ class TestProjSpace:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             proj_space_poincare(-1)
+
+    def test_matches_dense_formula(self):
+        for n in DENSE_SIZES:
+            assert proj_space_poincare(n) == divide(omq(n + 1), omq(1)), n
 
 
 class TestGrassmannian:
@@ -158,6 +174,10 @@ class TestKontsevichProj:
         with pytest.raises(ValueError):
             kontsevich_proj_poincare(1)
 
+    def test_matches_dense_formula(self):
+        for n in DENSE_SIZES:
+            assert kontsevich_proj_poincare(n) == dense_kontsevich(n), n
+
 
 class TestMbarGr:
     def test_n3_frozen(self):
@@ -184,6 +204,10 @@ class TestMbarGr:
     def test_bracket_factors(self):
         for n in range(3, 41):
             assert bracket(n) == omq(4) * omq(n), n
+
+    def test_matches_dense_formula(self):
+        for n in DENSE_SIZES:
+            assert mbar_gr_poincare(n) == dense_mbar_gr(n), n
 
 
 class TestSym2:
@@ -225,8 +249,28 @@ class TestT4:
             t4_poincare(2)
 
     def test_matches_dense_excision_formula(self):
-        for n in range(3, 41):
+        for n in [*range(3, 41), 50, 100, 200, 1000]:
             assert t4_poincare(n) == dense_t4(n), n
+
+    @pytest.mark.parametrize("n", [3, 5, 200])
+    def test_one_coefficient_off_raises(self, n):
+        # the common-denominator numerator divides exactly; moved by q^e at
+        # any e, it no longer vanishes at q = 1, so some division must refuse
+        num = _numerator(*_t4_products(n))
+        assert _ratio(num, _DEN) == t4_poincare(n)
+        for e in (0, 1, 2, n, 2 * n + 1, max(num) - 1, max(num)):
+            off = dict(num)
+            off[e] = off.get(e, 0) + 1
+            with pytest.raises(NotDivisible):
+                _ratio(off, _DEN)
+        # moved by q^e (1-q)^3 (1-q^2) instead, it passes four divisions, and
+        # the last must refuse it whichever residue class mod 2 e is in
+        for e in (n, n + 1):
+            off = dict(num)
+            for f, c in _numerator((1, 1, 1, 1, 2)).items():
+                off[e + f] = off.get(e + f, 0) + c
+            with pytest.raises(NotDivisible, match=r"q\^2"):
+                _ratio(off, _DEN)
 
 
 class TestMP24m2:
@@ -263,9 +307,8 @@ class TestSpaceDispatch:
 
     def test_recursive_tags(self):
         assert poincare(Sym2Of(ProjSpace(1))) == QPoly([1, 1, 1])
-        assert poincare(ProductOf(ProjSpace(1), ProjSpace(1))) == QPoly([1, 2, 1])
-        nested = Sym2Of(ProductOf(ProjSpace(1), ProjSpace(0)))
-        assert poincare(nested) == QPoly([1, 1, 1])
+        assert poincare(ProjSpace(1)) * poincare(ProjSpace(1)) == QPoly([1, 2, 1])
+        assert sym2_poincare(poincare(ProjSpace(1)) * poincare(ProjSpace(0))) == QPoly([1, 1, 1])
 
     def test_t4_validation(self):
         with pytest.raises(ValueError):
@@ -274,10 +317,13 @@ class TestSpaceDispatch:
     def test_dimension_is_degree(self):
         for n in range(3, 8):
             spaces = [ProjSpace(n), Grassmannian(n, n + 3), KontsevichProj(n), MbarGr(n),
-                      T4(n), MP24m2(), ProductOf(ProjSpace(n), MbarGr(n))]
+                      T4(n), MP24m2()]
             for space in spaces:
                 assert poincare(space).degree == space.dimension, space
                 assert poincare(Sym2Of(space)).degree == Sym2Of(space).dimension, space
+            both = poincare(ProjSpace(n)) * poincare(MbarGr(n))
+            assert both.degree == n + MbarGr(n).dimension
+            assert sym2_poincare(both).degree == 2 * both.degree
 
 
 def dense_ratio(ups, downs, poly=QPoly.one()) -> QPoly:
@@ -303,18 +349,31 @@ start_polys = st.one_of(
 )
 
 
+def terms(poly: QPoly | None) -> dict[int, int]:
+    """A starting polynomial as _ratio's sparse numerator (None is 1)."""
+    return {0: 1} if poly is None else {e: c for e, c in enumerate(poly.coeffs) if c}
+
+
 class TestRatio:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.one_of(divisible_pairs, gaussian_pairs), start_polys)
     def test_matches_dense_division(self, pairs, poly):
         ups, downs = pairs
         expected = dense_ratio(ups, downs, QPoly.one() if poly is None else poly)
-        assert _ratio(ups, downs, poly) == expected
+        assert _ratio(terms(poly), downs, ups) == expected
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.one_of(divisible_pairs, gaussian_pairs))
+    def test_expanded_numerator_matches_dense_division(self, pairs):
+        # the whole ratio is a polynomial, so dividing the expanded numerator
+        # by the denominator factors in turn stays exact at every step
+        ups, downs = pairs
+        assert _ratio(_numerator((1, *ups)), downs) == dense_ratio(ups, downs)
 
     def test_empty_ratio_is_one(self):
-        assert _ratio((), ()) == QPoly.one()
-        assert _ratio((), (), QPoly([0, 3])) == QPoly([0, 3])
-        assert _ratio((4,), (2,), QPoly.zero()) == QPoly.zero()
+        assert _ratio({0: 1}, ()) == QPoly.one()
+        assert _ratio({1: 3}, ()) == QPoly([0, 3])
+        assert _ratio({}, (2,), (4,)) == QPoly.zero()
 
     @pytest.mark.parametrize("ups, downs", [
         ((3,), (2,)),  # a remainder
@@ -326,10 +385,15 @@ class TestRatio:
     ])
     def test_non_divisible_step_raises(self, ups, downs):
         with pytest.raises(NotDivisible):
-            _ratio(ups, downs)
+            _ratio({0: 1}, downs, ups)
 
     def test_non_divisible_start_raises(self):
         with pytest.raises(NotDivisible):
-            _ratio((1,), (2,), QPoly([1, 0, 1]))  # 1 + q does not divide 1 + q^2
+            _ratio({0: 1, 2: 1}, (2,), (1,))  # 1 + q does not divide 1 + q^2
         with pytest.raises(NotDivisible):
-            _ratio((1,), (3,), QPoly([5, 0, 1]))
+            _ratio({0: 5, 2: 1}, (3,), (1,))
+
+    @pytest.mark.parametrize("ups, downs", [((1,), ()), ((2, 2), (1,)), ((3, 2, 1), (1, 1))])
+    def test_more_ups_than_downs_raises(self, ups, downs):
+        with pytest.raises(ValueError, match="more paired numerator factors"):
+            _ratio({0: 1}, downs, ups)
