@@ -1,16 +1,20 @@
-"""Batch command-line front end with stable JSON input and output.
+"""Command-line front end with stable JSON input and output.
 
 Subcommands: poincare, stability, stratify, conic, modify, chamber.  Each
 request reads UTF-8 JSON (inline or from a file), writes a single JSON
 document, and exits 0 on success, 2 on domain errors, 1 on parse errors.
 Output is byte-deterministic: sorted keys, compact separators, rationals as
 canonical strings, and a schema_version field pinned to 1.
+
+argv is read once against one flag table (_FLAGS) into a request document,
+and each subcommand's runner takes that document and nothing else.  -h or
+--help anywhere prints a usage document built from the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 
 from .errors import DomainError
@@ -37,52 +41,97 @@ _SPACES = {
 }
 
 
-class CliParseError(Exception):
-    pass
+# The grammar of an integer flag value: the same as a QPoly.from_json coefficient.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+# Per subcommand: each flag's exact name mapped to (destination, kind), and the
+# flags of which exactly one must be given.  A kind is str, int, bool for a
+# switch, or the tuple of accepted choices.
+_MODULE_FLAGS = ({"--in": ("in", str), "--json": ("json", str), "--out": ("out", str)},
+                 ("--in", "--json"))
+_FLAGS = {
+    "poincare": ({
+        "--space": ("space", (*_SPACES, "Sym2")),
+        "--n": ("n", int),
+        "--k": ("k", int),
+        "--N": ("N", int),
+        "--inner": ("inner", str),
+        "--out": ("out", str),
+    }, ("--space",)),
+    "stability": _MODULE_FLAGS,
+    "stratify": _MODULE_FLAGS,
+    "conic": _MODULE_FLAGS,
+    "modify": _MODULE_FLAGS,
+    "chamber": ({
+        "--coeffs": ("coeffs", str),
+        "--in": ("in", str),
+        "--n-mode": ("n_mode", ("gt3", "eq3")),
+        "--reflect": ("reflect", bool),
+        "--out": ("out", str),
+    }, ("--coeffs", "--in")),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; parse failures here must be 1
-    def error(self, message):
-        raise CliParseError(message)
+def _shape(flag: str, dest: str, kind) -> str:
+    if kind is bool:
+        return flag
+    value = "INT" if kind is int else dest.upper() if kind is str else "{" + ",".join(kind) + "}"
+    return f"{flag} {value}"
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="moriconic", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("poincare", help="virtual Poincare polynomial of a space")
-    p.add_argument("--space", required=True, choices=[*_SPACES, "Sym2"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--N", dest="big_n", type=int)
-    p.add_argument("--inner", help="JSON space identifier for Sym2")
-    p.add_argument("--out")
-
-    for name, help_text, what in (
-        ("stability", "GIT stability verdict of a Kronecker module", "module"),
-        ("stratify", "orbit-type stratum of a Kronecker module", "module"),
-        ("conic", "Pluecker conic, envelope, and degree of a Kronecker module", "module"),
-        ("modify", "elementary modification of a lambda family", "family"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--in", dest="infile", help=f"path to a {what} JSON document")
-        src.add_argument("--json", dest="inline", help=f"inline {what} JSON document")
-        p.add_argument("--out")
-
-    p = sub.add_parser("chamber", help="birational model of a divisor combination")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--coeffs", help="inline JSON object of generator coefficients")
-    src.add_argument("--in", dest="infile", help="path to a divisor-combination document")
-    p.add_argument("--n-mode", choices=["gt3", "eq3"], default=None)
-    p.add_argument("--reflect", action="store_true",
-                   help="apply the duality reflection before resolving")
-    p.add_argument("--out")
-    return parser
+def _usage(op: str) -> str:
+    """The usage line of subcommand op, or of every subcommand when op names none."""
+    lines = []
+    for name, (flags, one_of) in _FLAGS.items():
+        if op not in _FLAGS or name == op:
+            group = " | ".join(_shape(flag, *flags[flag]) for flag in one_of)
+            rest = [f"[{_shape(flag, *spec)}]" for flag, spec in flags.items() if flag not in one_of]
+            lines.append(" ".join(["moriconic", name, f"({group})" if len(one_of) > 1 else group, *rest]))
+    return "\n".join(lines)
 
 
-_PARSER = _build_parser()
+def _read_argv(argv) -> tuple[str, dict, str | None]:
+    """(subcommand, request document, --out path) for argv, read against _FLAGS.
+
+    Flags are exact names, given as `--flag value` or `--flag=value`; the
+    last occurrence of a flag wins.  A value in its own token may start with
+    `-` only as a negative integer.
+    """
+    if not argv or argv[0] not in _FLAGS:
+        raise ValueError(f"expected a subcommand, one of {', '.join(_FLAGS)}")
+    op = argv[0]
+    flags, one_of = _FLAGS[op]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"unknown flag {token!r}" if token.startswith("-")
+                             else f"unexpected argument {token!r}")
+        dest, kind = flags[flag]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not _INTEGER.fullmatch(value):
+                raise ValueError(f"{flag} expects a value")
+        if kind is int:
+            if not _INTEGER.fullmatch(value):
+                raise ValueError(f"{flag} expects an integer, got {value!r}")
+            value = int(value)
+        elif kind is not str and value not in kind:
+            raise ValueError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        values[dest] = value
+    given = [flag for flag in one_of if flags[flag][0] in values]
+    if not given:
+        raise ValueError(f"{' or '.join(one_of)} is required")
+    if len(given) > 1:
+        raise ValueError(f"{' and '.join(given)} exclude each other")
+    out_path = values.pop("out", None)
+    return op, _DOCUMENTS.get(op, _input_doc)(values), out_path
 
 
 def _parse_json(text: str):
@@ -92,16 +141,39 @@ def _parse_json(text: str):
         raise ValueError("JSON document nests too deeply") from None
 
 
-def _load_doc(args) -> dict:
-    if getattr(args, "infile", None):
-        with open(args.infile, encoding="utf-8") as fh:
+def _input_doc(values: dict) -> dict:
+    """The JSON object in the file --in names, or else in the --json text."""
+    path = values.get("in")
+    if path:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     else:
-        text = args.inline
+        text = values.get("json")
     doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON document must be an object")
     return doc
+
+
+def _poincare_doc(values: dict) -> dict:
+    """The space identifier: --space, --n, --k, --N, and --inner read as JSON."""
+    # --inner is read for Sym2 only and ignored beside any other space
+    inner = values.get("inner")
+    values["inner"] = _parse_json(inner) if values["space"] == "Sym2" and inner else None
+    return values
+
+
+def _chamber_doc(values: dict) -> dict:
+    """{"coeffs", "n_mode", "reflect"}: --in's document or the --coeffs object,
+    with --n-mode over the document's own n_mode."""
+    doc = _input_doc(values) if values.get("in") else {"coeffs": _parse_json(values.get("coeffs"))}
+    if "n_mode" in values:
+        doc["n_mode"] = values["n_mode"]
+    doc["reflect"] = values.get("reflect", False)
+    return doc
+
+
+_DOCUMENTS = {"poincare": _poincare_doc, "chamber": _chamber_doc}
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -143,20 +215,16 @@ def _space_from_json(doc):
     return space
 
 
-def _run_poincare(args) -> dict:
+def _run_poincare(doc: dict) -> dict:
     from .motivic import poincare
 
-    # --inner is read for Sym2 only and ignored beside any other space
-    inner = _parse_json(args.inner) if args.space == "Sym2" and args.inner else None
-    doc = {"space": args.space, "n": args.n, "k": args.k, "N": args.big_n, "inner": inner}
-    poly = poincare(_space_from_json(doc))
-    return {"poly": poly.to_json()}
+    return {"poly": poincare(_space_from_json(doc)).to_json()}
 
 
-def _run_stability(args) -> dict:
+def _run_stability(doc: dict) -> dict:
     from .kronecker import KroneckerModule, classify_stability
 
-    module = KroneckerModule.from_json(_load_doc(args))
+    module = KroneckerModule.from_json(doc)
     cls = classify_stability(module)
     return {
         "verdict": cls.verdict.value,
@@ -166,18 +234,18 @@ def _run_stability(args) -> dict:
     }
 
 
-def _run_stratify(args) -> dict:
+def _run_stratify(doc: dict) -> dict:
     from .kronecker import KroneckerModule, stratify
 
-    module = KroneckerModule.from_json(_load_doc(args))
+    module = KroneckerModule.from_json(doc)
     return {"stratum": stratify(module).value}
 
 
-def _run_conic(args) -> dict:
+def _run_conic(doc: dict) -> dict:
     from .conic import conic_degree, envelope, plucker_conic
     from .kronecker import KroneckerModule
 
-    module = KroneckerModule.from_json(_load_doc(args))
+    module = KroneckerModule.from_json(doc)
     c = plucker_conic(module)
     env = envelope(c)
     return {
@@ -187,10 +255,10 @@ def _run_conic(args) -> dict:
     }
 
 
-def _run_modify(args) -> dict:
+def _run_modify(doc: dict) -> dict:
     from .conic import LambdaFamily, modify_family
 
-    family = LambdaFamily.from_json(_load_doc(args))
+    family = LambdaFamily.from_json(doc)
     result = modify_family(family)
     return {
         "k": result.k,
@@ -203,14 +271,11 @@ def _run_modify(args) -> dict:
     }
 
 
-def _run_chamber(args) -> dict:
+def _run_chamber(doc: dict) -> dict:
     from .chamber import DivisorCombo, duality_reflect, resolve
 
-    doc = _load_doc(args) if args.infile else {"coeffs": _parse_json(args.coeffs)}
-    if args.n_mode:
-        doc["n_mode"] = args.n_mode
     combo = DivisorCombo.from_json(doc)
-    if args.reflect:
+    if doc.get("reflect"):
         combo = duality_reflect(combo)
     return resolve(combo).to_json()
 
@@ -231,13 +296,17 @@ def _parse_error(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        _emit({"schema_version": SCHEMA_VERSION, "usage": _usage(argv[0])}, None)
+        return 0
     try:
-        args = _PARSER.parse_args(argv)
-        out_path = args.out
-        doc, code = {"schema_version": SCHEMA_VERSION, **_RUNNERS[args.subcommand](args)}, 0
+        op, request, out_path = _read_argv(argv)
+        doc, code = {"schema_version": SCHEMA_VERSION, **_RUNNERS[op](request)}, 0
     except DomainError as exc:
         doc, code = {"error": exc.code, "detail": str(exc)}, 2
-    except (CliParseError, KeyError, TypeError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         return _parse_error(exc)
     try:
         _emit(doc, out_path)

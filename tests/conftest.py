@@ -1,9 +1,11 @@
 """Shared builders: random SL2(Q) changes of basis, normal-form modules, the
-independent sympy route for cross-checking minor-gcd classifications, and
-reference polynomial arithmetic on coefficient tuples."""
+independent sympy route for cross-checking minor-gcd classifications,
+reference polynomial arithmetic on coefficient tuples, and the argparse
+parser the CLI read its flags with before its flag table."""
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 
@@ -223,6 +225,81 @@ def exact_div(num, den) -> tuple[int, ...]:
     if any(num):
         raise NotDivisible("long division left a nonzero remainder")
     return tuple(quot)
+
+
+# The argparse parser of the CLI before its flag table, kept as the reference
+# its reader is tested against.  Refusals and help raise instead of exiting.
+
+
+class ReferenceRefused(Exception):
+    pass
+
+
+class ReferenceHelp(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ReferenceRefused(message)
+
+    def print_help(self, file=None):
+        pass
+
+    def exit(self, status=0, message=None):
+        raise ReferenceHelp
+
+
+def _reference_parser() -> _ReferenceParser:
+    parser = _ReferenceParser(prog="moriconic")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("poincare")
+    p.add_argument("--space", required=True,
+                   choices=["Pn", "Gr", "MbarP", "MbarGr", "T4", "MP2-4m+2", "Sym2"])
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--N", dest="big_n", type=int)
+    p.add_argument("--inner")
+    p.add_argument("--out")
+
+    for name in ("stability", "stratify", "conic", "modify"):
+        p = sub.add_parser(name)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--in", dest="infile")
+        src.add_argument("--json", dest="inline")
+        p.add_argument("--out")
+
+    p = sub.add_parser("chamber")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--coeffs")
+    src.add_argument("--in", dest="infile")
+    p.add_argument("--n-mode", choices=["gt3", "eq3"], default=None)
+    p.add_argument("--reflect", action="store_true")
+    p.add_argument("--out")
+    return parser
+
+
+REFERENCE_PARSER = _reference_parser()
+
+# Each reference destination and the flag that sets it.
+REFERENCE_FLAGS = {"space": "--space", "n": "--n", "k": "--k", "big_n": "--N", "inner": "--inner",
+                   "infile": "--in", "inline": "--json", "coeffs": "--coeffs", "n_mode": "--n-mode",
+                   "reflect": "--reflect", "out": "--out"}
+
+
+def reference_argv(argv: list[str]) -> list[str]:
+    """argv as the reference parser reads it, written back with one exact
+    `--flag=value` (or bare switch) per destination it set.  Raises
+    ReferenceRefused or ReferenceHelp where the reference does."""
+    args = vars(REFERENCE_PARSER.parse_args(argv))
+    canonical = [args.pop("subcommand")]
+    for dest, value in args.items():
+        if value is True:
+            canonical.append(REFERENCE_FLAGS[dest])
+        elif value is not None and value is not False:
+            canonical.append(f"{REFERENCE_FLAGS[dest]}={value}")
+    return canonical
 
 
 @pytest.fixture

@@ -24,8 +24,8 @@ FAMILY_DOC = json.dumps({
     ],
 })
 
-# Runs the CLI as `python -m moriconic.cli` does, then prints the loaded
-# moriconic submodules as the last line.
+# Runs the CLI as `python -m moriconic.cli` does.  REPORT then prints, as the
+# last line, the loaded moriconic submodules and whether argparse is loaded.
 CLI_SCRIPT = """
 import runpy, sys
 sys.argv = ["moriconic", *{argv!r}]
@@ -36,17 +36,24 @@ except SystemExit as exc:
 """
 REPORT = """
 import json, sys
-print(json.dumps(sorted(m[len("moriconic."):] for m in sys.modules if m.startswith("moriconic."))))
+print(json.dumps([sorted(m[len("moriconic."):] for m in sys.modules if m.startswith("moriconic.")),
+                  "argparse" in sys.modules]))
 """
 
 
-def loaded_submodules(script: str) -> set[str]:
-    """The moriconic submodules a fresh interpreter has loaded after running script."""
+def fresh_report(script: str) -> tuple[set[str], bool]:
+    """The moriconic submodules a fresh interpreter has loaded after running
+    script, and whether it has loaded argparse."""
     proc = subprocess.run(
         [sys.executable, "-c", script + REPORT],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
     )
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    submodules, argparse_loaded = json.loads(proc.stdout.splitlines()[-1])
+    return set(submodules), argparse_loaded
+
+
+def loaded_submodules(script: str) -> set[str]:
+    return fresh_report(script)[0]
 
 
 def test_all_is_sorted_and_unique():
@@ -95,4 +102,5 @@ KERNEL = {"errors", "kronecker", "linalg"}
      {"errors", "motivic", "qpoly", "linalg"}),
 ])
 def test_each_subcommand_loads_only_its_modules(argv, expected):
-    assert loaded_submodules(CLI_SCRIPT.format(argv=argv)) == expected
+    # argparse alone took about 3 ms of a cold request
+    assert fresh_report(CLI_SCRIPT.format(argv=argv)) == (expected, False)

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -19,6 +21,8 @@ from moriconic import (
     plucker_conic,
 )
 from moriconic.cli import MAX_POINCARE_DEGREE, main
+
+from conftest import ReferenceHelp, ReferenceRefused, reference_argv
 
 
 DIAG_DOC = {
@@ -460,7 +464,6 @@ class TestHarnessContract:
         assert json.loads(out)["error"] == "parse_error"
 
     def test_parse_errors_repeat_in_one_process(self, capsys):
-        # the argument parser is built once and reused by every call
         for argv in (["stability", "--bogus"], ["frobnicate"], ["stability", "--bogus"]):
             code, out = run(capsys, *argv)
             assert code == 1
@@ -504,6 +507,92 @@ class TestHarnessContract:
             assert code == 0
             doc = json.loads(out)
             assert doc["schema_version"] == 1
+
+
+# Each subcommand's flags, in the order its usage line lists them.
+COMMANDS = {
+    "poincare": ["--space", "--n", "--k", "--N", "--inner", "--out"],
+    "stability": ["--in", "--json", "--out"],
+    "stratify": ["--in", "--json", "--out"],
+    "conic": ["--in", "--json", "--out"],
+    "modify": ["--in", "--json", "--out"],
+    "chamber": ["--coeffs", "--in", "--n-mode", "--reflect", "--out"],
+}
+
+
+class TestFlagReader:
+    @pytest.mark.parametrize("argv, ops", [
+        (["-h"], list(COMMANDS)),
+        (["--help"], list(COMMANDS)),
+        (["frobnicate", "--help"], list(COMMANDS)),
+        (["stability", "-h"], ["stability"]),
+        (["chamber", "--coeffs", '{"T":"1"}', "--help"], ["chamber"]),
+        (["poincare", "--bogus", "-h", "--space"], ["poincare"]),
+    ])
+    def test_help_is_one_usage_document(self, capsys, argv, ops):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert set(doc) == {"schema_version", "usage"} and doc["schema_version"] == 1
+        lines = doc["usage"].split("\n")
+        assert [line.split()[:2] for line in lines] == [["moriconic", op] for op in ops]
+
+    def test_usage_names_every_flag(self, capsys):
+        for op, names in COMMANDS.items():
+            _, out = run(capsys, op, "-h")
+            assert re.findall(r"--[\w-]+", json.loads(out)["usage"]) == names
+
+    @pytest.mark.parametrize("value", ["\uff13", " 3_0 ", "3_0", "+3", " 3", "3\n", "\u0663", "-\u0663",
+                                       "1.5", "", "0x3", "3e0"])
+    def test_integer_flags_read_ascii_digits_only(self, capsys, no_polynomial, value):
+        for argv in (["--n", value], [f"--n={value}"]):
+            code, out = run(capsys, "poincare", "--space", "T4", *argv)
+            assert code == 1
+            assert json.loads(out)["error"] == "parse_error"
+
+    @pytest.mark.parametrize("argv, poly", [
+        (["--space", "Gr", "--k", "-0", "--N", "2"], ["1"]),
+        (["--space", "Pn", "--n", "007"], ["1"] * 8),
+        (["--space=Pn", "--n=2"], ["1", "1", "1"]),
+        (["--space", "Pn", "--n", "5", "--n", "2"], ["1", "1", "1"]),  # the last occurrence wins
+        (["--space", "T4", "--space", "Pn", "--n=1"], ["1", "1"]),
+        (["--inner=", "--space", "Pn", "--n", "1"], ["1", "1"]),
+    ])
+    def test_flag_forms(self, capsys, argv, poly):
+        code, out = run(capsys, "poincare", *argv)
+        assert (code, json.loads(out)) == (0, {"schema_version": 1, "poly": poly})
+
+    @pytest.mark.parametrize("argv", [
+        ["poincare", "--sp", "T4", "--n", "3"],  # prefix abbreviations are not flags
+        ["chamber", "--coeffs", '{"T":"1"}', "--n", "eq3"],
+        ["poincare", "--space", "Sym2", "--in", '{"space":"Pn","n":1}'],
+        ["stability", "--js", json.dumps(GENERIC_DOC)],
+        ["stability", "--json", "-1.5"],  # a value in its own token starts with - only as an integer
+        ["stability", "--json", "-"],
+        ["poincare", "--space", "Pn", "--n", "1", "--inner", "-x y"],
+        ["chamber", "--coeffs", '{"T":"1"}', "--out", "-x"],
+        ["stability", "--json"],  # a missing value
+        ["stability", "--json", "--out", "x"],
+        ["stability", "--json", json.dumps(GENERIC_DOC), "extra"],  # a stray positional
+        ["chamber", "--coeffs", '{"T":"1"}', "--reflect=1"],
+        ["chamber", "--coeffs", '{"T":"1"}', "--n-mode", "eq"],  # a bad choice
+        ["poincare", "--n", "3"],  # a missing required flag
+        ["chamber", "--coeffs", '{"T":"1"}', "--in", "x.json"],  # exclusive flags together
+        ["stability", "--", "--json", json.dumps(GENERIC_DOC)],
+        [],
+    ])
+    def test_refused_argv(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert set(json.loads(out)) == {"error", "detail"} and json.loads(out)["error"] == "parse_error"
+
+    def test_dash_values_after_equals(self, capsys):
+        code, out = run(capsys, "stability", "--json=-1")
+        assert (code, json.loads(out)["detail"]) == (1, "top-level JSON document must be an object")
+        code, out = run(capsys, "poincare", "--space", "Pn", "--n", "1", "--inner=-x y")
+        assert (code, json.loads(out)["poly"]) == (0, ["1", "1"])
 
 
 def fraction_calls(thunk) -> set[str]:
@@ -747,8 +836,26 @@ def requests(draw):
     return [subcommand, "--json", text]
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(requests())
+# Argv of arbitrary tokens, beside the well-formed flag layouts of requests().
+FLAG_NAMES = ["--space", "--n", "--k", "--N", "--inner", "--in", "--json", "--coeffs", "--n-mode",
+              "--reflect", "--out"]
+TOKENS = st.sampled_from(FLAG_NAMES + ["-h", "--help", "--bogus", "--x=", "-x", "--", "-", "-1", "x", "",
+                                       "poincare", "stability", "chamber", "T4", "3", "eq3", "{}",
+                                       '{"T":"1"}', json.dumps(GENERIC_DOC)])
+
+
+@st.composite
+def token_lists(draw):
+    """Any tokens, now and then behind a subcommand, flags with and without values."""
+    tokens = draw(st.lists(TOKENS | st.text(max_size=4), max_size=6))
+    flag = draw(st.sampled_from(FLAG_NAMES))
+    with_value = draw(st.sampled_from([[flag], [f"{flag}=", f"{flag}=3"], [flag, "3"]]))
+    return draw(st.sampled_from([tokens, tokens + with_value, ["stability", *with_value, *tokens]]))
+
+
+
+@settings(max_examples=700, derandomize=True, deadline=None)
+@given(requests() | token_lists())
 def test_any_request_gives_one_json_document(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -759,3 +866,142 @@ def test_any_request_gives_one_json_document(argv):
     doc = json.loads(out)
     assert isinstance(doc, dict)
     assert ("error" in doc) == (code != 0)
+
+
+# The reader against the argparse parser it replaced.  Values are drawn per
+# flag, with `=` forms, repeated and missing values, negative and dash-leading
+# values, prefix abbreviations, help flags and stray positionals.  Paths name
+# files in a directory the test fills: "@" stands for that directory.
+FLAG_VALUES = {
+    "--space": ["Pn", "T4", "Gr", "Sym2", "MbarP", "MP2-4m+2", "P7", ""],
+    "--n": ["1", "3", "0", "12", "007", "-1", "-0", "٣", "３", "3_0", " 3 ", "+3", "1.5", "x", ""],
+    "--inner": ['{"space":"Pn","n":1}', '{"space":"T4","n":3}', "{bad", "[1]", ""],
+    "--json": [json.dumps(GENERIC_DOC), json.dumps(DIAG_DOC), json.dumps(DISK_FAMILY_DOC), "{}", "[1]",
+               "{bad", ""],
+    "--in": ["@module.json", "@family.json", "@combo.json", "@list.json", "@missing.json", ""],
+    "--coeffs": ['{"T":"1"}', '{"H11":"1","T":"2/3"}', '{"P":"1","Dunb":"1","Ddeg":"1"}', '{"T":"0"}',
+                 "[1]", "{bad", ""],
+    "--n-mode": ["eq3", "gt3", "eq", ""],
+    "--out": ["", "@out.json", "@missing/out.json"],
+}
+FLAG_VALUES["--k"] = FLAG_VALUES["--N"] = FLAG_VALUES["--n"]
+DASH_VALUES = ["-1", "-7", "-1.5", "-.5", "-x", "-", "- x", "--", "-h", "--json"]
+ABBREVIATIONS = ["--sp", "--in", "--inn", "--js", "--co", "--n", "--n-", "--ref", "--ou", "--he"]
+
+
+@st.composite
+def reader_argvs(draw):
+    op = draw(st.sampled_from([*COMMANDS] * 4 + ["frobnicate", "--json", "-1"]))
+    own = COMMANDS.get(op, FLAG_NAMES)
+    argv = [op]
+    for i in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["own"] * 24 + ["other", "abbreviation", "stray", "help"]))
+        if kind == "stray":
+            argv.append(draw(st.sampled_from(["x", "3", "-1", "{}", "-"])))
+            continue
+        if kind == "help":
+            argv.append(draw(st.sampled_from(["-h", "--help"])))
+            continue
+        names = {"own": own, "other": FLAG_NAMES, "abbreviation": ABBREVIATIONS}[kind]
+        # the first flag is most often one the subcommand requires
+        flag = draw(st.sampled_from(names[:2] if i == 0 and kind == "own" else names))
+        value = draw(st.sampled_from(FLAG_VALUES.get(flag, ["x"]) * 12 + DASH_VALUES))
+        form = draw(st.sampled_from(["separate"] * 6 + ["equals"] * 3 + ["missing"]))
+        if flag == "--reflect" or form == "missing":
+            argv.append(flag)
+        elif form == "equals":
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+def outcome(argv, directory):
+    """(exit code, stdout, {name: text} of the files it wrote) of main(argv), run
+    in directory, whose new files are then removed."""
+    before = set(directory.iterdir())
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    written = {}
+    for path in set(directory.iterdir()) - before:
+        written[path.name] = path.read_text()
+        path.unlink()
+    return code, out.getvalue(), written
+
+
+def off_grammar_integer(token):
+    """int() reads token, but it is not ASCII -?[0-9]+."""
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return not re.fullmatch(r"-?[0-9]+", token)
+
+
+def exemption(argv):
+    """Why the reader may answer argv unlike the reference, or None.
+
+    Help flags print the usage document.  The reader refuses prefix
+    abbreviations, integer values that int() reads outside -?[0-9]+, and a
+    value in its own token that starts with - but is no negative integer,
+    where the reference took each of them.  The reference also drops the
+    value of `--flag=--` (argparse 3.11 leaves an empty list), which the
+    reader takes as the text `--`.
+    """
+    if "-h" in argv or "--help" in argv:
+        return "help"
+    own = COMMANDS.get(argv[0], [])
+    for i, token in enumerate(argv[1:], 1):
+        name, eq, value = token.partition("=")
+        if name in own and value == "--":
+            return "dropped --"
+        if name in ("--n", "--k", "--N") and name in own:
+            if off_grammar_integer(value if eq else argv[i + 1] if i + 1 < len(argv) else "x"):
+                return "integer"
+        if token.startswith("-") and name not in own and not re.fullmatch(r"-[0-9]+", token):
+            # a prefix abbreviation, or a dash-leading value the reference took
+            return "abbreviation or dash value"
+    return None
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("reader")
+    (directory / "module.json").write_text(json.dumps(GENERIC_DOC))
+    (directory / "family.json").write_text(json.dumps(DISK_FAMILY_DOC))
+    (directory / "combo.json").write_text(json.dumps(EQ3_COMBO_DOC))
+    (directory / "list.json").write_text("[1]")
+    return directory
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(reader_argvs())
+def test_reader_matches_reference_parser(reader_dir, argv):
+    argv = [token.replace("@", f"{reader_dir}/") for token in argv]
+    code, out, written = outcome(argv, reader_dir)
+    assert out.count("\n") + len(written) == 1
+    doc = json.loads(out or "".join(written.values()))
+    why = exemption(argv)
+    if why == "help":
+        assert code == 0 and set(doc) == {"schema_version", "usage"}
+        return
+    if why == "dropped --":
+        assert code in (0, 1, 2) and ("error" in doc) == (code != 0)
+        return
+    try:
+        canonical = reference_argv(argv)
+    except (ReferenceRefused, ReferenceHelp):
+        canonical = None
+    if why is not None or canonical is None:
+        # refused by the reader: one parse_error document
+        assert code == 1 and not written
+        assert set(doc) == {"error", "detail"} and doc["error"] == "parse_error"
+    else:
+        # read as the reference read it: the same bytes as its exact --flag=value form
+        assert (code, out, written) == outcome(canonical, reader_dir)
