@@ -18,6 +18,7 @@ import re
 import sys
 
 from .errors import DomainError
+from .linalg import JsonText
 
 SCHEMA_VERSION = 1
 
@@ -143,12 +144,11 @@ def _parse_json(text: str):
 
 def _input_doc(values: dict) -> dict:
     """The JSON object in the file --in names, or else in the --json text."""
-    path = values.get("in")
-    if path:
-        with open(path, encoding="utf-8") as fh:
+    if "in" in values:
+        with open(values["in"], encoding="utf-8") as fh:
             text = fh.read()
     else:
-        text = values.get("json")
+        text = values["json"]
     doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON document must be an object")
@@ -166,7 +166,7 @@ def _poincare_doc(values: dict) -> dict:
 def _chamber_doc(values: dict) -> dict:
     """{"coeffs", "n_mode", "reflect"}: --in's document or the --coeffs object,
     with --n-mode over the document's own n_mode."""
-    doc = _input_doc(values) if values.get("in") else {"coeffs": _parse_json(values.get("coeffs"))}
+    doc = _input_doc(values) if "in" in values else {"coeffs": _parse_json(values["coeffs"])}
     if "n_mode" in values:
         doc["n_mode"] = values["n_mode"]
     doc["reflect"] = values.get("reflect", False)
@@ -176,8 +176,17 @@ def _chamber_doc(values: dict) -> dict:
 _DOCUMENTS = {"poincare": _poincare_doc, "chamber": _chamber_doc}
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Write doc as compact JSON with sorted keys, member by member; a JsonText
+    member is written as it is."""
+    members = [
+        f'"{key}":{value if isinstance(value, JsonText) else _encode(value)}'
+        for key, value in sorted(doc.items())
+    ]
+    text = "{" + ",".join(members) + "}\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -218,7 +227,7 @@ def _space_from_json(doc):
 def _run_poincare(doc: dict) -> dict:
     from .motivic import poincare
 
-    return {"poly": poincare(_space_from_json(doc)).to_json()}
+    return {"poly": poincare(_space_from_json(doc)).json_text()}
 
 
 def _run_stability(doc: dict) -> dict:
@@ -245,12 +254,11 @@ def _run_conic(doc: dict) -> dict:
     from .conic import conic_degree, envelope, plucker_conic
     from .kronecker import KroneckerModule
 
-    module = KroneckerModule.from_json(doc)
-    c = plucker_conic(module)
-    env = envelope(c)
+    c = plucker_conic(KroneckerModule.from_json(doc))
     return {
-        **c.to_json(),
-        "envelope": env.to_json(),
+        "n": c.n,
+        "coords": c.coords_text(),
+        "envelope": envelope(c).json_text(),
         "degree": conic_degree(c),
     }
 
@@ -262,7 +270,7 @@ def _run_modify(doc: dict) -> dict:
     result = modify_family(family)
     return {
         "k": result.k,
-        "conic": result.conic.to_json(),
+        "conic": result.conic.json_text(),
         "residual_base": {
             "gcd": result.base_gcd.to_json(),
             "gcd_degree": result.base_gcd.degree,

@@ -17,11 +17,13 @@ act; the blow-up charts beyond that point are out of scope.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, zip_longest
 from math import comb
+from operator import mul
 from types import MappingProxyType
 
 from .errors import IdenticallyZero, ZeroConic
@@ -37,22 +39,30 @@ from .kronecker import (
 from .linalg import (
     ALL_ZERO,
     BinaryForm,
+    JsonText,
     RatMatrix,
-    bareiss,
     common_denominator,
+    cross,
     json_array,
+    json_strings,
     lowest_terms,
     num_den,
     quadratic_gcd,
     quadratic_root_structure,
     rat_strings,
     rationals,
+    span_basis,
 )
 
 
 def _pair_keys(n: int) -> list[str]:
     """The wire keys "i,j" of the pairs i < j in {0..n}, in index_pairs order."""
     return list(map(",".join, combinations(map(str, range(n + 1)), 2)))
+
+
+def _pair_offsets(n: int) -> list[int]:
+    """offsets[i] + j is the index_pairs position of the pair i < j in {0..n}."""
+    return [i * (2 * n - i - 1) // 2 - 1 for i in range(n + 1)]
 
 
 class PluckerConic(RatMatrix):
@@ -101,8 +111,26 @@ class PluckerConic(RatMatrix):
         nz = {ij: f for ij, f in self.coords.items() if not f.is_zero}
         return f"PluckerConic(n={self.n}, nonzero={nz!r})"
 
+    def coords_text(self) -> JsonText:
+        """The coords object as wire text, its keys in sorted order.
+
+        "," sorts below every digit, so "i,j" sorts by str(i) first, then by
+        str(j): the keys run i, then j > i, through sorted(range(n + 1), key=str).
+        """
+        triples = list(map('","'.join, self._split(rat_strings(self.nums, self.den))))
+        names = list(map(str, range(self.n + 1)))
+        lex = sorted(range(self.n + 1), key=str)
+        members = []
+        for i, base in zip(lex, map(_pair_offsets(self.n).__getitem__, lex)):
+            head = f'"{names[i]},'
+            members += [f'{head}{names[j]}":["{triples[base + j]}"]' for j in lex if j > i]
+        return JsonText("{" + ",".join(members) + "}")
+
+    def json_text(self) -> JsonText:
+        return JsonText(f'{{"coords":{self.coords_text()},"n":{self.n}}}')
+
     def to_json(self) -> dict:
-        return {"n": self.n, "coords": dict(zip(_pair_keys(self.n), self.json_rows()))}
+        return json.loads(self.json_text())
 
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":
@@ -136,8 +164,12 @@ class Envelope(RatMatrix):
     def __repr__(self) -> str:
         return f"Envelope(dim={self.dim}, basis={self.json_rows()})"
 
+    def json_text(self) -> JsonText:
+        rows = map(json_strings, self._split(rat_strings(self.nums, self.den)))
+        return JsonText(f'{{"basis":[{",".join(rows)}],"dim":{self.dim}}}')
+
     def to_json(self) -> dict:
-        return {"dim": self.dim, "basis": self.json_rows()}
+        return json.loads(self.json_text())
 
 
 def _wedge(n: int, a1, b1, a2, b2, d: int) -> PluckerConic:
@@ -150,13 +182,36 @@ def plucker_conic(M: KroneckerModule) -> PluckerConic:
     return _wedge(M.n, *M.int_rows(), M.den)
 
 
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def envelope(c: PluckerConic) -> Envelope:
-    """Linear envelope of the conic: the span of its three coefficient slices."""
+    """Linear envelope of the conic: the span of its three coefficient slices.
+
+    The slices are the rows of the matrix S whose columns are the triples of
+    den * c, which has the same span and reduced echelon form.  Its pivot
+    columns v_1, ..., v_r are the first r independent triples; completed by
+    unit vectors to an invertible V = (v_1, v_2, v_3), the rows of
+    adj(V) = (v_2 x v_3, v_3 x v_1, v_1 x v_2) take each column
+    w = sum a_i v_i of S to det(V) a_i.  So the first r rows of adj(V) S,
+    over det(V), are the reduced echelon basis.
+    """
     if c.is_zero:
         raise ZeroConic("the envelope of the zero conic is undefined")
-    # den * the slices have the same span and the same rref
-    rows, _, d = bareiss([c.nums[k::3] for k in range(3)])
-    return Envelope.from_ints([x for row in rows for x in row], d, c.rows)
+    triples = c.int_rows()
+    v = span_basis(triples)
+    dim = len(v)
+    if dim == 1:
+        m = next(k for k in range(3) if v[0][k])
+        v += [_UNITS[m - 2], _UNITS[m - 1]]  # det(V) = v_1[m]
+    elif dim == 2:
+        normal = cross(*v)
+        v.append(_UNITS[next(k for k in range(3) if normal[k])])  # det(V) = normal[m]
+    v1, v2, v3 = v
+    adj = (cross(v2, v3), cross(v3, v1), cross(v1, v2))[:dim]
+    det = sum(map(mul, v1, adj[0]))
+    nums = [x * a + y * b + z * d for x, y, z in adj for a, b, d in triples]
+    return Envelope.from_ints(nums, det, c.rows)
 
 
 def conic_degree(c: PluckerConic) -> int:
@@ -309,7 +364,7 @@ def _lowest_wedge(F: LambdaFamily):
             return None
         rows.append((low, degrees[low:]))
     (low1, top), (low2, bottom) = rows
-    offsets = [i * (2 * F.n - i - 1) // 2 - 1 for i in range(F.n + 1)]
+    offsets = _pair_offsets(F.n)
     for k in range(len(top) + len(bottom) - 1):
         wedge = {}
         for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):

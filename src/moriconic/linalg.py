@@ -100,16 +100,27 @@ def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
 def rat_strings(nums: Iterable[int], den: int) -> list[str]:
     """The wire strings of nums[i] / den, each as str(Fraction) writes it.
 
-    Each gcd(x, den) divides den, so the "/q" suffix is built once per
-    distinct gcd, and a zero is written "0" without a division.
+    One gcd and one string per distinct numerator, then nums map through that
+    table; a zero needs no special case, since gcd(0, den) = den.
     """
-    if den == 1:
-        return list(map(str, nums))
-    nums = tuple(nums)
-    gcds = list(map(math.gcd, nums, repeat(den)))
-    suffix = {g: f"/{den // g}" for g in set(gcds)}
-    suffix[den] = ""
-    return [f"{x // g}{suffix[g]}" if x else "0" for x, g in zip(nums, gcds)]
+    nums = nums if isinstance(nums, (list, tuple)) else tuple(nums)
+    table = {}
+    for x in set(nums):
+        g = math.gcd(x, den)
+        table[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+    return list(map(table.__getitem__, nums))
+
+
+class JsonText(str):
+    """One JSON value already written as compact text with sorted keys: a
+    document writer puts it in as it is."""
+
+    __slots__ = ()
+
+
+def json_strings(strings: Sequence[str]) -> str:
+    """The JSON array of strings that need no escaping, such as wire rationals."""
+    return '["' + '","'.join(strings) + '"]' if strings else "[]"
 
 
 def json_array(value, what: str) -> list:
@@ -325,6 +336,32 @@ class AllZero:
 ALL_ZERO = AllZero()
 
 
+def cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    """The cross product u x v of two integer triples."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def span_basis(triples: Iterable[Sequence[int]]) -> list[Sequence[int]]:
+    """The first nonzero triple, the first off its line and the first off their
+    plane: the pivot columns of the matrix whose columns are the triples.
+
+    Reading stops at the third; the number returned is the rank.
+    """
+    basis: list[Sequence[int]] = []
+    for v in triples:
+        if len(basis) == 2:
+            if normal[0] * v[0] + normal[1] * v[1] + normal[2] * v[2]:
+                basis.append(v)
+                break
+        elif basis:
+            normal = cross(basis[0], v)
+            if any(normal):
+                basis.append(v)
+        elif any(v):
+            basis.append(v)
+    return basis
+
+
 def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
     """Gcd of binary quadratics given as integer coefficient triples.
 
@@ -334,29 +371,16 @@ def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
     every common root (s0 : t0), so the basis shares a root exactly when the
     resultant Y^2 - XZ vanishes, and then the root is (X : Y), or (0 : 1) when
     X = 0.  In dimension 1 every triple is a multiple of the first nonzero one.
-    Reading stops at the third independent triple.  The result is normalized
-    to coprime integers with a positive leading entry, and ALL_ZERO when
-    every triple is zero.
+    The result is normalized to coprime integers with a positive leading
+    entry, and ALL_ZERO when every triple is zero.
     """
-    first = normal = None
-    for v in triples:
-        if normal is not None:
-            if normal[0] * v[0] + normal[1] * v[1] + normal[2] * v[2]:
-                return BinaryForm.from_ints((1,))
-        elif first is not None:
-            a, b, c = first
-            d, e, f = v
-            cross = (b * f - c * e, c * d - a * f, a * e - b * d)
-            if any(cross):
-                normal = cross
-        elif any(v):
-            first = v
-    if first is None:
+    basis = span_basis(triples)
+    if not basis:
         return ALL_ZERO
-    if normal is None:
-        return BinaryForm.from_ints(first).normalized()
-    x, y, z = normal
-    if y * y != x * z:
+    if len(basis) == 1:
+        return BinaryForm.from_ints(basis[0]).normalized()
+    x, y, z = cross(*basis[:2])
+    if len(basis) == 3 or y * y != x * z:
         return BinaryForm.from_ints((1,))
     s0, t0 = (x, y) if x else (y, z)
     return BinaryForm.from_ints((t0, -s0)).normalized()

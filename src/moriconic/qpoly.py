@@ -20,7 +20,7 @@ from itertools import repeat, starmap, zip_longest
 from operator import add, sub
 from typing import Iterable
 
-from .linalg import json_array
+from .linalg import JsonText, json_array, json_strings
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -178,7 +178,10 @@ class QPoly:
 
     def to_json(self) -> list[str]:
         """JSON form: decimal coefficient strings, lowest degree first."""
-        return [str(c) for c in self.coeffs]
+        return list(map(str, self.coeffs))
+
+    def json_text(self) -> JsonText:
+        return JsonText(json_strings(self.to_json()))
 
     @classmethod
     def from_json(cls, data: list[str]) -> "QPoly":

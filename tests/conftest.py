@@ -6,8 +6,10 @@ parser the CLI read its flags with before its flag table."""
 from __future__ import annotations
 
 import argparse
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -225,6 +227,43 @@ def exact_div(num, den) -> tuple[int, ...]:
     if any(num):
         raise NotDivisible("long division left a nonzero remainder")
     return tuple(quot)
+
+
+# Reference wedge coordinates, envelope and stdout, on Fractions, sharing no
+# code with the package.
+
+
+def ref_minors(a1, b1, a2, b2):
+    """The (s^2, st, t^2) coefficients of the 2x2 minors of the pencil rows, over pairs i < j."""
+    return [
+        (a1[i] * a2[j] - a1[j] * a2[i],
+         a1[i] * b2[j] + b1[i] * a2[j] - a1[j] * b2[i] - b1[j] * a2[i],
+         b1[i] * b2[j] - b1[j] * b2[i])
+        for i, j in combinations(range(len(a1)), 2)
+    ]
+
+
+def ref_rref(rows):
+    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan on Fractions."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0])):
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+def ref_stdout(doc: dict) -> str:
+    """The exact stdout of a successful request answering doc."""
+    return json.dumps({"schema_version": 1, **doc}, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # The argparse parser of the CLI before its flag table, kept as the reference

@@ -22,7 +22,7 @@ from moriconic import (
 )
 from moriconic.cli import MAX_POINCARE_DEGREE, main
 
-from conftest import ReferenceHelp, ReferenceRefused, reference_argv
+from conftest import ReferenceHelp, ReferenceRefused, ref_minors, ref_rref, ref_stdout, reference_argv
 
 
 DIAG_DOC = {
@@ -497,16 +497,36 @@ class TestHarnessContract:
         assert not target.exists()
 
     def test_emitted_documents_reparse(self, capsys):
-        for argv in (
-            ["poincare", "--space", "Pn", "--n", "3"],
-            ["stability", "--json", json.dumps(GENERIC_DOC)],
-            ["chamber", "--coeffs", '{"H2":"1"}'],
-            ["conic", "--json", json.dumps(GENERIC_DOC)],
+        # every subcommand, a domain error and a parse error with non-ASCII detail:
+        # each member and key where one json.dumps of the whole document puts it
+        for argv, expected_code in (
+            (["poincare", "--space", "T4", "--n", "20"], 0),
+            (["stability", "--json", json.dumps(GENERIC_DOC)], 0),
+            (["stratify", "--json", json.dumps(DIAG_DOC)], 0),
+            (["conic", "--json", json.dumps(GENERIC_DOC)], 0),
+            (["modify", "--json", json.dumps(DISK_FAMILY_DOC)], 0),
+            (["chamber", "--coeffs", '{"H11":"2/3","T":"1"}', "--n-mode", "eq3"], 0),
+            (["conic", "--json", json.dumps(SCALAR_DOC)], 2),
+            (["poincare", "--space", "Pn", "--n", "\uff13"], 1),
         ):
             code, out = run(capsys, *argv)
-            assert code == 0
+            assert code == expected_code
             doc = json.loads(out)
-            assert doc["schema_version"] == 1
+            assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            assert ("schema_version" in doc) == (code == 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--in="],
+        ["stability", "--in", ""],
+        ["chamber", "--in="],
+        ["chamber", "--in=", "--n-mode", "eq3"],
+    ])
+    def test_empty_in_path_names_the_missing_file(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "parse_error"
+        assert doc["detail"].endswith("No such file or directory: ''")
 
 
 # Each subcommand's flags, in the order its usage line lists them.
@@ -688,38 +708,6 @@ def test_non_integer_documents_byte_identical(capsys, command, doc, expected):
     assert out == expected
 
 
-def ref_minors(a1, b1, a2, b2):
-    """The (s^2, st, t^2) coefficients of the 2x2 minors of the pencil rows, over pairs i < j."""
-    return [
-        (a1[i] * a2[j] - a1[j] * a2[i],
-         a1[i] * b2[j] + b1[i] * a2[j] - a1[j] * b2[i] - b1[j] * a2[i],
-         b1[i] * b2[j] - b1[j] * b2[i])
-        for i, j in combinations(range(len(a1)), 2)
-    ]
-
-
-def ref_rref(rows):
-    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan on Fractions."""
-    rows = [list(r) for r in rows]
-    r = 0
-    for c in range(len(rows[0])):
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return rows[:r]
-
-
-def ref_stdout(doc: dict) -> str:
-    return json.dumps({"schema_version": 1, **doc}, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def wide_forms(rng, n):
     """A rational form with denominators up to 9, negative entries, no x_n term,
     and one numerator over 64 bits."""
@@ -768,6 +756,62 @@ def test_wide_modify_byte_identical(capsys):
     expected = ref_stdout({
         "k": 3,
         "conic": {"n": WIDE_N, "coords": coords},
+        "residual_base": {"gcd": ["1"], "gcd_degree": 0, "rational_points": []},
+    })
+    assert run(capsys, "modify", "--json", json.dumps(doc)) == (0, expected)
+
+# At n = 100 the key "0,100" sorts before "0,11", and the indices have one,
+# two and three digits.
+WIDEST_N = 100
+
+
+def widest_forms(rng, n, last_zero):
+    """A rational form with an entry nonzero in every column, but the last when last_zero."""
+    pool = [Fraction(p, q) for p in (-5, -3, -2, -1, 1, 2, 4, 7) for q in (1, 2, 3, 5)]
+    form = [rng.choice(pool) for _ in range(n + 1)]
+    form[rng.randrange(n)] = Fraction(rng.choice([-1, 1]) * (2**70 + rng.randrange(2**20)), 7)
+    if last_zero:
+        form[n] = Fraction(0)
+    return form
+
+
+def wire(values):
+    return [str(x) for x in values]
+
+
+def widest_case(rng, last_zero):
+    """(pencil rows, coords, envelope basis) of a module at n = WIDEST_N."""
+    rows = [widest_forms(rng, WIDEST_N, last_zero) for _ in range(4)]
+    minors = ref_minors(*rows)
+    coords = {f"{i},{j}": wire(t) for (i, j), t in zip(combinations(range(WIDEST_N + 1), 2), minors)}
+    basis = ref_rref([[t[k] for t in minors] for k in range(3)])
+    assert len(basis) == 3
+    return rows, coords, [wire(row) for row in basis]
+
+
+def test_widest_conic_byte_identical(capsys):
+    # no form has an x_100 term, so every pair (i, 100) has an all-zero triple
+    (a1, b1, a2, b2), coords, basis = widest_case(random.Random(WIDEST_N), last_zero=True)
+    assert coords["0,100"] == ["0", "0", "0"] and coords["0,99"] != ["0", "0", "0"]
+    doc = {"n": WIDEST_N, "matrix": [[wire(a1), wire(b1)], [wire(a2), wire(b2)]]}
+    expected = ref_stdout({"n": WIDEST_N, "coords": coords, "envelope": {"dim": 3, "basis": basis}, "degree": 2})
+    assert expected.index('"0,100"') < expected.index('"0,11"') < expected.index('"0,2"')
+    assert expected.index('"1,100"') < expected.index('"10,11"')
+    assert run(capsys, "conic", "--json", json.dumps(doc)) == (0, expected)
+
+
+def test_widest_modify_byte_identical(capsys):
+    # rows lambda (a1 s + b1 t) + lambda^2 j1 t and a2 s + b2 t, each nonzero in every
+    # column: the wedge divides by lambda, leaving the conic of (a1, b1, a2, b2)
+    rng = random.Random(WIDEST_N + 1)
+    (a1, b1, a2, b2), coords, _ = widest_case(rng, last_zero=False)
+    j1 = widest_forms(rng, WIDEST_N, last_zero=False)
+    assert all(a1) and all(b1) and all(a2) and all(b2)
+    zero = ["0"] * (WIDEST_N + 1)
+    doc = {"n": WIDEST_N, "matrix": [[[zero, wire(a1)], [zero, wire(b1), wire(j1)]], [[wire(a2)], [wire(b2)]]]}
+    expected = ref_stdout({
+        "k": 1,
+        "conic": {"n": WIDEST_N, "coords": coords},
         "residual_base": {"gcd": ["1"], "gcd_degree": 0, "rational_points": []},
     })
     assert run(capsys, "modify", "--json", json.dumps(doc)) == (0, expected)

@@ -1,10 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from moriconic import (
     BinaryForm,
@@ -13,6 +13,7 @@ from moriconic import (
     KroneckerModule,
     LambdaFamily,
     LinearForm,
+    PluckerConic,
     Verdict,
     ZeroConic,
     classify_stability,
@@ -26,7 +27,7 @@ from moriconic import (
 
 from moriconic.conic import _part_minors
 
-from conftest import lin_comb, random_sl2, random_stable_module
+from conftest import lin_comb, random_sl2, random_stable_module, ref_rref
 
 
 def x(i, n=3):
@@ -200,6 +201,55 @@ class TestEnvelope:
     def test_dim_must_count_the_basis_rows(self, dim, basis):
         with pytest.raises(ValueError):
             Envelope(dim, basis)
+
+    @pytest.mark.parametrize("dim, triples", [
+        # the first nonzero column is zero in slice 0, after zero columns
+        (1, [(0, 0, 0), (0, 0, 0), (0, 3, -6), (0, -1, 2), (0, 0, 0), (0, 5, -10)]),
+        (2, [(0, 0, 0), (0, 0, 2), (0, 0, -4), (0, 1, 1), (0, 3, 5), (0, 0, 0)]),
+        (3, [(0, 0, 0), (0, 0, 5), (0, 7, 1), (0, 0, 0), (3, 0, 0), (1, 1, 1)]),
+        # the pivot block has a negative determinant
+        (1, [(-3, 6, 9), (1, -2, -3), (0, 0, 0), (2, -4, -6), (-1, 2, 3), (5, -10, -15)]),
+        (2, [(1, 0, 0), (0, -1, 0), (2, 3, 0), (0, 0, 0), (1, 1, 0), (-4, 2, 0)]),
+        (3, [(0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (2, -3, 5), (0, 0, 0)]),
+        # entries over 64 bits
+        (1, [(0, 0, 0), (0, 2**70 + 1, 3), (0, 2**71 + 2, 6), (0, 0, 0), (0, 0, 0), (0, -(2**70) - 1, -3)]),
+        (2, [(2**65, 0, 1), (3, 2**66 + 1, 0), (2**65 + 3, 2**66 + 1, 1), (0, 0, 0), (2**66 - 3, -(2**66) - 1, 2),
+             (-(2**65), 0, -1)]),
+        (3, [(2**80 + 1, 3, -5), (7, -(2**90), 1), (0, 0, 0), (1, 2**70, 2**75), (4, 5, 6), (-1, 0, 3)]),
+    ])
+    @pytest.mark.parametrize("den", [1, 6])
+    def test_envelope_matches_fraction_gauss_jordan(self, dim, triples, den):
+        check_envelope(dim, triples, den)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_envelope_of_any_span_matches_fraction_gauss_jordan(self, data):
+        dim = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(2, 5))
+        size = comb(n + 1, 2)
+        entry = st.integers(-3, 3) | st.integers(-(2**80), 2**80)
+        basis = data.draw(st.lists(st.tuples(entry, entry, entry), min_size=dim, max_size=dim))
+        lead = data.draw(st.integers(0, size - dim))
+        coeffs = st.tuples(*[st.integers(-2, 2)] * dim)
+        combos = data.draw(st.lists(coeffs, min_size=size - lead, max_size=size - lead))
+        triples = [(0, 0, 0)] * lead + [
+            tuple(sum(a * v[k] for a, v in zip(cs, basis)) for k in range(3)) for cs in combos
+        ]
+        assume(len(ref_rref(slices_of(triples, 1))) == dim)
+        check_envelope(dim, triples, data.draw(st.integers(1, 12)))
+
+
+def slices_of(triples, den):
+    return [[Fraction(t[k], den) for t in triples] for k in range(3)]
+
+
+def check_envelope(dim, triples, den):
+    """envelope of the conic with these triples over den against Fraction Gauss-Jordan."""
+    n = next(n for n in range(2, 10) if comb(n + 1, 2) == len(triples))
+    c = PluckerConic.from_ints(n, [x for t in triples for x in t], den)
+    basis = ref_rref(slices_of(triples, den))
+    assert len(basis) == dim
+    assert envelope(c).to_json() == {"dim": dim, "basis": [[str(x) for x in row] for row in basis]}
 
 
 class TestConicDegree:

@@ -299,9 +299,15 @@ WIRE_NUMERATORS = st.one_of(
 
 
 @SETTINGS
-@given(WIRE_DENOMINATORS, st.lists(WIRE_NUMERATORS, max_size=30))
-def test_rat_strings_match_str_of_fraction(den, nums):
-    assert rat_strings(nums, den) == [str(Fraction(x, den)) for x in nums]
+@given(WIRE_DENOMINATORS, st.lists(WIRE_NUMERATORS, max_size=30), st.lists(st.integers(0, 40), max_size=60))
+@example(1, [5, -5, 2**70, -(2**70)], [0, 1, 1, 2, 9, 3, 3, 0, 9])
+@example(720, [360, -720, 1, 720 * 2**64], [0, 9, 1, 2, 3, 1, 0, 2, 9])
+def test_rat_strings_match_str_of_fraction(den, pool, picks):
+    # nums are drawn from the pool, so values repeat; a pick past its end is a zero
+    nums = [pool[p] if p < len(pool) else 0 for p in picks]
+    strings = [str(Fraction(x, den)) for x in nums]
+    assert rat_strings(nums, den) == strings
+    assert rat_strings(iter(nums), den) == strings
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2])
