@@ -180,13 +180,20 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    """Write doc as compact JSON with sorted keys, member by member; a JsonText
-    member is written as it is."""
-    members = [
-        f'"{key}":{value if isinstance(value, JsonText) else _encode(value)}'
-        for key, value in sorted(doc.items())
-    ]
-    text = "{" + ",".join(members) + "}\n"
+    """Write doc as compact JSON with sorted keys through the shared encoder.
+
+    A JsonText member is written as it is, so a document holding one is
+    written member by member (its keys are plain names that need no escaping);
+    any other in one call.
+    """
+    if any(isinstance(value, JsonText) for value in doc.values()):
+        members = [
+            f'"{key}":{value if isinstance(value, JsonText) else _encode(value)}'
+            for key, value in sorted(doc.items())
+        ]
+        text = "{" + ",".join(members) + "}\n"
+    else:
+        text = _encode(doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -120,9 +120,10 @@ class PluckerConic(RatMatrix):
         triples = list(map('","'.join, self._split(rat_strings(self.nums, self.den))))
         names = list(map(str, range(self.n + 1)))
         lex = sorted(range(self.n + 1), key=str)
+        offsets = _pair_offsets(self.n)
         members = []
-        for i, base in zip(lex, map(_pair_offsets(self.n).__getitem__, lex)):
-            head = f'"{names[i]},'
+        for i in lex:
+            head, base = f'"{names[i]},', offsets[i]
             members += [f'{head}{names[j]}":["{triples[base + j]}"]' for j in lex if j > i]
         return JsonText("{" + ",".join(members) + "}")
 
