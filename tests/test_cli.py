@@ -513,7 +513,7 @@ class TestHarnessContract:
             assert code == expected_code
             doc = json.loads(out)
             assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-            assert ("schema_version" in doc) == (code == 0)
+            assert doc.get("schema_version") == (1 if code == 0 else None)
 
     @pytest.mark.parametrize("argv", [
         ["stability", "--in="],
@@ -759,6 +759,7 @@ def test_wide_modify_byte_identical(capsys):
         "residual_base": {"gcd": ["1"], "gcd_degree": 0, "rational_points": []},
     })
     assert run(capsys, "modify", "--json", json.dumps(doc)) == (0, expected)
+
 
 # At n = 100 the key "0,100" sorts before "0,11", and the indices have one,
 # two and three digits.

@@ -121,6 +121,8 @@ class TestEvalAtOne:
 class TestSerialization:
     def test_to_json(self):
         assert P(1, 1, 2, 1, 1).to_json() == ["1", "1", "2", "1", "1"]
+        assert P(1, -1, 0, 12345678901234567890).json_text() == '["1","-1","0","12345678901234567890"]'
+        assert QPoly.zero().to_json() == [] and QPoly.zero().json_text() == "[]"
 
     def test_round_trip(self):
         p = P(-3, 0, 12345678901234567890)
