@@ -103,7 +103,7 @@ def rat_strings(nums: Iterable[int], den: int) -> list[str]:
     One gcd and one string per distinct numerator, then nums map through that
     table; a zero needs no special case, since gcd(0, den) = den.
     """
-    nums = nums if isinstance(nums, (list, tuple)) else tuple(nums)
+    nums = tuple(nums)
     table = {}
     for x in set(nums):
         g = math.gcd(x, den)
