@@ -22,9 +22,9 @@ Ddeg and H11 with H2) conjugates models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ZeroDivisor
 from .linalg import rat_strings, rationals
@@ -50,8 +50,7 @@ class NMode(Enum):
     EQ3 = "eq3"
 
 
-@dataclass(frozen=True)
-class DivisorCombo:
+class DivisorCombo(NamedTuple):
     """Nonnegative rational combination of the seven generators.
 
     The coefficient of GENERATORS[i] is nums[i] / den, in lowest terms, so
@@ -101,14 +100,12 @@ class DivisorCombo:
         return cls.make(doc.get("coeffs"), mode)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     dim: int
     generators: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ChamberVerdict:
+class ChamberVerdict(NamedTuple):
     case_id: int
     model: str
     description: str
@@ -179,8 +176,7 @@ _CELLS: dict[NMode, dict[frozenset, Label]] = {
 }
 
 
-@dataclass(frozen=True)
-class ChamberComplex:
+class ChamberComplex(NamedTuple):
     """The labeled cell complex of the cross-section for one mode."""
 
     n_mode: NMode

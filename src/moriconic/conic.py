@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations, islice, zip_longest
 from math import comb
 from operator import mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import IdenticallyZero, ZeroConic
 from .kronecker import (
@@ -294,8 +293,7 @@ class LambdaFamily:
         return family
 
 
-@dataclass(frozen=True)
-class ModificationResult:
+class ModificationResult(NamedTuple):
     """Outcome of the lambda-power division step.
 
     k is the power of lambda divided out of every wedge coordinate, conic is

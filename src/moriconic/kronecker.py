@@ -33,11 +33,11 @@ quadratic_gcd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as _int_gcd
+from typing import NamedTuple
 
 from .errors import NotSemistable
 from .linalg import (
@@ -217,8 +217,7 @@ class WitnessKind(Enum):
     GCD_CERTIFICATE = "gcd_certificate"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Destabilizing data: a rational vector when one exists, else the gcd form."""
 
     kind: WitnessKind
@@ -232,30 +231,32 @@ class Witness:
         return doc
 
 
-@dataclass(frozen=True)
-class StabilityClass:
+class StabilityClass(NamedTuple):
     verdict: Verdict
     witness: Witness | None
     closed_orbit: bool | None
     stabilizer_kind: StabilizerKind | None
 
 
-@dataclass(frozen=True)
-class QuadricForm:
+class QuadricForm(NamedTuple("QuadricForm", [("n", int), ("gram", RatMatrix)])):
     """Symmetric Gram matrix of a quadratic form on V."""
 
-    n: int
-    gram: RatMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gram.rows != self.n + 1 or self.gram.cols != self.n + 1:
+    def __new__(cls, n: int, gram: RatMatrix):
+        if gram.rows != n + 1 or gram.cols != n + 1:
             raise ValueError("Gram matrix size must be n+1")
-        if self.gram != self.gram.transpose():
+        if gram != gram.transpose():
             raise ValueError("Gram matrix must be symmetric")
+        return super().__new__(cls, n, gram)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: check the new fields too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class CokernelKind:
+class CokernelKind(NamedTuple):
     """Shape of the cokernel sheaf determined by the determinant rank."""
 
     kind: str  # "twisted_ideal_of_quadric" | "plane_pair_extension"

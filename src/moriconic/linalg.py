@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # ASCII digits only: \d would also match other scripts' digits, and $ a final newline
 _RAT = r"-?[0-9]+(?:/[1-9][0-9]*)?"
@@ -100,14 +99,19 @@ def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
 def rat_strings(nums: Iterable[int], den: int) -> list[str]:
     """The wire strings of nums[i] / den, each as str(Fraction) writes it.
 
-    One gcd and one string per distinct numerator, then nums map through that
-    table; a zero needs no special case, since gcd(0, den) = den.
+    One gcd and one string per distinct numerator, and one "/q" suffix per
+    distinct gcd, then nums map through the numerator table; a zero needs no
+    special case, since gcd(0, den) = den.
     """
     nums = tuple(nums)
+    suffixes = {den: ""}
     table = {}
     for x in set(nums):
         g = math.gcd(x, den)
-        table[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        suffix = suffixes.get(g)
+        if suffix is None:
+            suffix = suffixes[g] = f"/{den // g}"
+        table[x] = f"{x // g}{suffix}"
     return list(map(table.__getitem__, nums))
 
 
@@ -398,8 +402,7 @@ class RootKind(Enum):
     DOUBLE_ROOT = "double_root"
 
 
-@dataclass(frozen=True)
-class RootStructure:
+class RootStructure(NamedTuple):
     """Roots of a binary form of degree <= 2 on the projective line.
 
     Rational roots are listed as canonical (s, t) pairs; when the two roots of

@@ -22,10 +22,9 @@ place a half-integer appears; integrality of the result is enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import NonIntegral, NotDivisible
 from .qpoly import QPoly
@@ -212,83 +211,104 @@ def mp2_4m2_poincare() -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjSpace:
-    n: int
+class _Space(tuple):
+    """Base of the identifiers: a tuple of its fields that equals only an
+    identifier of its own type, so T4(3) != MbarGr(3); a checked one's
+    _replace checks too."""
 
-    def __post_init__(self):
-        if self.n < 0:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class ProjSpace(_Space, NamedTuple("ProjSpace", [("n", int)])):
+    __slots__ = ()
+
+    def __new__(cls, n: int):
+        if n < 0:
             raise ValueError("projective space dimension must be >= 0")
+        return super().__new__(cls, n)
 
     @property
     def dimension(self) -> int:
         return self.n
 
 
-@dataclass(frozen=True)
-class Grassmannian:
-    k: int
-    big_n: int
+class Grassmannian(_Space, NamedTuple("Grassmannian", [("k", int), ("big_n", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.big_n:
+    def __new__(cls, k: int, big_n: int):
+        if not 0 <= k <= big_n:
             raise ValueError("need 0 <= k <= N")
+        return super().__new__(cls, k, big_n)
 
     @property
     def dimension(self) -> int:
         return self.k * (self.big_n - self.k)
 
 
-@dataclass(frozen=True)
-class KontsevichProj:
-    n: int
+class KontsevichProj(_Space, NamedTuple("KontsevichProj", [("n", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int):
+        if n < 2:
             raise ValueError("need n >= 2")
+        return super().__new__(cls, n)
 
     @property
     def dimension(self) -> int:
         return 3 * self.n - 4
 
 
-@dataclass(frozen=True)
-class MbarGr:
-    n: int
+class MbarGr(_Space, NamedTuple("MbarGr", [("n", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __new__(cls, n: int):
+        if n < 3:
             raise ValueError("need n >= 3")
+        return super().__new__(cls, n)
 
     @property
     def dimension(self) -> int:
         return 4 * self.n - 3
 
 
-@dataclass(frozen=True)
-class Sym2Of:
-    inner: "SpaceId"
+class Sym2Of(_Space, NamedTuple("Sym2Of", [("inner", "SpaceId")])):
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
         return 2 * self.inner.dimension
 
 
-@dataclass(frozen=True)
-class T4:
-    n: int
+class T4(_Space, NamedTuple("T4", [("n", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __new__(cls, n: int):
+        if n < 3:
             raise ValueError("the double symmetroid needs n >= 3")
+        return super().__new__(cls, n)
 
     @property
     def dimension(self) -> int:
         return 4 * self.n - 3
 
 
-@dataclass(frozen=True)
-class MP24m2:
+class MP24m2(_Space, NamedTuple("MP24m2", [])):
+    __slots__ = ()
     dimension = 17
 
 

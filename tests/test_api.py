@@ -25,7 +25,7 @@ FAMILY_DOC = json.dumps({
 })
 
 # Runs the CLI as `python -m moriconic.cli` does.  REPORT then prints, as the
-# last line, the loaded moriconic submodules and whether argparse is loaded.
+# last line, the loaded moriconic submodules and which of HEAVY are loaded.
 CLI_SCRIPT = """
 import runpy, sys
 sys.argv = ["moriconic", *{argv!r}]
@@ -34,22 +34,25 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 """
+# Standard-library modules no request needs: argparse took about 3 ms of a
+# cold request, and dataclasses, with inspect and what inspect imports, 7-10 ms.
+HEAVY = ("argparse", "dataclasses", "inspect")
 REPORT = """
 import json, sys
 print(json.dumps([sorted(m[len("moriconic."):] for m in sys.modules if m.startswith("moriconic.")),
-                  "argparse" in sys.modules]))
-"""
+                  [m for m in {heavy!r} if m in sys.modules]]))
+""".format(heavy=HEAVY)
 
 
-def fresh_report(script: str) -> tuple[set[str], bool]:
+def fresh_report(script: str) -> tuple[set[str], set[str]]:
     """The moriconic submodules a fresh interpreter has loaded after running
-    script, and whether it has loaded argparse."""
+    script, and which of HEAVY it has loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", script + REPORT],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
     )
-    submodules, argparse_loaded = json.loads(proc.stdout.splitlines()[-1])
-    return set(submodules), argparse_loaded
+    submodules, heavy = json.loads(proc.stdout.splitlines()[-1])
+    return set(submodules), set(heavy)
 
 
 def loaded_submodules(script: str) -> set[str]:
@@ -102,5 +105,9 @@ KERNEL = {"errors", "kronecker", "linalg"}
      {"errors", "motivic", "qpoly", "linalg"}),
 ])
 def test_each_subcommand_loads_only_its_modules(argv, expected):
-    # argparse alone took about 3 ms of a cold request
-    assert fresh_report(CLI_SCRIPT.format(argv=argv)) == (expected, False)
+    assert fresh_report(CLI_SCRIPT.format(argv=argv)) == (expected, set())
+
+
+def test_record_types_load_no_heavy_module():
+    script = "from moriconic import T4, Witness, DivisorCombo\n"
+    assert fresh_report(script) == ({"chamber", "errors", "kronecker", "linalg", "motivic", "qpoly"}, set())

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -432,7 +431,7 @@ class TestModifyFamily:
             want = modify_family(family)
             base_count = len(built)
             got = modify_family(row_power_shift(family, k1, k2))
-            assert got == replace(want, k=want.k + k1 + k2)
+            assert got == want._replace(k=want.k + k1 + k2)
             assert len(built) == 2 * base_count
 
     def test_scalar_perturbation_adds_at_most_2n_minor_terms(self, rng, monkeypatch):
