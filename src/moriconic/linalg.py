@@ -100,18 +100,20 @@ def rat_strings(nums: Iterable[int], den: int) -> list[str]:
     """The wire strings of nums[i] / den, each as str(Fraction) writes it.
 
     One gcd and one string per distinct numerator, and one "/q" suffix per
-    distinct gcd, then nums map through the numerator table; a zero needs no
-    special case, since gcd(0, den) = den.
+    distinct gcd other than den, then nums map through the numerator table;
+    a zero needs no special case, since gcd(0, den) = den.
     """
     nums = tuple(nums)
-    suffixes = {den: ""}
     table = {}
+    suffixes = {}
     for x in set(nums):
         g = math.gcd(x, den)
-        suffix = suffixes.get(g)
-        if suffix is None:
-            suffix = suffixes[g] = f"/{den // g}"
-        table[x] = f"{x // g}{suffix}"
+        if g == den:
+            table[x] = str(x // g)
+            continue
+        if g not in suffixes:
+            suffixes[g] = f"/{den // g}"
+        table[x] = f"{x // g}{suffixes[g]}"
     return list(map(table.__getitem__, nums))
 
 
