@@ -4,17 +4,18 @@ Everything is computed symbolically in the variable q (the class of the
 affine line, so deg P(X) = dim X).  Each fixed-shape formula (P^n, MbarP,
 MbarGr, T4 and the sheaf moduli) is one sparse numerator over one product of
 (1 - q^b) factors: the numerator is a signed sum of products of two-term
-factors (1 - q^a), expanded as a map from exponent to coefficient with at
-most 32 terms per product at any n; T4 and the sheaf moduli sum their
-excision terms over the common denominator (1-q)^3 (1-q^2)^2.  _ratio lays
-the numerator out as one coefficient list and divides it exactly by each
-denominator factor in turn (running sums).  Every partial division is exact:
-if a product of factors divides N, so does each sub-product of it.  Gaussian
-binomials are the exception: their numerator would have up to 2^k terms, so
-_ratio applies their numerator factors one at a time between the divisions.
-A nonzero remainder raises NotDivisible: the formulas are all claimed to have
-polynomial values, so a remainder means a transcription or implementation
-bug, never data.
+factors (1 - q^e), each exponent e a constant or n + c, so it is expanded
+once, at import, with n symbolic, into terms c q^(a n + b) (28 for T4, from
+7 * 32), and a call lays them out as one coefficient list at its n.  T4 and
+the sheaf moduli sum their excision terms over the common denominator
+(1-q)^3 (1-q^2)^2.  _ratio divides the list exactly by each run of equal
+denominator factors in one pass of running sums.  Every partial division is
+exact: if a product of factors divides N, so does each sub-product of it.
+Gaussian binomials are the exception: their numerator would have up to 2^k
+terms, so _ratio applies their numerator factors one at a time between the
+divisions.  A nonzero remainder raises NotDivisible: the formulas are all
+claimed to have polynomial values, so a remainder means a transcription or
+implementation bug, never data.
 
 The symmetric square rule P(Sym^2 X) = (P(X)(q)^2 + P(X)(q^2)) / 2 is the one
 place a half-integer appears; integrality of the result is enforced.
@@ -22,7 +23,7 @@ place a half-integer appears; integrality of the result is enforced.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import sub
 from typing import NamedTuple, Union
 
@@ -30,60 +31,115 @@ from .errors import NonIntegral, NotDivisible
 from .qpoly import QPoly
 
 
-def _numerator(*products) -> dict[int, int]:
-    """The sum of the signed products of two-term factors, as exponent -> coefficient.
+class _Linear(tuple):
+    """a n + b for a symbolic n, as the pair (a, b); adding an int moves b."""
 
-    Each product is (sign, a1, ..., ak), standing for sign (1 - q^a1) ... (1 - q^ak);
-    it has at most 2^k terms, whatever the exponents.
+    __slots__ = ()
+
+    def __add__(self, c: int) -> "_Linear":
+        return _Linear((self[0], self[1] + c))
+
+    def __sub__(self, c: int) -> "_Linear":
+        return self + -c
+
+
+def _numerator(*products) -> tuple[tuple[int, int, int], ...]:
+    """The sum of the signed products of two-term factors, as its nonzero
+    terms (a, b, c), each standing for c q^(a n + b).
+
+    Each product is (sign, e1, ..., ek), standing for sign (1 - q^e1) ... (1 - q^ek),
+    each exponent an int b or a _Linear (a, b); it has at most 2^k terms.
     """
-    out: dict[int, int] = {}
+    out: dict[tuple[int, int], int] = {}
     for sign, *exps in products:
-        terms = [(0, sign)]
-        for a in exps:
-            terms += [(e + a, -c) for e, c in terms]
+        terms = [((0, 0), sign)]
+        for e in exps:
+            a, b = e if isinstance(e, tuple) else (0, e)
+            terms += [((x + a, y + b), -c) for (x, y), c in terms]
         for e, c in terms:
             out[e] = out.get(e, 0) + c
-    return out
+    return tuple((a, b, c) for (a, b), c in out.items() if c)
 
 
-def _ratio(num: dict[int, int], downs, ups=()) -> QPoly:
-    """num times the (1 - q^a) for a in ups, over the product of the (1 - q^b) for b in downs.
+def _layout(terms, n: int = 0) -> list[int]:
+    """The coefficient list of the sum of the terms c q^(a n + b) at n.
+    Exponents that meet at this n add up; a top one may cancel to a zero."""
+    cs = [0] * (max(a * n + b for a, b, _ in terms) + 1) if terms else []
+    for a, b, c in terms:
+        cs[a * n + b] += c
+    return cs
 
-    The sparse numerator num (exponent -> coefficient) is laid out as one
-    coefficient list.  Step i multiplies it by 1 - q^ups[i], if ups has an
-    i-th entry (a shift and a subtraction), then divides it exactly by
-    1 - q^downs[i], at O(degree) per step: over 1 - q^b is its running sums
-    with stride b (the quotient's power series), exact iff the top b sums
-    are zero.  Those are dropped; a nonzero one raises NotDivisible, never a
+
+def _ratio(cs: list[int], downs, ups=()) -> QPoly:
+    """cs times the (1 - q^a) for a in ups, over the product of the (1 - q^b) for b in downs.
+
+    cs is a coefficient list, lowest degree first, which _ratio consumes.
+    Step i < len(ups) multiplies it by 1 - q^ups[i] (a shift and a
+    subtraction), then divides it by 1 - q^downs[i]; the other downs are
+    divided in runs of equal factors.  Over (1 - q^b)^m a list of length L
+    is its m-fold running sums with stride b, the quotient's power series
+    mod q^L, in one pass, O(m L).  That is exact iff the top m b sums are
+    zero: if (1 - q^b)^m divides cs, the series is the quotient, of degree
+    below L - m b; if they are zero, the rest S has degree below L - m b, and
+    (1 - q^b)^m S, of degree below L, agrees with cs mod q^L, so it is cs.
+    A run thus refuses exactly what its factors would one at a time.  The
+    zero sums are dropped; a nonzero one raises NotDivisible, never a
     truncated result.  ups longer than downs raises ValueError.  The caller
     orders the steps so that every partial result is a polynomial.
     """
     if len(ups) > len(downs):
         raise ValueError("more paired numerator factors than denominator factors")
-    cs = [0] * (max((e for e, c in num.items() if c), default=-1) + 1)
-    for e, c in num.items():
-        if c:
-            cs[e] = c
-    for i, b in enumerate(downs):
+    runs = [(b, 1) for b in downs[:len(ups)]]
+    runs += [(b, len(list(run))) for b, run in groupby(downs[len(ups):])]
+    for i, (b, m) in enumerate(runs):
         if i < len(ups):
             pad = [0] * ups[i]
             cs = list(map(sub, cs + pad, pad + cs))
         for r in range(b):
-            cs[r::b] = accumulate(cs[r::b])
-        if any(cs[-b:]):
-            raise NotDivisible(f"(1 - q^{b}) does not divide the partial product")
-        del cs[-b:]
-    return QPoly(cs)
+            sums = cs[r::b]
+            for _ in range(m):
+                sums = accumulate(sums)
+            cs[r::b] = sums
+        if any(cs[-m * b:]):
+            power = f"^{m}" if m > 1 else ""
+            raise NotDivisible(f"(1 - q^{b}){power} does not divide the partial product")
+        del cs[-m * b:]
+    return QPoly.from_ints(cs)
 
 
 # The common denominator of MbarGr, T4 and the sheaf moduli, (1-q)^3 (1-q^2)^2.
 _DEN = (1, 1, 1, 2, 2)
 
 
+def _products(n) -> dict[str, tuple]:
+    """The signed products (see _numerator) of each fixed-shape formula's
+    numerator; T4's are those of P(T4(n)) (1-q)^3 (1-q^2)^2, see t4_poincare."""
+    mbar_gr = (1, 4, n, n + 1, n, n - 1)
+    return {
+        "Pn": ((1, n + 1),),
+        "MbarP": ((1, n + 1, n, n - 1),),
+        "MbarGr": (mbar_gr,),
+        "T4": (
+            mbar_gr,  # P(MbarGr(n))
+            (-1, n + 1, n + 1, n, n - 1, 2),  # - [n+1] P(MbarP(n))
+            (1, n + 1, 1, 1, 2, 2),  # + [n+1]
+            # - ([n-1]^2 - 1) pairs, both differences multiplied out
+            (-1, n - 1, n - 1, n + 2, n + 1, 2),
+            (1, n - 1, n - 1, n + 1, 2, 2),
+            (1, 1, 1, n + 2, n + 1, 2),
+            (-1, 1, 1, n + 1, 2, 2),
+        ),
+    }
+
+
+# Each formula's terms, expanded once with n symbolic.
+_TERMS = {name: _numerator(*products) for name, products in _products(_Linear((1, 0))).items()}
+
+
 def proj_space_poincare(n: int) -> QPoly:
     """P(P^n) = (1 - q^(n+1)) / (1 - q) = 1 + q + ... + q^n."""
     ProjSpace(n)  # checks the domain
-    return _ratio(_numerator((1, n + 1)), (1,))
+    return _ratio(_layout(_TERMS["Pn"], n), (1,))
 
 
 def grassmannian_poincare(k: int, big_n: int) -> QPoly:
@@ -98,7 +154,7 @@ def grassmannian_poincare(k: int, big_n: int) -> QPoly:
     """
     Grassmannian(k, big_n)  # checks the domain
     k = min(k, big_n - k)
-    return _ratio({0: 1}, range(1, k + 1), range(big_n - k + 1, big_n + 1))
+    return _ratio([1], range(1, k + 1), range(big_n - k + 1, big_n + 1))
 
 
 def kontsevich_proj_poincare(n: int) -> QPoly:
@@ -106,7 +162,7 @@ def kontsevich_proj_poincare(n: int) -> QPoly:
     (1-q^(n+1))(1-q^n)(1-q^(n-1)) / ((1-q)^2 (1-q^2)).
     """
     KontsevichProj(n)  # checks the domain
-    return _ratio(_numerator((1, n + 1, n, n - 1)), (1, 1, 2))
+    return _ratio(_layout(_TERMS["MbarP"], n), (1, 1, 2))
 
 
 def mbar_gr_poincare(n: int) -> QPoly:
@@ -118,7 +174,7 @@ def mbar_gr_poincare(n: int) -> QPoly:
     palindromic.
     """
     MbarGr(n)  # checks the domain
-    return _ratio(_numerator((1, 4, n, n + 1, n, n - 1)), _DEN)
+    return _ratio(_layout(_TERMS["MbarGr"], n), _DEN)
 
 
 def sym2_poincare(p: QPoly) -> QPoly:
@@ -127,20 +183,6 @@ def sym2_poincare(p: QPoly) -> QPoly:
     if any(c % 2 for c in doubled.coeffs):
         raise NonIntegral("symmetric square half is not integer-valued")
     return QPoly([c // 2 for c in doubled.coeffs])
-
-
-def _t4_products(n: int) -> tuple[tuple[int, ...], ...]:
-    """The signed products of P(T4(n)) (1-q)^3 (1-q^2)^2; see t4_poincare."""
-    return (
-        (1, 4, n, n + 1, n, n - 1),  # P(MbarGr(n))
-        (-1, n + 1, n + 1, n, n - 1, 2),  # - [n+1] P(MbarP(n))
-        (1, n + 1, 1, 1, 2, 2),  # + [n+1]
-        # - ([n-1]^2 - 1) pairs, both differences multiplied out
-        (-1, n - 1, n - 1, n + 2, n + 1, 2),
-        (1, n - 1, n - 1, n + 1, 2, 2),
-        (1, 1, 1, n + 2, n + 1, 2),
-        (-1, 1, 1, n + 1, 2, 2),
-    )
 
 
 def t4_poincare(n: int) -> QPoly:
@@ -163,12 +205,13 @@ def t4_poincare(n: int) -> QPoly:
         + (1-q^(n+1))(1-q)^2 (1-q^2)^2
         - ((1-q^(n-1))^2 - (1-q)^2) ((1-q^(n+2))(1-q^(n+1)) - (1-q^(n+1))(1-q^2)) (1-q^2),
 
-    at most 7 * 32 terms at any n, divided by the five factors in turn.  Each
-    partial division is exact: the denominator divides the numerator N, so
-    does every sub-product of it, and N over a sub-product is a polynomial.
+    7 * 32 terms that cancel to 28 in n, divided by (1-q)^3, then by
+    (1-q^2)^2.  Each partial division is exact: the denominator divides the
+    numerator N, so does every sub-product of it, and N over a sub-product
+    is a polynomial.
     """
     T4(n)  # checks the domain
-    return _ratio(_numerator(*_t4_products(n)), _DEN)
+    return _ratio(_layout(_TERMS["T4"], n), _DEN)
 
 
 # Reference value of the degree-17 polynomial for the sheaf moduli space
@@ -184,13 +227,13 @@ def mp2_4m2_poincare() -> QPoly:
     numerator over T4's denominator (1-q)^3 (1-q^2)^2.
     """
     value = _ratio(
-        _numerator(
+        _layout(_numerator(
             (1, 15, 1, 1, 2, 2),  # P(P^14) - P(P^2) = ((1-q^15) - (1-q^3)) / (1-q)
             (-1, 3, 1, 1, 2, 2),
             (1, 3, 3, 13, 2, 2),  # P(P^2)^2 (P(P^12) - 1) = [3]^2 ((1-q^13) - (1-q)) / (1-q)
             (-1, 3, 3, 1, 2, 2),
-            *_t4_products(5),
-        ),
+            *_products(5)["T4"],
+        )),
         _DEN,
     )
     if value != QPoly(_MP2_4M2_COEFFS):

@@ -20,7 +20,7 @@ from itertools import repeat, starmap, zip_longest
 from operator import add, sub
 from typing import Iterable
 
-from .linalg import JsonText, json_array, json_strings
+from .linalg import JsonText, json_array, json_strings, rat_strings
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -41,22 +41,15 @@ class QPoly:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def zero(cls) -> "QPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "QPoly":
-        """c * q^k."""
-        if k < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        return cls([0] * k + [c])
+    def from_ints(cls, cs: list[int]) -> "QPoly":
+        """The polynomial of cs, a list of plain ints: no type check and no
+        copy; the list's trailing zeros are stripped in place."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
 
     # -- basic queries -----------------------------------------------------
 
@@ -104,20 +97,11 @@ class QPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
     def __sub__(self, other) -> "QPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return QPoly(starmap(sub, zip_longest(self.coeffs, o.coeffs, fillvalue=0)))
-
-    def __rsub__(self, other) -> "QPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other) -> "QPoly":
         """Product by Kronecker substitution: one big-integer multiplication.
@@ -147,7 +131,7 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    # -- substitution and evaluation ---------------------------------------
+    # -- substitution ------------------------------------------------------
 
     def subst_q_power(self, k: int) -> "QPoly":
         """The polynomial evaluated at q^k, for k >= 1."""
@@ -160,20 +144,6 @@ class QPoly:
             out[i * k] = c
         return QPoly(out)
 
-    def eval_at_one(self) -> int:
-        """Sum of coefficients (topological Euler characteristic probe)."""
-        return sum(self.coeffs)
-
-    def __call__(self, x):
-        """Horner evaluation at an exact scalar (int or Fraction)."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list[str]:
@@ -181,7 +151,8 @@ class QPoly:
         return list(map(str, self.coeffs))
 
     def json_text(self) -> JsonText:
-        return JsonText(json_strings(self.to_json()))
+        """to_json's array as text, one string per distinct coefficient."""
+        return JsonText(json_strings(rat_strings(self.coeffs, 1)))
 
     @classmethod
     def from_json(cls, data: list[str]) -> "QPoly":
@@ -193,25 +164,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                sign = "-" if c < 0 else ""
-                var = "q" if i == 1 else f"q^{i}"
-                terms.append(f"{sign}{mag}{var}")
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
 
 
 def _pack_unsigned(cs: list[int], k: int) -> int:

@@ -199,6 +199,30 @@ def schoolbook_product(a, b) -> list[int]:
     return out
 
 
+def monomial(k: int, c: int = 1) -> tuple[int, ...]:
+    """c * q^k."""
+    assert k >= 0
+    return (0,) * k + (c,)
+
+
+def negated(cs) -> tuple[int, ...]:
+    return tuple(-c for c in cs)
+
+
+def evaluate(cs, x):
+    """Horner evaluation at an exact scalar (int or Fraction); at 1, the sum
+    of the coefficients (the Euler characteristic of a Poincare polynomial)."""
+    acc = 0 * x
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def is_palindromic(cs) -> bool:
+    cs = canonical(cs)
+    return cs == cs[::-1]
+
+
 def one_minus_q_pow(k: int) -> tuple[int, ...]:
     """1 - q^k."""
     assert k >= 1

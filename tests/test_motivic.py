@@ -1,7 +1,7 @@
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moriconic import (
     Grassmannian,
@@ -22,9 +22,17 @@ from moriconic import (
     sym2_poincare,
     t4_poincare,
 )
-from moriconic.motivic import _DEN, _numerator, _ratio, _t4_products
+from moriconic.motivic import _DEN, _TERMS, _layout, _numerator, _products, _ratio
 
-from conftest import exact_div, one_minus_q_pow, schoolbook_product
+from conftest import (
+    canonical,
+    evaluate,
+    exact_div,
+    is_palindromic,
+    monomial,
+    one_minus_q_pow,
+    schoolbook_product,
+)
 
 # Reference factored forms of the double-symmetroid polynomials, stored
 # verbatim and expanded at test time.
@@ -45,7 +53,7 @@ KONTSEVICH_4 = (1, 2, 4, 5, 6, 5, 4, 2, 1)
 
 
 def expand_factors(factors) -> QPoly:
-    out = QPoly.one()
+    out = QPoly([1])
     for f in factors:
         out = out * QPoly(f)
     return out
@@ -53,11 +61,11 @@ def expand_factors(factors) -> QPoly:
 
 def omq(k: int) -> QPoly:
     """1 - q^k."""
-    return QPoly.one() - QPoly.monomial(k)
+    return QPoly(one_minus_q_pow(k))
 
 
 def product(*polys) -> QPoly:
-    out = QPoly.one()
+    out = QPoly([1])
     for p in polys:
         out = out * p
     return out
@@ -70,10 +78,11 @@ def divide(num: QPoly, den: QPoly) -> QPoly:
 
 def bracket(n: int) -> QPoly:
     """(1+q^(n+1))(1+q^3) - q(1+q)(q^2+q^(n-1)), the extra factor of P(MbarGr(n))."""
-    one, q = QPoly.one(), QPoly.monomial(1)
-    return (one + QPoly.monomial(n + 1)) * (one + QPoly.monomial(3)) - (
-        q * (one + q) * (QPoly.monomial(2) + QPoly.monomial(n - 1))
-    )
+    def q(k):
+        return QPoly(monomial(k))
+
+    one = QPoly([1])
+    return (one + q(n + 1)) * (one + q(3)) - q(1) * (one + q(1)) * (q(2) + q(n - 1))
 
 
 def dense_mbar_gr(n: int) -> QPoly:
@@ -127,8 +136,8 @@ class TestGrassmannian:
         assert grassmannian_poincare(2, 4) == QPoly([1, 1, 2, 1, 1])
 
     def test_trivial_cases(self):
-        assert grassmannian_poincare(0, 7) == QPoly.one()
-        assert grassmannian_poincare(5, 5) == QPoly.one()
+        assert grassmannian_poincare(0, 7) == QPoly([1])
+        assert grassmannian_poincare(5, 5) == QPoly([1])
 
     def test_lines_are_projective_space(self):
         for big_n in (2, 3, 6):
@@ -138,21 +147,21 @@ class TestGrassmannian:
         for k, big_n in ((2, 5), (3, 7), (2, 6)):
             p = grassmannian_poincare(k, big_n)
             assert p == grassmannian_poincare(big_n - k, big_n)
-            assert p.is_palindromic()
+            assert is_palindromic(p.coeffs)
 
     def test_q_pascal_rule(self):
         # (N choose k)_q = (N-1 choose k-1)_q + q^k (N-1 choose k)_q, for
         # every k on both sides of N / 2
-        row = [QPoly.one()]
+        row = [QPoly([1])]
         for big_n in range(1, 13):
-            prev = row + [QPoly.zero()]
-            row = [QPoly.one()] + [
-                prev[k - 1] + QPoly.monomial(k) * prev[k] for k in range(1, big_n + 1)
+            prev = row + [QPoly()]
+            row = [QPoly([1])] + [
+                prev[k - 1] + QPoly(monomial(k)) * prev[k] for k in range(1, big_n + 1)
             ]
             assert [grassmannian_poincare(k, big_n) for k in range(big_n + 1)] == row
 
     def test_point_count(self):
-        assert grassmannian_poincare(2, 4).eval_at_one() == 6
+        assert evaluate(grassmannian_poincare(2, 4).coeffs, 1) == 6
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -192,10 +201,10 @@ class TestMbarGr:
 
     def test_palindromic(self):
         for n in range(3, 13):
-            assert mbar_gr_poincare(n).is_palindromic()
+            assert is_palindromic(mbar_gr_poincare(n).coeffs)
 
     def test_euler_characteristic_positive(self):
-        assert mbar_gr_poincare(3).eval_at_one() == 72
+        assert evaluate(mbar_gr_poincare(3).coeffs, 1) == 72
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -215,7 +224,7 @@ class TestSym2:
         assert sym2_poincare(QPoly([1, 1])) == QPoly([1, 1, 1])
 
     def test_constant(self):
-        assert sym2_poincare(QPoly.one()) == QPoly.one()
+        assert sym2_poincare(QPoly([1])) == QPoly([1])
 
     def test_plane(self):
         assert sym2_poincare(QPoly([1, 1, 1])) == QPoly([1, 1, 2, 1, 1])
@@ -256,19 +265,21 @@ class TestT4:
     def test_one_coefficient_off_raises(self, n):
         # the common-denominator numerator divides exactly; moved by q^e at
         # any e, it no longer vanishes at q = 1, so some division must refuse
-        num = _numerator(*_t4_products(n))
-        assert _ratio(num, _DEN) == t4_poincare(n)
-        for e in (0, 1, 2, n, 2 * n + 1, max(num) - 1, max(num)):
-            off = dict(num)
-            off[e] = off.get(e, 0) + 1
+        num = _layout(_TERMS["T4"], n)
+        assert _ratio(list(num), _DEN) == t4_poincare(n)
+        top = len(num) - 1
+        for e in (0, 1, 2, n, 2 * n + 1, top - 1, top):
+            off = list(num)
+            off[e] += 1
             with pytest.raises(NotDivisible):
                 _ratio(off, _DEN)
-        # moved by q^e (1-q)^3 (1-q^2) instead, it passes four divisions, and
-        # the last must refuse it whichever residue class mod 2 e is in
+        # moved by q^e (1-q)^3 (1-q^2) instead, it passes the (1-q)^3 run,
+        # and the (1-q^2)^2 run must refuse it whichever residue class mod 2
+        # e is in
         for e in (n, n + 1):
-            off = dict(num)
-            for f, c in _numerator((1, 1, 1, 1, 2)).items():
-                off[e + f] = off.get(e + f, 0) + c
+            off = list(num)
+            for f, c in enumerate(_layout(_numerator((1, 1, 1, 1, 2)))):
+                off[e + f] += c
             with pytest.raises(NotDivisible, match=r"q\^2"):
                 _ratio(off, _DEN)
 
@@ -280,7 +291,7 @@ class TestMP24m2:
     def test_degree_and_euler(self):
         p = mp2_4m2_poincare()
         assert p.degree == 17
-        assert p.eval_at_one() == 141
+        assert evaluate(p.coeffs, 1) == 141
 
 
 class TestDivisibilityTripwires:
@@ -326,7 +337,7 @@ class TestSpaceDispatch:
             assert sym2_poincare(both).degree == 2 * both.degree
 
 
-def dense_ratio(ups, downs, poly=QPoly.one()) -> QPoly:
+def dense_ratio(ups, downs, poly=QPoly([1])) -> QPoly:
     """The reference: dense schoolbook products of the factors and one long
     division, none of it the package's arithmetic."""
     num = reduce(schoolbook_product, map(one_minus_q_pow, ups), poly.coeffs)
@@ -348,10 +359,16 @@ start_polys = st.one_of(
     st.lists(st.integers(-(2**70), 2**70), max_size=8).map(QPoly),
 )
 
+# denominators with repeated factors, in runs: _ratio divides by each run at once
+repeated_downs = st.one_of(
+    st.sampled_from([(1, 1, 1, 2, 2), (3, 3), (2, 2, 2, 5), (1, 1, 1, 1), (4, 4, 2, 2)]),
+    st.lists(st.integers(1, 5), min_size=1, max_size=6).map(lambda downs: tuple(sorted(downs))),
+)
 
-def terms(poly: QPoly | None) -> dict[int, int]:
-    """A starting polynomial as _ratio's sparse numerator (None is 1)."""
-    return {0: 1} if poly is None else {e: c for e, c in enumerate(poly.coeffs) if c}
+
+def start(poly: QPoly | None) -> list[int]:
+    """A starting polynomial as _ratio's coefficient list (None is 1)."""
+    return [1] if poly is None else list(poly.coeffs)
 
 
 class TestRatio:
@@ -359,8 +376,8 @@ class TestRatio:
     @given(st.one_of(divisible_pairs, gaussian_pairs), start_polys)
     def test_matches_dense_division(self, pairs, poly):
         ups, downs = pairs
-        expected = dense_ratio(ups, downs, QPoly.one() if poly is None else poly)
-        assert _ratio(terms(poly), downs, ups) == expected
+        expected = dense_ratio(ups, downs, QPoly([1]) if poly is None else poly)
+        assert _ratio(start(poly), downs, ups) == expected
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.one_of(divisible_pairs, gaussian_pairs))
@@ -368,12 +385,12 @@ class TestRatio:
         # the whole ratio is a polynomial, so dividing the expanded numerator
         # by the denominator factors in turn stays exact at every step
         ups, downs = pairs
-        assert _ratio(_numerator((1, *ups)), downs) == dense_ratio(ups, downs)
+        assert _ratio(_layout(_numerator((1, *ups))), downs) == dense_ratio(ups, downs)
 
     def test_empty_ratio_is_one(self):
-        assert _ratio({0: 1}, ()) == QPoly.one()
-        assert _ratio({1: 3}, ()) == QPoly([0, 3])
-        assert _ratio({}, (2,), (4,)) == QPoly.zero()
+        assert _ratio([1], ()) == QPoly([1])
+        assert _ratio([0, 3], ()) == QPoly([0, 3])
+        assert _ratio([], (2,), (4,)) == QPoly([])
 
     @pytest.mark.parametrize("ups, downs", [
         ((3,), (2,)),  # a remainder
@@ -385,15 +402,85 @@ class TestRatio:
     ])
     def test_non_divisible_step_raises(self, ups, downs):
         with pytest.raises(NotDivisible):
-            _ratio({0: 1}, downs, ups)
+            _ratio([1], downs, ups)
 
     def test_non_divisible_start_raises(self):
         with pytest.raises(NotDivisible):
-            _ratio({0: 1, 2: 1}, (2,), (1,))  # 1 + q does not divide 1 + q^2
+            _ratio([1, 0, 1], (2,), (1,))  # 1 + q does not divide 1 + q^2
         with pytest.raises(NotDivisible):
-            _ratio({0: 5, 2: 1}, (3,), (1,))
+            _ratio([5, 0, 1], (3,), (1,))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(repeated_downs, st.lists(st.integers(-(2**70), 2**70), max_size=8),
+           st.lists(st.tuples(st.integers(0, 40), st.integers(-3, 3)), max_size=2))
+    @example((1, 1, 1, 2, 2), [1], [])
+    @example((1, 1, 1, 2, 2), [1], [(3, 1)])
+    @example((3, 3), [2, -1], [])
+    @example((3, 3), [2, -1], [(0, 1), (3, -1)])  # divisible by 1 - q^3 once
+    @example((2, 2, 2, 5), [0, 1], [])
+    @example((2, 2, 2, 5), [0, 1], [(12, 2)])
+    # the top entry of each run's sums is zero, the ones below it are not
+    @example((1, 1), [], [(0, 1), (1, -2)])
+    @example((1, 1, 1), [], [(0, 1), (1, -3)])
+    @example((2, 2), [], [(0, 1), (2, -2)])
+    def test_grouped_division_matches_long_division(self, downs, quotient, perturbation):
+        # den * quotient, moved by a few terms: each run of equal factors is
+        # one division, exact exactly when the long division is
+        num = schoolbook_product(
+            reduce(schoolbook_product, map(one_minus_q_pow, downs), (1,)), quotient)
+        for e, c in perturbation:
+            num += [0] * (e + 1 - len(num))
+            num[e] += c
+        try:
+            expected = dense_ratio((), downs, QPoly(num))
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                _ratio(num, downs)
+        else:
+            assert _ratio(num, downs) == expected
+
+    def test_only_second_factor_of_a_pair_fails(self):
+        # (1 - q^2)(1 + q) is divisible by 1 - q^2 once, not twice
+        num = [1, 1, -1, -1]
+        assert _ratio(list(num), (2,)) == QPoly([1, 1])
+        with pytest.raises(NotDivisible):
+            exact_div(num, schoolbook_product(one_minus_q_pow(2), one_minus_q_pow(2)))
+        with pytest.raises(NotDivisible, match=r"\(1 - q\^2\)\^2"):
+            _ratio(list(num), (2, 2))
+        with pytest.raises(NotDivisible, match=r"\(1 - q\^2\)\^2"):
+            _ratio(list(num), (1, 2, 2))
 
     @pytest.mark.parametrize("ups, downs", [((1,), ()), ((2, 2), (1,)), ((3, 2, 1), (1, 1))])
     def test_more_ups_than_downs_raises(self, ups, downs):
         with pytest.raises(ValueError, match="more paired numerator factors"):
-            _ratio({0: 1}, downs, ups)
+            _ratio([1], downs, ups)
+
+
+# The least n in each fixed-shape formula's domain.
+LEAST_N = {"Pn": 0, "MbarP": 2, "MbarGr": 3, "T4": 3}
+
+
+def direct_layout(name: str, n: int) -> tuple[int, ...]:
+    """The formula's numerator at this n, expanded from its products at n."""
+    return canonical(_layout(_numerator(*_products(n)[name])))
+
+
+class TestTermTables:
+    @pytest.mark.parametrize("name", sorted(LEAST_N))
+    def test_matches_direct_expansion(self, name):
+        for n in [*range(LEAST_N[name], 301), 1000]:
+            assert canonical(_layout(_TERMS[name], n)) == direct_layout(name, n), n
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_colliding_exponents_add_up(self, n):
+        # at n = 3, n + 1 meets the constant 4, and at n = 4, n does: terms
+        # of a table land on one exponent and their coefficients add
+        for name in LEAST_N:
+            assert canonical(_layout(_TERMS[name], n)) == direct_layout(name, n)
+        for name in ("MbarGr", "T4"):
+            assert len({a * n + b for a, b, _ in _TERMS[name]}) < len(_TERMS[name])
+
+    def test_t4_table_size(self):
+        # 7 products of 5 two-term factors, 224 terms, cancel to 28 in n
+        assert len(_TERMS["T4"]) == 28
+        assert all(c for _, _, c in _TERMS["T4"])
