@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "ALL_ZERO", "AllZero", "BinaryForm", "RatMatrix", "RootKind", "RootStructure",
-        "as_rat", "quadratic_gcd", "quadratic_root_structure",
+        "quadratic_gcd", "quadratic_root_structure",
     ),
     "motivic": (
         "Grassmannian", "KontsevichProj", "MbarGr", "MP24m2", "ProjSpace", "SpaceId",
@@ -47,6 +47,7 @@ _EXPORTS = {
         "sym2_poincare", "t4_poincare",
     ),
     "qpoly": ("QPoly",),
+    "wire": (),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,26 +23,25 @@ Ddeg and H11 with H2) conjugates models.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ZeroDivisor
-from .linalg import rat_strings, rationals
+from .wire import fraction_type, rat_strings, rationals
 
 GENERATORS = ("Dunb", "Ddeg", "Delta", "T", "H11", "H2", "P")
 
-_COORDS: dict[str, tuple[Fraction, Fraction]] = {
-    "Dunb": (Fraction(0), Fraction(0)),
-    "Ddeg": (Fraction(10), Fraction(0)),
-    "Delta": (Fraction(5), Fraction(7)),
-    "T": (Fraction(5), Fraction(14, 3)),
-    "H11": (Fraction(5, 2), Fraction(7, 3)),
-    "H2": (Fraction(15, 2), Fraction(7, 3)),
-    "P": (Fraction(5), Fraction(14, 9)),
+# The cross-section coordinates times 18, their common denominator, so that
+# every sign test is in integers: Dunb (0, 0), Ddeg (10, 0), Delta (5, 7),
+# T (5, 14/3), H11 (5/2, 7/3), H2 (15/2, 7/3) and P (5, 14/9).
+_GRID = {
+    "Dunb": (0, 0),
+    "Ddeg": (180, 0),
+    "Delta": (90, 126),
+    "T": (90, 84),
+    "H11": (45, 42),
+    "H2": (135, 42),
+    "P": (90, 28),
 }
-
-# The coordinates times 18, their common denominator, for integer sign tests.
-_GRID = {g: (int(x * 18), int(y * 18)) for g, (x, y) in _COORDS.items()}
 
 
 class NMode(Enum):
@@ -82,10 +81,11 @@ class DivisorCombo(NamedTuple):
 
     @property
     def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        Fraction = fraction_type()
         return tuple((g, Fraction(x, self.den)) for g, x in zip(GENERATORS, self.nums))
 
     def coefficient(self, name: str) -> Fraction:
-        return Fraction(self.nums[GENERATORS.index(name)], self.den)
+        return fraction_type()(self.nums[GENERATORS.index(name)], self.den)
 
     def to_json(self) -> dict:
         strings = rat_strings(self.nums, self.den)
@@ -188,10 +188,11 @@ class ChamberComplex(NamedTuple):
 
 def build_complex(n_mode: NMode = NMode.GT3) -> ChamberComplex:
     """The cross-section complex with the labels of the given mode."""
+    Fraction = fraction_type()
     cells = _CELLS[n_mode].items()
     return ChamberComplex(
         n_mode,
-        tuple(_COORDS.items()),
+        tuple((g, (Fraction(x, 18), Fraction(y, 18))) for g, (x, y) in _GRID.items()),
         tuple((g, label) for gens, label in cells if len(gens) == 1 for g in gens),
         tuple((gens, label) for gens, label in cells if len(gens) == 2),
         tuple((gens, label) for gens, label in cells if len(gens) == 3),

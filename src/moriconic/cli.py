@@ -18,7 +18,7 @@ import re
 import sys
 
 from .errors import DomainError
-from .linalg import JsonText
+from .wire import JsonText
 
 SCHEMA_VERSION = 1
 

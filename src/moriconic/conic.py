@@ -17,7 +17,6 @@ act; the blow-up charts beyond that point are out of scope.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from itertools import chain, combinations, islice, zip_longest
 from math import comb
@@ -38,20 +37,14 @@ from .kronecker import (
 from .linalg import (
     ALL_ZERO,
     BinaryForm,
-    JsonText,
     RatMatrix,
     common_denominator,
     cross,
-    json_array,
-    json_strings,
-    lowest_terms,
-    num_den,
     quadratic_gcd,
     quadratic_root_structure,
-    rat_strings,
-    rationals,
     span_basis,
 )
+from .wire import JsonText, json_array, json_strings, lowest_terms, num_den, rat_strings, rationals
 
 
 def _pair_keys(n: int) -> list[str]:
@@ -129,9 +122,6 @@ class PluckerConic(RatMatrix):
     def json_text(self) -> JsonText:
         return JsonText(f'{{"coords":{self.coords_text()},"n":{self.n}}}')
 
-    def to_json(self) -> dict:
-        return json.loads(self.json_text())
-
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":
         n = json_n(doc)
@@ -167,9 +157,6 @@ class Envelope(RatMatrix):
     def json_text(self) -> JsonText:
         rows = map(json_strings, self._split(rat_strings(self.nums, self.den)))
         return JsonText(f'{{"basis":[{",".join(rows)}],"dim":{self.dim}}}')
-
-    def to_json(self) -> dict:
-        return json.loads(self.json_text())
 
 
 def _wedge(n: int, a1, b1, a2, b2, d: int) -> PluckerConic:

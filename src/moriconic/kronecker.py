@@ -34,7 +34,6 @@ quadratic_gcd).
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from math import gcd as _int_gcd
 from typing import NamedTuple
@@ -44,18 +43,15 @@ from .linalg import (
     ALL_ZERO,
     BinaryForm,
     RatMatrix,
+    RatVector,
     RootKind,
     RootStructure,
     bareiss,
     common_denominator,
-    RatVector,
-    json_array,
-    lowest_terms,
-    num_den,
     quadratic_gcd,
     quadratic_root_structure,
-    rationals,
 )
+from .wire import fraction_type, json_array, lowest_terms, rationals
 
 
 class LinearForm(RatVector):
@@ -124,12 +120,6 @@ class KroneckerModule(RatMatrix):
         """The module's 2 x 2 transpose, m12 and m21 swapped (not the 4 x (n + 1) matrix's)."""
         a, b, c, d = self.int_rows()
         return KroneckerModule.from_ints(self.n, a + c + b + d, self.den)
-
-    def scale(self, c) -> "KroneckerModule":
-        p, q = num_den(c)
-        if p == 0:
-            raise ValueError("scaling by zero leaves the projective space")
-        return KroneckerModule.from_ints(self.n, [p * x for x in self.nums], self.den * q)
 
     def transform(self, A, B) -> "KroneckerModule":
         """A . M . B^{-1} for constant 2x2 matrices A, B (det B != 0).
@@ -337,6 +327,7 @@ def _destabilizing_witness(a1, b1, a2, b2) -> Witness | None:
     ):
         v = _dependency(u, w)
         if v is not None:
+            Fraction = fraction_type()
             return Witness(kind, vector=(Fraction(v[0]), Fraction(v[1])))
     return None
 
@@ -381,6 +372,7 @@ def classify_stability(M: KroneckerModule) -> StabilityClass:
     witness = found if verdict is Verdict.UNSTABLE else None
     if stratum is Stratum.Y0:
         # every direction drops the rank; (1, 0) is as good as any
+        Fraction = fraction_type()
         witness = Witness(WitnessKind.RANK_DROP, vector=(Fraction(1), Fraction(0)))
     elif verdict is Verdict.STRICTLY_SEMISTABLE:
         # a linear gcd (Z1) has its one root found here

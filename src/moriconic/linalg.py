@@ -1,139 +1,38 @@
-"""Exact rational scalars, dense matrices, and binary-form utilities.
+"""Exact dense matrices and binary-form utilities over Q.
 
 Nothing in this package touches floating point, because every classification
 downstream is a discrete verdict that must be exact.  RatMatrix is the one
 store of rationals: its entries, row by row, as Python ints over one positive
-common denominator, in lowest terms (lowest_terms is the one place that
+common denominator, in lowest terms (wire.lowest_terms is the one place that
 normalizes), so equal matrices have equal storage.  Linear and binary forms
 are its one-row subclass RatVector; a Kronecker module, a conic's coordinates,
-an envelope basis and the determinant Gram matrix are matrices.  Arithmetic,
-rank and the wire strings work on those ints; the Fractions of .entries,
-.coeffs, .coords and .basis are built only when read.  Elimination is
-fraction-free on the integer rows (den * a matrix has the same rank, span and
-reduced form).
+an envelope basis and the determinant Gram matrix are matrices.  Rank and the
+wire strings work on those ints.  The Fractions of .entries, .coeffs,
+.coords and .basis, and of a root structure, are built only when read or
+found, through wire.fraction_type: fractions is not imported when this
+module loads.
+Elimination is fraction-free on the integer rows (den * a matrix has the same
+rank, span and reduced form).
 Binary forms are homogeneous polynomials in (s, t), stored by coefficient of
 s^(d-i) t^i.  Irrational roots are never constructed; existence is certified
-through the discriminant or gcd degrees.
+through the discriminant or gcd degrees.  Reading and writing the wire
+strings is the wire module's.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
-from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-# ASCII digits only: \d would also match other scripts' digits, and $ a final newline
-_RAT = r"-?[0-9]+(?:/[1-9][0-9]*)?"
-_RAT_RE = re.compile(_RAT)
-# integer or p/q strings joined by ",", with exactly one comma per join when no
-# string holds one
-_RAT_LIST_RE = re.compile(f"{_RAT}(?:,{_RAT})*")
-
-
-def num_den(x) -> tuple[int, int]:
-    """(p, q) with x = p / q and q > 0, for an int, Fraction, or 'p/q' decimal string.
-
-    Floats are rejected: they would silently break exactness.
-    """
-    if isinstance(x, str):
-        if not _RAT_RE.fullmatch(x):
-            raise ValueError(f"malformed rational string: {x!r}")
-        num, _, den = x.partition("/")
-        return int(num), int(den) if den else 1
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return x.as_integer_ratio()
-    raise TypeError(f"exact rational expected, got {type(x).__name__}")
-
-
-def as_rat(x) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' decimal string to an exact rational."""
-    if isinstance(x, Fraction):
-        return x
-    p, q = num_den(x)
-    return Fraction(p, q) if q != 1 else Fraction(p)
-
-
-def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
-    """(nums, den) scaled so that den > 0 and gcd(den, *nums) == 1.
-
-    Every rational matrix is stored in this form, so it is unique: the zero
-    matrix has denominator 1.
-    """
-    nums = tuple(nums)
-    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-    if g == 1:
-        return nums, den
-    return tuple(map(floordiv, nums, repeat(g))), den // g
+from .wire import fraction_type, lowest_terms, rat_strings, rationals
 
 
 def common_denominator(vectors: Sequence[RatMatrix]) -> tuple[list[int], int]:
     """(the entries of the vectors, one after another, over d, d), d the lcm of their denominators."""
     d = math.lcm(*(v.den for v in vectors))
     return [x * (d // v.den) for v in vectors for x in v.nums], d
-
-
-def rationals(values: Iterable) -> tuple[tuple[int, ...], int]:
-    """Exact rationals (ints, Fractions, 'p/q' strings) as lowest-terms (nums, den)."""
-    values = tuple(values)
-    text = ",".join(values) if all(type(x) is str for x in values) else ""
-    if _RAT_LIST_RE.fullmatch(text) and text.count(",") == len(values) - 1:
-        if "/" not in text:
-            return tuple(map(int, values)), 1
-        # split each string at "/", read each distinct denominator once
-        heads, _, tails = zip(*map(str.partition, values, repeat("/")))
-        dens = {q: int(q) for q in set(tails) if q}
-        den = math.lcm(*dens.values())
-        scales = {q: den // d for q, d in dens.items()}
-        scales[""] = den
-        return lowest_terms(map(mul, map(int, heads), map(scales.__getitem__, tails)), den)
-    # the first malformed string is reported by num_den
-    pairs = [num_den(x) for x in values]
-    den = math.lcm(*(q for _, q in pairs))
-    return lowest_terms([p * (den // q) for p, q in pairs], den)
-
-
-def rat_strings(nums: Iterable[int], den: int) -> list[str]:
-    """The wire strings of nums[i] / den, each as str(Fraction) writes it.
-
-    One gcd and one string per distinct numerator, and one "/q" suffix per
-    distinct gcd other than den, then nums map through the numerator table;
-    a zero needs no special case, since gcd(0, den) = den.
-    """
-    nums = tuple(nums)
-    table = {}
-    suffixes = {}
-    for x in set(nums):
-        g = math.gcd(x, den)
-        if g == den:
-            table[x] = str(x // g)
-            continue
-        if g not in suffixes:
-            suffixes[g] = f"/{den // g}"
-        table[x] = f"{x // g}{suffixes[g]}"
-    return list(map(table.__getitem__, nums))
-
-
-class JsonText(str):
-    """One JSON value already written as compact text with sorted keys: a
-    document writer puts it in as it is."""
-
-    __slots__ = ()
-
-
-def json_strings(strings: Sequence[str]) -> str:
-    """The JSON array of strings that need no escaping, such as wire rationals."""
-    return '["' + '","'.join(strings) + '"]' if strings else "[]"
-
-
-def json_array(value, what: str) -> list:
-    """value itself if it is a JSON array; a string would be read character by character."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON array")
-    return value
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
@@ -207,6 +106,7 @@ class RatMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        Fraction = fraction_type()
         return tuple(self._split(Fraction(x, self.den) for x in self.nums))
 
     @property
@@ -238,8 +138,7 @@ class RatMatrix:
 
 
 class RatVector(RatMatrix):
-    """A one-row RatMatrix with vector arithmetic: coeffs builds the
-    Fractions; arithmetic and to_json work on the ints."""
+    """A one-row RatMatrix: coeffs builds the Fractions; to_json writes the ints."""
 
     __slots__ = ()
 
@@ -251,22 +150,8 @@ class RatVector(RatMatrix):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        Fraction = fraction_type()
         return tuple(Fraction(x, self.den) for x in self.nums)
-
-    def __add__(self, other):
-        if type(other) is not type(self) or len(other.nums) != len(self.nums):
-            raise ValueError(f"cannot add {other!r} to {self!r}")
-        p, q = self.den, other.den
-        return self.from_ints([a * q + b * p for a, b in zip(self.nums, other.nums)], p * q)
-
-    def __sub__(self, other):
-        return self + -1 * other
-
-    def scale(self, c):
-        p, q = num_den(c)
-        return self.from_ints([p * x for x in self.nums], self.den * q)
-
-    __rmul__ = scale
 
     def to_json(self) -> list[str]:
         return rat_strings(self.nums, self.den)
@@ -296,21 +181,6 @@ class BinaryForm(RatVector):
 
     def __repr__(self) -> str:
         return f"BinaryForm({self.degree}, {self.to_json()})"
-
-    def __mul__(self, other):
-        if not isinstance(other, BinaryForm):
-            return self.scale(other)
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums):
-                    out[i + j] += a * b
-        return BinaryForm.from_ints(out, self.den * other.den)
-
-    def __call__(self, s, t) -> Fraction:
-        s, t = as_rat(s), as_rat(t)
-        total = sum(c * s ** (self.degree - i) * t**i for i, c in enumerate(self.nums) if c)
-        return Fraction(total) / self.den
 
     def normalized(self) -> "BinaryForm":
         """Scaled to integer coprime coefficients with positive leading entry.
@@ -421,6 +291,7 @@ class RootStructure(NamedTuple):
 
 def _proj_point(s: int, t: int) -> tuple[Fraction, Fraction]:
     # canonical representative: (s/t, 1) if t != 0, else (1, 0)
+    Fraction = fraction_type()
     if t:
         return (Fraction(s, t), Fraction(1))
     return (Fraction(1), Fraction(0))
@@ -444,7 +315,7 @@ def quadratic_root_structure(f: BinaryForm) -> RootStructure:
         return RootStructure(RootKind.SIMPLE_ROOT, (_proj_point(-c1, c0),), True, None)
     c0, c1, c2 = f.nums
     d = c1 * c1 - 4 * c0 * c2
-    disc = Fraction(d, f.den * f.den)
+    disc = fraction_type()(d, f.den * f.den)
     if d == 0:
         # when c0 = 0 then c1 = 0 too, and the double root is (1 : 0)
         return RootStructure(RootKind.DOUBLE_ROOT, (_proj_point(-c1, 2 * c0),), True, disc)

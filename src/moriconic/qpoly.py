@@ -20,7 +20,7 @@ from itertools import repeat, starmap, zip_longest
 from operator import add, sub
 from typing import Iterable
 
-from .linalg import JsonText, json_array, json_strings, rat_strings
+from .wire import JsonText, json_array, json_strings, rat_strings
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -146,17 +146,14 @@ class QPoly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> list[str]:
-        """JSON form: decimal coefficient strings, lowest degree first."""
-        return list(map(str, self.coeffs))
-
     def json_text(self) -> JsonText:
-        """to_json's array as text, one string per distinct coefficient."""
+        """The JSON array of decimal coefficient strings, lowest degree first,
+        one string per distinct coefficient."""
         return JsonText(json_strings(rat_strings(self.coeffs, 1)))
 
     @classmethod
     def from_json(cls, data: list[str]) -> "QPoly":
-        """Inverse of to_json: a JSON array of decimal integer strings."""
+        """Inverse of json_text: a JSON array of decimal integer strings."""
         cs = json_array(data, "a polynomial")
         if not all(isinstance(c, str) and _INT_RE.fullmatch(c) for c in cs):
             raise ValueError("coefficients must be decimal integer strings")

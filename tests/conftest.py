@@ -1,7 +1,9 @@
 """Shared builders: random SL2(Q) changes of basis, normal-form modules, the
 independent sympy route for cross-checking minor-gcd classifications,
-reference polynomial arithmetic on coefficient tuples, and the argparse
-parser the CLI read its flags with before its flag table."""
+reference polynomial and binary-form arithmetic on coefficient tuples, the
+documents json_text writes read back, the cross-section coordinates of the
+chamber lookup, and the argparse parser the CLI read its flags with before
+its flag table."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from itertools import combinations
 import pytest
 
 from moriconic import KroneckerModule, LinearForm, NotDivisible, RatMatrix, Stratum
+from moriconic.chamber import _GRID
 
 
 def random_sl2(rng: random.Random, size: int = 5):
@@ -59,6 +62,16 @@ def lin_comb(n: int, coeffs: dict[int, object]) -> LinearForm:
     return LinearForm(n, tuple(Fraction(coeffs.get(i, 0)) for i in range(n + 1)))
 
 
+def scaled(c, f: LinearForm) -> LinearForm:
+    """c * f, coefficient by coefficient on Fractions."""
+    return LinearForm(f.n, [Fraction(c) * x for x in f.coeffs])
+
+
+def scaled_module(M: KroneckerModule, c) -> KroneckerModule:
+    """c * M, entry by entry on Fractions."""
+    return KroneckerModule(M.n, *(scaled(c, f) for row in M.entries() for f in row))
+
+
 # Normal-form builders, one per orbit-type class.
 
 
@@ -72,7 +85,7 @@ def proportional_triangular_module(rng, n) -> KroneckerModule:
     """Triangular with proportional diagonal and an off-diagonal entry outside <g>."""
     g, k = independent_forms(rng, n, 2)
     c = Fraction(rng.choice([x for x in range(-3, 4) if x != 0]))
-    return KroneckerModule(n, g, k, LinearForm(n, [0] * (n + 1)), c * g)
+    return KroneckerModule(n, g, k, LinearForm(n, [0] * (n + 1)), scaled(c, g))
 
 
 def nonscalar_diagonal_module(rng, n) -> KroneckerModule:
@@ -85,7 +98,7 @@ def irrational_diagonalizable_module(rng, n) -> KroneckerModule:
     """g*Id + h*S with S^2 = D*Id for non-square D: diagonalizable only over Q(sqrt D)."""
     g, h = independent_forms(rng, n, 2)
     d = rng.choice([2, 3, 5, -1, -2, 7])
-    return KroneckerModule(n, g, Fraction(d) * h, h, g)
+    return KroneckerModule(n, g, scaled(d, h), h, g)
 
 
 def generic_triangular_module(rng, n) -> KroneckerModule:
@@ -251,6 +264,34 @@ def exact_div(num, den) -> tuple[int, ...]:
     if any(num):
         raise NotDivisible("long division left a nonzero remainder")
     return tuple(quot)
+
+
+# Binary forms as coefficient tuples, coefficient i multiplying s^(d-i) t^i:
+# a product is schoolbook_product of the tuples.
+
+
+def form_value(cs, s, t) -> Fraction:
+    """The binary form with coefficients cs at the point (s, t)."""
+    d = len(cs) - 1
+    return sum(Fraction(c) * Fraction(s) ** (d - i) * Fraction(t) ** i for i, c in enumerate(cs))
+
+
+def plucker_relation(p, i, j, k, l) -> list:
+    """The coefficients of p_ij p_kl - p_ik p_jl + p_il p_jk, for the quadratics
+    p of a conic's coords, by pair."""
+    x, y, z = (schoolbook_product(p[a].coeffs, p[b].coeffs)
+               for a, b in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))))
+    return [u - v + w for u, v, w in zip(x, y, z)]
+
+
+def written(obj):
+    """The JSON value obj.json_text() writes, read back: a QPoly's array of
+    coefficient strings, or a conic's or envelope's document."""
+    return json.loads(obj.json_text())
+
+
+# The chamber cross-section's coordinates as Fractions: chamber._GRID over 18.
+COORDS = {g: (Fraction(x, 18), Fraction(y, 18)) for g, (x, y) in _GRID.items()}
 
 
 # Reference wedge coordinates, envelope and stdout, on Fractions, sharing no

@@ -37,6 +37,7 @@ from conftest import (
     irrational_diagonalizable_module,
     is_palindromic,
     nonscalar_diagonal_module,
+    plucker_relation,
     proportional_triangular_module,
     random_module,
     random_sl2,
@@ -156,15 +157,8 @@ def test_criterion_6_plucker_suite():
 
     def relations_vanish(c):
         p = c.coords  # each read builds every quadratic
-        for i, j, k, l in combinations(range(c.n + 1), 4):
-            rel = (
-                p[(i, j)] * p[(k, l)]
-                - p[(i, k)] * p[(j, l)]
-                + p[(i, l)] * p[(j, k)]
-            )
-            if not rel.is_zero:
-                return False
-        return True
+        return not any(any(plucker_relation(p, i, j, k, l))
+                       for i, j, k, l in combinations(range(c.n + 1), 4))
 
     for i in range(500):
         n = 3 + (i % 4)

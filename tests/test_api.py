@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -34,9 +35,12 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 """
-# Standard-library modules no request needs: argparse took about 3 ms of a
-# cold request, and dataclasses, with inspect and what inspect imports, 7-10 ms.
-HEAVY = ("argparse", "dataclasses", "inspect")
+# Standard-library modules none of these requests needs: argparse took about
+# 3 ms of a cold request, dataclasses, with inspect and what inspect imports,
+# 7-10 ms, and fractions, with the decimal it imports, about 2-3 ms.  A
+# request loads fractions only to build a Fraction: a witness vector, a root
+# or a base point.
+HEAVY = ("argparse", "dataclasses", "inspect", "fractions", "decimal")
 REPORT = """
 import json, sys
 print(json.dumps([sorted(m[len("moriconic."):] for m in sys.modules if m.startswith("moriconic.")),
@@ -89,10 +93,10 @@ def test_bare_import_loads_no_submodule():
 
 def test_submodule_resolves_after_bare_import():
     script = "import moriconic\nassert moriconic.chamber.resolve is moriconic.resolve\n"
-    assert loaded_submodules(script) == {"chamber", "errors", "linalg"}
+    assert loaded_submodules(script) == {"chamber", "errors", "wire"}
 
 
-KERNEL = {"errors", "kronecker", "linalg"}
+KERNEL = {"errors", "kronecker", "linalg", "wire"}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -100,14 +104,47 @@ KERNEL = {"errors", "kronecker", "linalg"}
     (["stratify", "--json", MODULE_DOC], KERNEL),
     (["conic", "--json", MODULE_DOC], KERNEL | {"conic"}),
     (["modify", "--json", FAMILY_DOC], KERNEL | {"conic"}),
-    (["chamber", "--coeffs", '{"T":"1"}'], {"errors", "chamber", "linalg"}),
+    (["chamber", "--coeffs", '{"T":"1"}'], {"errors", "chamber", "wire"}),
     (["poincare", "--space", "Sym2", "--inner", '{"space":"T4","n":3}'],
-     {"errors", "motivic", "qpoly", "linalg"}),
+     {"errors", "motivic", "qpoly", "wire"}),
 ])
 def test_each_subcommand_loads_only_its_modules(argv, expected):
+    # MODULE_DOC is stable and FAMILY_DOC base-point-free: no request here
+    # builds a Fraction
     assert fresh_report(CLI_SCRIPT.format(argv=argv)) == (expected, set())
 
 
 def test_record_types_load_no_heavy_module():
     script = "from moriconic import T4, Witness, DivisorCombo\n"
-    assert fresh_report(script) == ({"chamber", "errors", "kronecker", "linalg", "motivic", "qpoly"}, set())
+    expected = {"chamber", "errors", "kronecker", "linalg", "motivic", "qpoly", "wire"}
+    assert fresh_report(script) == (expected, set())
+
+
+def test_unstable_witness_loads_fractions_when_built():
+    # the one place a stability request needs Fractions: its witness vector
+    doc = json.dumps({"n": 2, "matrix": [[["1", "0", "0"], ["0", "1", "0"]], [["0", "0", "0"], ["0", "0", "0"]]]})
+    script = CLI_SCRIPT.format(argv=["stability", "--json", doc])
+    assert fresh_report(script) == (KERNEL, {"fractions", "decimal"})
+
+
+def module_level_imports(tree: ast.AST):
+    """The import statements of a module that run when it loads: those outside
+    every function body."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from module_level_imports(node)
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(os.path.dirname(moriconic.__file__)) if f.endswith(".py")))
+def test_no_module_imports_fractions_when_it_loads(name):
+    with open(os.path.join(os.path.dirname(moriconic.__file__), name), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), name)
+    found = [
+        node.lineno for node in module_level_imports(tree)
+        if any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions"
+    ]
+    assert found == [], f"{name} imports fractions at module level on line(s) {found}"

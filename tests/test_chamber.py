@@ -13,7 +13,9 @@ from moriconic import (
     duality_reflect,
     resolve,
 )
-from moriconic.chamber import GENERATORS, _COORDS
+from moriconic.chamber import GENERATORS
+
+from conftest import COORDS
 
 # (case, model, positive generators, optional generators) per item of the
 # generic (n > 3) table.
@@ -124,14 +126,14 @@ class TestGeometry:
         assert all(len(v) == 1 for v in by_case.values())
 
     def test_collinearities(self):
-        dunb, h11, t = _COORDS["Dunb"], _COORDS["H11"], _COORDS["T"]
+        dunb, h11, t = COORDS["Dunb"], COORDS["H11"], COORDS["T"]
         assert h11 == ((dunb[0] + t[0]) / 2, (dunb[1] + t[1]) / 2)
-        ddeg, h2 = _COORDS["Ddeg"], _COORDS["H2"]
+        ddeg, h2 = COORDS["Ddeg"], COORDS["H2"]
         cross = (h2[0] - ddeg[0]) * (t[1] - ddeg[1]) - (h2[1] - ddeg[1]) * (t[0] - ddeg[0])
         assert cross == 0
 
     def test_p_is_the_segment_intersection(self):
-        assert _COORDS["P"] == (Fraction(5), Fraction(14, 9))
+        assert COORDS["P"] == (Fraction(5), Fraction(14, 9))
 
     def test_triangles_partition_by_area(self):
         # the 9 triangles tile the big simplex: areas add up
@@ -140,9 +142,9 @@ class TestGeometry:
 
         cx = build_complex(NMode.GT3)
         total = sum(
-            area2(*(_COORDS[g] for g in gens)) for gens, _ in cx.triangles
+            area2(*(COORDS[g] for g in gens)) for gens, _ in cx.triangles
         )
-        assert total == area2(_COORDS["Dunb"], _COORDS["Ddeg"], _COORDS["Delta"])
+        assert total == area2(COORDS["Dunb"], COORDS["Ddeg"], COORDS["Delta"])
 
 
 class TestResolveExamples:

@@ -13,7 +13,9 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from moriconic import DivisorCombo, NMode, build_complex, resolve
-from moriconic.chamber import _COORDS, GENERATORS
+from moriconic.chamber import GENERATORS
+
+from conftest import COORDS
 
 # Generators on one line of the cross-section, collinear triples included.
 LINES = (
@@ -41,7 +43,7 @@ def combos(draw):
 
 
 def sympy_point(name):
-    return sp.Point(*(sp.Rational(c.numerator, c.denominator) for c in _COORDS[name]))
+    return sp.Point(*(sp.Rational(c.numerator, c.denominator) for c in COORDS[name]))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

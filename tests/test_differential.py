@@ -33,7 +33,7 @@ from moriconic import (
     stratify,
 )
 
-from conftest import sympy_stratum
+from conftest import scaled, sympy_stratum
 
 VALUES = sorted({Fraction(p, q) for p in (-1, 0, 1) for q in (1, 2, 3)})
 TIES = ("none", "columns", "rows", "diagonal", "scalar", "triangular")
@@ -48,15 +48,15 @@ def degenerate_modules(draw):
     zero = LinearForm(n, [0] * (n + 1))
     tie = draw(st.sampled_from(TIES))
     if tie == "columns":
-        b, d = lam * a, lam * c
+        b, d = scaled(lam, a), scaled(lam, c)
     elif tie == "rows":
-        c, d = lam * a, lam * b
+        c, d = scaled(lam, a), scaled(lam, b)
     elif tie == "diagonal":
         b = c = zero
     elif tie == "scalar":
         b, c, d = zero, zero, a
     elif tie == "triangular":
-        c, d = zero, lam * a
+        c, d = zero, scaled(lam, a)
     assume(not all(f.is_zero for f in (a, b, c, d)))
     return KroneckerModule(n, a, b, c, d)
 

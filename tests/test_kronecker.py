@@ -30,6 +30,8 @@ from conftest import (
     irrational_diagonalizable_module,
     random_module,
     random_sl2,
+    scaled,
+    scaled_module,
     sympy_stratum,
 )
 
@@ -229,7 +231,7 @@ class TestOrbitInvariance:
         for _ in range(30):
             m = random_module(rng, 4)
             for c in (Fraction(2), Fraction(-1, 3), Fraction(7, 5)):
-                assert stratify(m.scale(c)) is stratify(m)
+                assert stratify(scaled_module(m, c)) is stratify(m)
 
     def test_stable_has_no_zero_entry_after_random_change(self, rng):
         for _ in range(25):
@@ -261,7 +263,7 @@ class TestDeterminant:
         assert quadric_rank(q) == 2
 
     def test_sum_of_squares(self):
-        m = module(3, [[x(0), x(1)], [Fraction(-1) * x(1), x(0)]])
+        m = module(3, [[x(0), x(1)], [scaled(-1, x(1)), x(0)]])
         q = det_quadric(m)
         assert q.gram.entries[0][0] == 1 and q.gram.entries[1][1] == 1
         assert quadric_rank(q) == 2
@@ -270,7 +272,7 @@ class TestDeterminant:
         assert quadric_rank(det_quadric(GENERIC)) == 4
 
     def test_rank_three(self):
-        m = module(3, [[x(0), x(1)], [Fraction(-1) * x(1), x(2)]])
+        m = module(3, [[x(0), x(1)], [scaled(-1, x(1)), x(2)]])
         assert quadric_rank(det_quadric(m)) == 3
 
     def test_rank_one_and_zero(self):
@@ -302,7 +304,7 @@ class TestCokernelKind:
         assert ck.kind == "twisted_ideal_of_quadric" and ck.det_rank == 4
 
     def test_rank_three_twisted_ideal(self):
-        m = module(3, [[x(0), x(1)], [Fraction(-1) * x(1), x(2)]])
+        m = module(3, [[x(0), x(1)], [scaled(-1, x(1)), x(2)]])
         ck = cokernel_kind(m)
         assert ck.kind == "twisted_ideal_of_quadric" and ck.det_rank == 3
 
