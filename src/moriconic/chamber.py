@@ -5,9 +5,10 @@ combination of the seven named generators is located inside a fixed 2D
 cross-section of that cone, triangulated into 9 open triangles, 15 open
 edges, and 7 vertices.  The point is located in the closed triangle
 containing it; its cell is spanned by the corners with a positive
-barycentric coordinate.  Those signs are exact integer orientation tests, so
+barycentric coordinate.  Each of those signs is the sign of a fixed integer
+linear form in the seven numerators, built once from the cross-section, so
 a combination on a wall is assigned the wall's own label, never a
-neighbouring chamber's.
+neighbouring chamber's.  Each cell's CLI response is one fixed text per mode.
 
 The cross-section coordinates realize the required incidences: Dunb, H11, T
 are collinear; Ddeg, H2, T are collinear; and P is the intersection of the
@@ -20,13 +21,12 @@ one, where reflection through the vertical Delta-P axis (swapping Dunb with
 Ddeg and H11 with H2) conjugates models.
 """
 
-from __future__ import annotations
-
 from enum import Enum
+from operator import mul, neg
 from typing import NamedTuple
 
 from .errors import ZeroDivisor
-from .wire import fraction_type, rat_strings, rationals
+from .wire import SCHEMA_VERSION, JsonText, fraction_type, json_strings, rat_strings, rationals
 
 GENERATORS = ("Dunb", "Ddeg", "Delta", "T", "H11", "H2", "P")
 
@@ -80,11 +80,11 @@ class DivisorCombo(NamedTuple):
         return cls(tuple(table.get(g, 0) for g in GENERATORS), den, n_mode)
 
     @property
-    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+    def coeffs(self) -> "tuple[tuple[str, Fraction], ...]":
         Fraction = fraction_type()
         return tuple((g, Fraction(x, self.den)) for g, x in zip(GENERATORS, self.nums))
 
-    def coefficient(self, name: str) -> Fraction:
+    def coefficient(self, name: str) -> "Fraction":
         return fraction_type()(self.nums[GENERATORS.index(name)], self.den)
 
     def to_json(self) -> dict:
@@ -111,68 +111,74 @@ class ChamberVerdict(NamedTuple):
     description: str
     cell: Cell
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case_id,
-            "model": self.model,
-            "description": self.description,
-            "cell": {"dim": self.cell.dim, "generators": list(self.cell.generators)},
-        }
-
 
 Label = tuple[int, str, str]
 
 # Each model once per mode: (case, identifier, description, cells), a cell
-# written as the generators spanning it.
+# written as the generators spanning it, in GENERATORS order: that tuple is
+# the cell's key, and a response lists the generators in it.
 _MODELS: dict[NMode, tuple[tuple[int, str, str, tuple[str, ...]], ...]] = {
     NMode.GT3: (
-        (1, "M", "the conic stable-map space itself", ("H11 H2 T",)),
+        (1, "M", "the conic stable-map space itself", ("T H11 H2",)),
         (2, "C", "normalization of the Chow variety of conics", ("H11 H2",)),
         (3, "H", "Hilbert scheme of conics", ("H11 H2 P",)),
-        (4, "U", "normalized image in the quasi-map quotient", ("T Delta", "T")),
+        (4, "U", "normalized image in the quasi-map quotient", ("Delta T", "T")),
         (5, "K", "Kronecker moduli space, a component of the sheaf moduli on P(V)",
-         ("H2 Ddeg Delta", "H2 Delta", "H2 Ddeg", "H2")),
+         ("Ddeg Delta H2", "Delta H2", "Ddeg H2", "H2")),
         (6, "X1modG", "intermediate space of the partial desingularization of the Kronecker moduli",
-         ("H2 T Delta", "H2 T")),
-        (7, "Gtilde", "flip of the Grassmannian bundle over the envelope image", ("H2 P Ddeg", "H2 P")),
-        (8, "G", "Grassmannian bundle Gr(3, wedge^2 S) over Gr(4, V*)", ("Dunb P Ddeg", "P Dunb")),
+         ("Delta T H2", "T H2")),
+        (7, "Gtilde", "flip of the Grassmannian bundle over the envelope image", ("Ddeg H2 P", "H2 P")),
+        (8, "G", "Grassmannian bundle Gr(3, wedge^2 S) over Gr(4, V*)", ("Dunb Ddeg P", "Dunb P")),
         (9, "B", "blow-up of the Grassmannian bundle along its orthogonal Grassmannian bundle",
-         ("H11 P Dunb",)),
-        (10, "KS", "relative Kronecker/sheaf moduli over Gr(4, V*)", ("H11 Dunb Delta", "H11 Dunb")),
+         ("Dunb H11 P",)),
+        (10, "KS", "relative Kronecker/sheaf moduli over Gr(4, V*)", ("Dunb Delta H11", "Dunb H11")),
         (11, "R", "normalization of the incidence between the dual sheaf moduli and the quasi-map model",
-         ("H11 T Delta", "H11 T")),
-        (12, "L", "closure of the locus of sheaves on smooth quadrics, normalized", ("H11 Delta", "H11")),
-        (13, "Gbar", "normalization of the image of the envelope map", ("P Ddeg", "P")),
+         ("Delta T H11", "T H11")),
+        (12, "L", "closure of the locus of sheaves on smooth quadrics, normalized", ("Delta H11", "H11")),
+        (13, "Gbar", "normalization of the image of the envelope map", ("Ddeg P", "P")),
         (14, "Ghat", "blow-up of the envelope image along an orthogonal Grassmannian bundle", ("H11 P",)),
-        (15, "Point", "a point", ("Delta Ddeg", "Delta", "Ddeg")),
-        (16, "Gr4Vdual", "the Grassmannian Gr(4, V*) = Gr(n-3, V)", ("Delta Dunb", "Dunb Ddeg", "Dunb")),
+        (15, "Point", "a point", ("Ddeg Delta", "Delta", "Ddeg")),
+        (16, "Gr4Vdual", "the Grassmannian Gr(4, V*) = Gr(n-3, V)", ("Dunb Delta", "Dunb Ddeg", "Dunb")),
     ),
     NMode.EQ3: (
-        (1, "M", "the conic stable-map space itself", ("H11 H2 T",)),
+        (1, "M", "the conic stable-map space itself", ("T H11 H2",)),
         (2, "H", "Hilbert scheme of conics", ("H11 H2 P",)),
         (3, "K", "Kronecker moduli = sheaf moduli on P^3 = the double symmetroid",
-         ("H2 Ddeg Delta", "H2 Delta", "H2 Ddeg", "H2")),
+         ("Ddeg Delta H2", "Delta H2", "Ddeg H2", "H2")),
         (4, "X1modG", "intermediate partial desingularization of the Kronecker moduli",
-         ("H2 T Delta", "H2 T")),
+         ("Delta T H2", "T H2")),
         (5, "BlG_sigma11", "blow-up of Gr(3, wedge^2 V) along the first orthogonal Grassmannian",
-         ("H2 P Ddeg", "H2 P")),
-        (6, "Gr3w2V", "the Grassmannian Gr(3, wedge^2 V)", ("Dunb P Ddeg", "P Ddeg", "P Dunb", "P")),
+         ("Ddeg H2 P", "H2 P")),
+        (6, "Gr3w2V", "the Grassmannian Gr(3, wedge^2 V)", ("Dunb Ddeg P", "Ddeg P", "Dunb P", "P")),
         (7, "BlG_sigma2", "blow-up of Gr(3, wedge^2 V) along the second orthogonal Grassmannian",
-         ("H11 P Dunb", "H11 P")),
+         ("Dunb H11 P", "H11 P")),
         (8, "Kstar", "dual Kronecker moduli = sheaf moduli on the dual P^3",
-         ("H11 Dunb Delta", "H11 Delta", "H11 Dunb", "H11")),
+         ("Dunb Delta H11", "Delta H11", "Dunb H11", "H11")),
         (9, "X1modG_star", "intermediate partial desingularization of the dual Kronecker moduli",
-         ("H11 T Delta", "H11 T")),
-        (10, "U", "normalized image in the quasi-map quotient", ("T Delta", "T")),
+         ("Delta T H11", "T H11")),
+        (10, "U", "normalized image in the quasi-map quotient", ("Delta T", "T")),
         (11, "C", "normalization of the Chow variety of conics", ("H11 H2",)),
-        (12, "Point", "a point", ("Delta Ddeg", "Delta Dunb", "Dunb Ddeg", "Delta", "Ddeg", "Dunb")),
+        (12, "Point", "a point", ("Ddeg Delta", "Dunb Delta", "Dunb Ddeg", "Delta", "Ddeg", "Dunb")),
     ),
 }
 
-# Per mode, each cell's label by the set of generators spanning it.
-_CELLS: dict[NMode, dict[frozenset, Label]] = {
-    mode: {frozenset(cell.split()): (case, model, desc) for case, model, desc, cells in rows for cell in cells}
+
+# Per mode, each cell's label by the generators spanning it.
+_CELLS: dict[NMode, dict[tuple[str, ...], Label]] = {
+    mode: {tuple(cell.split()): (case, model, desc) for case, model, desc, cells in rows for cell in cells}
     for mode, rows in _MODELS.items()
+}
+
+
+# Per mode, each cell's whole CLI response document, as the CLI's encoder
+# writes it: sorted keys, compact, and no name or description needs escaping.
+_TEXTS = {
+    mode: {
+        gens: JsonText(f'{{"case":{case},"cell":{{"dim":{len(gens) - 1},"generators":{json_strings(gens)}}},'
+                       f'"description":"{desc}","model":"{model}","schema_version":{SCHEMA_VERSION}}}')
+        for gens, (case, model, desc) in cells.items()
+    }
+    for mode, cells in _CELLS.items()
 }
 
 
@@ -180,7 +186,7 @@ class ChamberComplex(NamedTuple):
     """The labeled cell complex of the cross-section for one mode."""
 
     n_mode: NMode
-    coords: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
+    coords: tuple[tuple[str, tuple["Fraction", "Fraction"]], ...]
     vertices: tuple[tuple[str, Label], ...]
     edges: tuple[tuple[frozenset, Label], ...]
     triangles: tuple[tuple[frozenset, Label], ...]
@@ -193,53 +199,70 @@ def build_complex(n_mode: NMode = NMode.GT3) -> ChamberComplex:
     return ChamberComplex(
         n_mode,
         tuple((g, (Fraction(x, 18), Fraction(y, 18))) for g, (x, y) in _GRID.items()),
-        tuple((g, label) for gens, label in cells if len(gens) == 1 for g in gens),
-        tuple((gens, label) for gens, label in cells if len(gens) == 2),
-        tuple((gens, label) for gens, label in cells if len(gens) == 3),
+        tuple((gens[0], label) for gens, label in cells if len(gens) == 1),
+        tuple((frozenset(gens), label) for gens, label in cells if len(gens) == 2),
+        tuple((frozenset(gens), label) for gens, label in cells if len(gens) == 3),
     )
 
 
-def _orient(a, b, c) -> int:
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
+def _corner(x: str, y: str, z: str) -> tuple[int, ...]:
+    """The weights whose dot product with nums has the sign of w times corner
+    x's barycentric coordinate in the triangle x, y, z: the cross products
+    (G_z - G_y) x (G_g - G_y) over the generators' points G_g, which give the
+    side of the line y -> z that the point p / w lies on, turned to be
+    positive at x."""
+    (yx, yy), (zx, zy) = _GRID[y], _GRID[z]
+    side = tuple((zx - yx) * (gy - yy) - (zy - yy) * (gx - yx) for gx, gy in _GRID.values())
+    return side if side[GENERATORS.index(x)] > 0 else tuple(map(neg, side))
 
 
-def _sorted_gens(names) -> tuple[str, ...]:
-    return tuple(sorted(names, key=GENERATORS.index))
+# Per triangle, in _CELLS order, with corners x, y, z in GENERATORS order: the
+# weights of x, y and z, and the cell spanned by each set of corners, indexed
+# by its bit mask (x the lowest bit).  The 9 triangles are the same in both modes.
+_LOCATOR = tuple(
+    ((_corner(x, y, z), _corner(y, z, x), _corner(z, x, y)),
+     ((), (x,), (y,), (x, y), (z,), (x, z), (y, z), (x, y, z)))
+    for x, y, z in (gens for gens in _CELLS[NMode.GT3] if len(gens) == 3)
+)
 
 
-def _counterclockwise(a, b, c) -> tuple[str, str, str]:
-    return (a, b, c) if _orient(_GRID[a], _GRID[b], _GRID[c]) > 0 else (a, c, b)
+def _cell(d: DivisorCombo) -> tuple[str, ...]:
+    """The generators spanning the cell of the combination's cross-section point.
 
-
-# The 9 triangles (the same in both modes), corners in counterclockwise order.
-_TRIANGLES = tuple(_counterclockwise(*_sorted_gens(gens)) for gens in _CELLS[NMode.GT3] if len(gens) == 3)
+    The point is p / w for p the nums-weighted sum of the _GRID points and w
+    the sum of nums (the common denominator cancels).  A corner's barycentric
+    sign is that of one integer dot product of nums with its _LOCATOR weights,
+    taken with nums negated when w < 0.  The first closed triangle whose three
+    signs are all >= 0 contains the point, and the corners with a positive
+    sign span the cell.
+    """
+    nums = d.nums
+    w = sum(nums)
+    if w == 0:
+        raise ZeroDivisor("all divisor coefficients vanish")
+    if w < 0:
+        nums = tuple(map(neg, nums))
+    for (oa, ob, oc), faces in _LOCATOR:
+        sa = sum(map(mul, oa, nums))
+        if sa >= 0:
+            sb = sum(map(mul, ob, nums))
+            if sb >= 0:
+                sc = sum(map(mul, oc, nums))
+                if sc >= 0:
+                    return faces[(sa > 0) | (sb > 0) << 1 | (sc > 0) << 2]
+    raise AssertionError("cross-section point escaped the cell partition")
 
 
 def resolve(d: DivisorCombo) -> ChamberVerdict:
-    """Locate the combination's cross-section point and return its cell's model.
-
-    The point is p / w for p the nums-weighted sum of the _GRID points and w
-    the sum of nums (the common denominator cancels); the sign tests compare
-    p with the grid scaled by w, all in integers.  The first closed triangle
-    whose three barycentric signs are all >= 0 contains the point, and the
-    corners with a positive sign span the cell.
-    """
-    w = sum(d.nums)
-    if w == 0:
-        raise ZeroDivisor("all divisor coefficients vanish")
-    p = tuple(sum(k * _GRID[g][i] for g, k in zip(GENERATORS, d.nums)) for i in (0, 1))
-    grid = {g: (w * x, w * y) for g, (x, y) in _GRID.items()}
-    for a, b, c in _TRIANGLES:
-        ga, gb, gc = grid[a], grid[b], grid[c]
-        signs = (_orient(gb, gc, p), _orient(gc, ga, p), _orient(ga, gb, p))
-        if min(signs) >= 0:
-            break
-    else:
-        raise AssertionError("cross-section point escaped the cell partition")
-    gens = _sorted_gens(g for g, s in zip((a, b, c), signs) if s)
-    case, model, desc = _CELLS[d.n_mode][frozenset(gens)]
+    """Locate the combination's cross-section point and return its cell's model."""
+    gens = _cell(d)
+    case, model, desc = _CELLS[d.n_mode][gens]
     return ChamberVerdict(case, model, desc, Cell(len(gens) - 1, gens))
+
+
+def response_text(d: DivisorCombo) -> JsonText:
+    """The CLI response document of the combination's cell, schema_version included."""
+    return _TEXTS[d.n_mode][_cell(d)]
 
 
 # Position i of a reflected combination holds the coefficient of GENERATORS[_REFLECTED[i]].

@@ -18,9 +18,7 @@ import re
 import sys
 
 from .errors import DomainError
-from .wire import JsonText
-
-SCHEMA_VERSION = 1
+from .wire import SCHEMA_VERSION, JsonText
 
 # The largest degree of a Poincare polynomial the CLI computes, checked on
 # the identifier before any product is formed.  The costliest requests within
@@ -179,14 +177,16 @@ _DOCUMENTS = {"poincare": _poincare_doc, "chamber": _chamber_doc}
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
+def _emit(doc: dict | JsonText, out_path: str | None) -> None:
     """Write doc as compact JSON with sorted keys through the shared encoder.
 
-    A JsonText member is written as it is, so a document holding one is
-    written member by member (its keys are plain names that need no escaping);
-    any other in one call.
+    A whole-document JsonText is written as it is.  A JsonText member is too,
+    so a document holding one is written member by member (its keys are plain
+    names that need no escaping); any other in one call.
     """
-    if any(isinstance(value, JsonText) for value in doc.values()):
+    if isinstance(doc, JsonText):
+        text = doc + "\n"
+    elif any(isinstance(value, JsonText) for value in doc.values()):
         members = [
             f'"{key}":{value if isinstance(value, JsonText) else _encode(value)}'
             for key, value in sorted(doc.items())
@@ -286,13 +286,13 @@ def _run_modify(doc: dict) -> dict:
     }
 
 
-def _run_chamber(doc: dict) -> dict:
-    from .chamber import DivisorCombo, duality_reflect, resolve
+def _run_chamber(doc: dict) -> JsonText:
+    from .chamber import DivisorCombo, duality_reflect, response_text
 
     combo = DivisorCombo.from_json(doc)
     if doc.get("reflect"):
         combo = duality_reflect(combo)
-    return resolve(combo).to_json()
+    return response_text(combo)
 
 
 _RUNNERS = {
@@ -318,7 +318,9 @@ def main(argv=None) -> int:
         return 0
     try:
         op, request, out_path = _read_argv(argv)
-        doc, code = {"schema_version": SCHEMA_VERSION, **_RUNNERS[op](request)}, 0
+        body = _RUNNERS[op](request)
+        doc = body if isinstance(body, JsonText) else {"schema_version": SCHEMA_VERSION, **body}
+        code = 0
     except DomainError as exc:
         doc, code = {"error": exc.code, "detail": str(exc)}, 2
     except (KeyError, TypeError, ValueError, OSError) as exc:

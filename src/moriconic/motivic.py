@@ -218,24 +218,25 @@ def t4_poincare(n: int) -> QPoly:
 # below; the computation must reproduce it exactly.
 _MP2_4M2_COEFFS = (1, 2, 5, 9, 12, 12, 12, 10, 10, 9, 10, 10, 11, 11, 9, 5, 2, 1)
 
+# The two wall-crossing excisions of the sheaf moduli over T4's denominator,
+# expanded once; their terms are constants.
+_MP2_4M2_EXCISIONS = _numerator(
+    (1, 15, 1, 1, 2, 2),  # P(P^14) - P(P^2) = ((1-q^15) - (1-q^3)) / (1-q)
+    (-1, 3, 1, 1, 2, 2),
+    (1, 3, 3, 13, 2, 2),  # P(P^2)^2 (P(P^12) - 1) = [3]^2 ((1-q^13) - (1-q)) / (1-q)
+    (-1, 3, 3, 1, 2, 2),
+)
+
 
 def mp2_4m2_poincare() -> QPoly:
     """Moduli of one-dimensional semistable sheaves on P^2 with Hilbert polynomial 4m+2.
 
     Assembled from two wall-crossing excisions and the n = 5 double cover:
     (P(P^14) - P(P^2)) + P(P^2 x P^2)(P(P^12) - 1) + P(T4(5)), as one sparse
-    numerator over T4's denominator (1-q)^3 (1-q^2)^2.
+    numerator over T4's denominator (1-q)^3 (1-q^2)^2: T4's terms laid out at
+    n = 5 plus the excisions' terms.
     """
-    value = _ratio(
-        _layout(_numerator(
-            (1, 15, 1, 1, 2, 2),  # P(P^14) - P(P^2) = ((1-q^15) - (1-q^3)) / (1-q)
-            (-1, 3, 1, 1, 2, 2),
-            (1, 3, 3, 13, 2, 2),  # P(P^2)^2 (P(P^12) - 1) = [3]^2 ((1-q^13) - (1-q)) / (1-q)
-            (-1, 3, 3, 1, 2, 2),
-            *_products(5)["T4"],
-        )),
-        _DEN,
-    )
+    value = _ratio(_layout(_TERMS["T4"] + _MP2_4M2_EXCISIONS, 5), _DEN)
     if value != QPoly(_MP2_4M2_COEFFS):
         raise RuntimeError(
             "internal consistency failure: sheaf-moduli polynomial does not match "

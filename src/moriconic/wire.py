@@ -113,6 +113,10 @@ def rat_strings(nums: Iterable[int], den: int) -> list[str]:
     return list(map(table.__getitem__, nums))
 
 
+# The schema_version of every successful CLI document.
+SCHEMA_VERSION = 1
+
+
 class JsonText(str):
     """One JSON value already written as compact text with sorted keys: a
     document writer puts it in as it is."""

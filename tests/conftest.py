@@ -2,8 +2,9 @@
 independent sympy route for cross-checking minor-gcd classifications,
 reference polynomial and binary-form arithmetic on coefficient tuples, the
 documents json_text writes read back, the cross-section coordinates of the
-chamber lookup, and the argparse parser the CLI read its flags with before
-its flag table."""
+chamber lookup with the orientation loop and the verdict writer it had before
+its sign and text tables, and the argparse parser the CLI read its flags with
+before its flag table."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from itertools import combinations
 
 import pytest
 
-from moriconic import KroneckerModule, LinearForm, NotDivisible, RatMatrix, Stratum
-from moriconic.chamber import _GRID
+from moriconic import ChamberVerdict, KroneckerModule, LinearForm, NotDivisible, RatMatrix, Stratum, ZeroDivisor
+from moriconic.chamber import _CELLS, _GRID, GENERATORS, Cell, NMode
 
 
 def random_sl2(rng: random.Random, size: int = 5):
@@ -292,6 +293,55 @@ def written(obj):
 
 # The chamber cross-section's coordinates as Fractions: chamber._GRID over 18.
 COORDS = {g: (Fraction(x, 18), Fraction(y, 18)) for g, (x, y) in _GRID.items()}
+
+
+# The chamber lookup before its sign and text tables, kept as the reference
+# the tables are tested against.
+
+
+def _orient(a, b, c) -> int:
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def _counterclockwise(a, b, c) -> tuple[str, str, str]:
+    return (a, b, c) if _orient(_GRID[a], _GRID[b], _GRID[c]) > 0 else (a, c, b)
+
+
+# The 9 triangles, corners in counterclockwise order.
+_TRIANGLES = tuple(_counterclockwise(*gens) for gens in _CELLS[NMode.GT3] if len(gens) == 3)
+
+
+def reference_resolve(d) -> ChamberVerdict:
+    """resolve by orientation tests: p, the nums-weighted sum of the _GRID
+    points, against the grid scaled by w, the sum of nums.  The first closed
+    triangle whose three barycentric signs are all >= 0 contains the point,
+    and the corners with a positive sign span the cell."""
+    w = sum(d.nums)
+    if w == 0:
+        raise ZeroDivisor("all divisor coefficients vanish")
+    p = tuple(sum(k * _GRID[g][i] for g, k in zip(GENERATORS, d.nums)) for i in (0, 1))
+    grid = {g: (w * x, w * y) for g, (x, y) in _GRID.items()}
+    for a, b, c in _TRIANGLES:
+        ga, gb, gc = grid[a], grid[b], grid[c]
+        signs = (_orient(gb, gc, p), _orient(gc, ga, p), _orient(ga, gb, p))
+        if min(signs) >= 0:
+            break
+    else:
+        raise AssertionError("cross-section point escaped the cell partition")
+    gens = tuple(sorted((g for g, s in zip((a, b, c), signs) if s), key=GENERATORS.index))
+    case, model, desc = _CELLS[d.n_mode][gens]
+    return ChamberVerdict(case, model, desc, Cell(len(gens) - 1, gens))
+
+
+def reference_to_json(verdict: ChamberVerdict) -> dict:
+    """The response members of a chamber verdict, as ChamberVerdict.to_json wrote them."""
+    return {
+        "case": verdict.case_id,
+        "model": verdict.model,
+        "description": verdict.description,
+        "cell": {"dim": verdict.cell.dim, "generators": list(verdict.cell.generators)},
+    }
 
 
 # Reference wedge coordinates, envelope and stdout, on Fractions, sharing no

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -6,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from moriconic import (
+    ChamberVerdict,
     DivisorCombo,
     NMode,
     ZeroDivisor,
@@ -13,9 +17,10 @@ from moriconic import (
     duality_reflect,
     resolve,
 )
-from moriconic.chamber import GENERATORS
+from moriconic import cli
+from moriconic.chamber import _CELLS, _TEXTS, GENERATORS, Cell, response_text
 
-from conftest import COORDS
+from conftest import COORDS, ref_stdout, reference_resolve, reference_to_json
 
 # (case, model, positive generators, optional generators) per item of the
 # generic (n > 3) table.
@@ -290,3 +295,89 @@ class TestTotality:
     def test_json_round_trip(self):
         d = combo({"H11": Fraction(1, 3), "T": 2}, NMode.EQ3)
         assert DivisorCombo.from_json(d.to_json()) == d
+
+
+# Generators on one line of the cross-section (collinear triples included) and
+# single generators, so that walls and vertices come up as often as triangles.
+SUPPORTS = (
+    GENERATORS,
+    ("Dunb", "H11", "T"), ("Ddeg", "H2", "T"), ("Dunb", "P", "H2"), ("Ddeg", "P", "H11"),
+    ("Delta", "T", "P"), ("Dunb", "Ddeg"), ("Dunb", "Delta"), ("Ddeg", "Delta"), ("H11", "H2"),
+    ("H11", "Delta"), ("H2", "Delta"),
+    *((g,) for g in GENERATORS),
+)
+WEIGHTS = (0, 0, 0, 1, 1, 2, 3, 5, 12)
+
+
+def seeded_nums(rng) -> tuple[int, ...]:
+    """Seven numerators, zero off a support drawn from SUPPORTS; all zero at times."""
+    support = rng.choice(SUPPORTS)
+    weights = dict(zip(support, rng.choices(WEIGHTS, k=len(support))))
+    return tuple(weights.get(g, 0) for g in GENERATORS)
+
+
+def cli_stdout(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+class TestTables:
+    def test_cells_are_written_in_generator_order(self):
+        for cells in _CELLS.values():
+            assert all(list(gens) == sorted(gens, key=GENERATORS.index) for gens in cells)
+
+    def test_every_cell_text_is_the_encoded_verdict(self):
+        for mode in NMode:
+            assert len(_TEXTS[mode]) == len(_CELLS[mode]) == 31
+            for gens, (case, model, desc) in _CELLS[mode].items():
+                verdict = ChamberVerdict(case, model, desc, Cell(len(gens) - 1, gens))
+                assert _TEXTS[mode][gens] == cli._encode({"schema_version": 1, **reference_to_json(verdict)})
+
+    def test_locator_matches_the_orientation_loop(self):
+        rng = random.Random(2022)
+        for i in range(20000):
+            d = DivisorCombo(seeded_nums(rng), rng.randint(1, 3), (NMode.GT3, NMode.EQ3)[i % 2])
+            if i % 4 >= 2:
+                d = duality_reflect(d)
+            if not any(d.nums):
+                with pytest.raises(ZeroDivisor):
+                    resolve(d)
+                continue
+            expected = reference_resolve(d)
+            assert resolve(d) == expected
+            assert response_text(d) is _TEXTS[d.n_mode][expected.cell.generators]
+
+    def test_signed_numerators_match_the_orientation_loop(self):
+        # a DivisorCombo built directly may hold negative numerators: the same
+        # cross-section point, the same ZeroDivisor, the same escape
+        rng = random.Random(2023)
+        for _ in range(500):
+            d = DivisorCombo(tuple(rng.randint(-3, 3) for _ in GENERATORS), 1)
+            try:
+                expected = reference_resolve(d)
+            except (ZeroDivisor, AssertionError) as exc:
+                with pytest.raises(type(exc)):
+                    resolve(d)
+            else:
+                assert resolve(d) == expected
+
+    def test_cli_documents_match_the_reference(self):
+        rng = random.Random(2024)
+        for i in range(600):
+            nums = seeded_nums(rng)
+            coeffs = {g: str(k) for g, k in zip(GENERATORS, nums) if k or rng.random() < 0.2}
+            mode, reflect = ("gt3", "eq3")[i % 2], i % 4 >= 2
+            argv = ["chamber", "--coeffs", json.dumps(coeffs), "--n-mode", mode, *["--reflect"] * reflect]
+            d = DivisorCombo(nums, 1, NMode(mode))
+            if reflect:
+                d = duality_reflect(d)
+            if not any(nums):
+                expected = (2, '{"detail":"all divisor coefficients vanish","error":"zero_divisor"}\n')
+            else:
+                expected = (0, ref_stdout(reference_to_json(reference_resolve(d))))
+            assert cli_stdout(*argv) == expected
+        for coeffs in ('{"T":"-1"}', '{"Bogus":"1"}', '{"T":"x"}', "[1]"):
+            code, out = cli_stdout("chamber", "--coeffs", coeffs, "--reflect")
+            assert code == 1 and json.loads(out)["error"] == "parse_error"

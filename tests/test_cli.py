@@ -416,6 +416,16 @@ class TestChamber:
         assert code == 0
         assert json.loads(out)["model"] == "G"
 
+    def test_document_n_mode_is_honoured_and_reflect_ignored(self, capsys, tmp_path):
+        # the document's own n_mode holds unless --n-mode is given; its reflect
+        # key is overwritten, since --reflect is a flag only
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"coeffs": {"H11": "1"}, "n_mode": "eq3", "reflect": True}))
+        for flags, model in (((), "Kstar"), (("--reflect",), "K"), (("--n-mode", "gt3"), "L")):
+            code, out = run(capsys, "chamber", "--in", str(path), *flags)
+            assert code == 0
+            assert json.loads(out)["model"] == model
+
     @pytest.mark.parametrize("value", ["1\n", "\u0663", "2/\u0663", "\uff11"])
     def test_non_ascii_coefficient_is_parse_error(self, capsys, value):
         code, out = run(capsys, "chamber", "--coeffs", json.dumps({"T": value}))
