@@ -237,24 +237,16 @@ def _run_poincare(doc: dict) -> dict:
     return {"poly": poincare(_space_from_json(doc)).json_text()}
 
 
-def _run_stability(doc: dict) -> dict:
-    from .kronecker import KroneckerModule, classify_stability
+def _run_stability(doc: dict) -> JsonText:
+    from .kronecker import KroneckerModule, stability_text
 
-    module = KroneckerModule.from_json(doc)
-    cls = classify_stability(module)
-    return {
-        "verdict": cls.verdict.value,
-        "witness": cls.witness.to_json() if cls.witness else None,
-        "closed_orbit": cls.closed_orbit,
-        "stabilizer": cls.stabilizer_kind.value if cls.stabilizer_kind else None,
-    }
+    return stability_text(KroneckerModule.from_json(doc))
 
 
-def _run_stratify(doc: dict) -> dict:
-    from .kronecker import KroneckerModule, stratify
+def _run_stratify(doc: dict) -> JsonText:
+    from .kronecker import KroneckerModule, stratify_text
 
-    module = KroneckerModule.from_json(doc)
-    return {"stratum": stratify(module).value}
+    return stratify_text(KroneckerModule.from_json(doc))
 
 
 def _run_conic(doc: dict) -> dict:

@@ -28,7 +28,10 @@ rows over one denominator, brought there once when it is constructed, and
 each entry point decides everything with those rows' Python ints, as if the
 denominator were 1: proportional columns or rows by cross products, and the
 minor gcd from the span of the minors, which is at most 3-dimensional (see
-quadratic_gcd).
+linalg.gcd_coefficients).  _decide is the one decision: it returns the stratum
+and the witness as integers.  classify_stability and stratify build their
+records from it, and stability_text and stratify_text write the CLI documents
+from it, each a fixed text per stratum plus the witness, with no Fraction.
 """
 
 from __future__ import annotations
@@ -40,18 +43,17 @@ from typing import NamedTuple
 
 from .errors import NotSemistable
 from .linalg import (
-    ALL_ZERO,
     BinaryForm,
     RatMatrix,
     RatVector,
     RootKind,
-    RootStructure,
     bareiss,
     common_denominator,
+    gcd_coefficients,
     quadratic_gcd,
-    quadratic_root_structure,
+    root_points,
 )
-from .wire import fraction_type, json_array, lowest_terms, rationals
+from .wire import SCHEMA_VERSION, JsonText, fraction_type, json_array, json_strings, lowest_terms, rationals
 
 
 class LinearForm(RatVector):
@@ -83,20 +85,20 @@ class KroneckerModule(RatMatrix):
         forms = (m11, m12, m21, m22)
         if any(f.n != n for f in forms):
             raise ValueError("all entries must share the ambient parameter n")
-        self._store(n, *common_denominator(forms))
+        self._store(n, *lowest_terms(*common_denominator(forms)))
 
     @classmethod
     def from_ints(cls, n: int, nums, den: int = 1) -> "KroneckerModule":
         """The module whose rows m11, m12, m21, m22, flattened, are nums / den."""
         M = object.__new__(cls)
-        M._store(n, nums, den)
+        M._store(n, *lowest_terms(nums, den))
         return M
 
-    def _store(self, n: int, nums, den: int) -> None:
-        """Every constructor's storage, after the one check of n, the length and the zero matrix."""
+    def _store(self, n: int, nums: tuple[int, ...], den: int) -> None:
+        """Every constructor's storage of lowest-terms nums / den, after the one
+        check of n, the length and the zero matrix."""
         if n < 2:
             raise ValueError("ambient parameter n must be >= 2")
-        nums, den = lowest_terms(nums, den)
         if len(nums) != 4 * (n + 1):
             raise ValueError(f"expected {4 * (n + 1)} coefficients, got {len(nums)}")
         if not any(nums):
@@ -149,7 +151,10 @@ class KroneckerModule(RatMatrix):
     @classmethod
     def from_json(cls, doc: dict) -> "KroneckerModule":
         n, forms = json_n_and_entries(doc)
-        return cls.from_ints(n, *rationals(json_coefficients(n, forms)))
+        M = object.__new__(cls)
+        # rationals gives lowest terms already
+        M._store(n, *rationals(json_coefficients(n, forms)))
+        return M
 
 
 def json_n(doc: dict) -> int:
@@ -213,12 +218,6 @@ class Witness(NamedTuple):
     kind: WitnessKind
     vector: tuple[Fraction, Fraction] | None = None
     form: BinaryForm | None = None
-
-    def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind.value}
-        doc["vector"] = [str(c) for c in self.vector] if self.vector else None
-        doc["form"] = self.form.to_json() if self.form is not None else None
-        return doc
 
 
 class StabilityClass(NamedTuple):
@@ -315,11 +314,12 @@ def _dependency(u, w) -> tuple[int, int] | None:
     return (v0, v1) if v0 > 0 or (v0 == 0 and v1 > 0) else (-v0, -v1)
 
 
-def _destabilizing_witness(a1, b1, a2, b2) -> Witness | None:
-    """Rational v with Mv = 0, else rational w with w^T M = 0, else None.
+def _destabilizing_witness(a1, b1, a2, b2) -> tuple[WitnessKind, tuple[int, int], None] | None:
+    """(kind, v, None) for an integer v with Mv = 0 (a zero column) or else
+    with v^T M = 0 (a zero row), or None when neither exists.
 
-    Such v exists exactly when the two columns of M are proportional, and w
-    when the two rows are; integer cross products decide both.
+    Such v exists exactly when the two columns of M are proportional, or the
+    two rows; integer cross products decide both.
     """
     for kind, u, w in (
         (WitnessKind.ZERO_COLUMN, a1 + a2, b1 + b2),
@@ -327,8 +327,7 @@ def _destabilizing_witness(a1, b1, a2, b2) -> Witness | None:
     ):
         v = _dependency(u, w)
         if v is not None:
-            Fraction = fraction_type()
-            return Witness(kind, vector=(Fraction(v[0]), Fraction(v[1])))
+            return kind, v, None
     return None
 
 
@@ -343,21 +342,30 @@ _CLASSES = {
 }
 
 
-def _decide(M: KroneckerModule) -> tuple[Stratum, object, RootStructure | None]:
-    """(stratum, what decided it, root structure of a quadratic gcd), from one
-    integer pass.  What decided it is the instability witness for an unstable
-    module and the minor gcd for a semistable one."""
+def _decide(M: KroneckerModule) -> tuple[Stratum, tuple | None]:
+    """(stratum, witness) from one integer pass.
+
+    The witness of an unstable module is _destabilizing_witness's.  That of a
+    strictly semistable one is (RANK_DROP, (s, t), None) for a rational root
+    (s : t) of the minor gcd, as root_points writes it ((1, 0) on Y0, where
+    every direction drops the rank), or (GCD_CERTIFICATE, None, the gcd's
+    coefficients) when its two roots are irrational.  A stable module has none.
+    """
     a1, b1, a2, b2 = M.int_rows()
     w = _destabilizing_witness(a1, b1, a2, b2)
     if w is not None:
-        return Stratum.UNSTABLE_LOCUS, w, None
-    g = quadratic_gcd(integer_minors(a1, b1, a2, b2))
-    if g is ALL_ZERO:
-        return Stratum.Y0, g, None
-    if g.degree < 2:
-        return (Stratum.Z1 if g.degree else Stratum.STABLE_LOCUS), g, None
-    rs = quadratic_root_structure(g)
-    return (Stratum.Y1 if rs.kind is RootKind.TWO_DISTINCT_ROOTS else Stratum.Z0), g, rs
+        return Stratum.UNSTABLE_LOCUS, w
+    g = gcd_coefficients(integer_minors(a1, b1, a2, b2))
+    if g is None:
+        return Stratum.Y0, (WitnessKind.RANK_DROP, (1, 0), None)
+    if len(g) == 1:
+        return Stratum.STABLE_LOCUS, None
+    kind, points, _ = root_points(g)
+    stratum = (Stratum.Z1 if len(g) == 2 else
+               Stratum.Y1 if kind is RootKind.TWO_DISTINCT_ROOTS else Stratum.Z0)
+    if points:
+        return stratum, (WitnessKind.RANK_DROP, points[0], None)
+    return stratum, (WitnessKind.GCD_CERTIFICATE, None, g)
 
 
 def stratify(M: KroneckerModule) -> Stratum:
@@ -367,19 +375,61 @@ def stratify(M: KroneckerModule) -> Stratum:
 
 def classify_stability(M: KroneckerModule) -> StabilityClass:
     """Full GIT verdict with witness, orbit closedness, and stabilizer kind."""
-    stratum, found, rs = _decide(M)
+    stratum, found = _decide(M)
     verdict, closed, stabilizer = _CLASSES[stratum]
-    witness = found if verdict is Verdict.UNSTABLE else None
-    if stratum is Stratum.Y0:
-        # every direction drops the rank; (1, 0) is as good as any
-        Fraction = fraction_type()
-        witness = Witness(WitnessKind.RANK_DROP, vector=(Fraction(1), Fraction(0)))
-    elif verdict is Verdict.STRICTLY_SEMISTABLE:
-        # a linear gcd (Z1) has its one root found here
-        roots = (rs or quadratic_root_structure(found)).roots
-        witness = (Witness(WitnessKind.RANK_DROP, vector=roots[0]) if roots
-                   else Witness(WitnessKind.GCD_CERTIFICATE, form=found))
+    witness = None
+    if found is not None:
+        kind, point, form = found
+        witness = (Witness(kind, form=BinaryForm.from_ints(form)) if point is None
+                   else Witness(kind, vector=tuple(map(fraction_type(), _vector_strings(kind, *point)))))
     return StabilityClass(verdict, witness, closed, stabilizer)
+
+
+def _vector_strings(kind: WitnessKind, s: int, t: int) -> list[str]:
+    """The wire strings of the witness vector at _decide's integer point (s, t):
+    (s/t, 1) for a rank drop with t > 1, and (s, t) itself otherwise."""
+    return [f"{s}/{t}", "1"] if kind is WitnessKind.RANK_DROP and t > 1 else [str(s), str(t)]
+
+
+def _json_value(value) -> str:
+    """The JSON text of None, a bool, or an Enum member whose value needs no escaping."""
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    return f'"{value.value}"'
+
+
+# Per stratum: the CLI stability document up to its witness, as the CLI's
+# encoder writes it (sorted keys, compact).
+_STABILITY_HEADS = {
+    stratum: (f'{{"closed_orbit":{_json_value(closed)},"schema_version":{SCHEMA_VERSION},'
+              f'"stabilizer":{_json_value(stabilizer)},"verdict":{_json_value(verdict)},"witness":')
+    for stratum, (verdict, closed, stabilizer) in _CLASSES.items()
+}
+
+# Per stratum: the whole CLI stratify document.
+_STRATIFY_TEXTS = {
+    stratum: JsonText(f'{{"schema_version":{SCHEMA_VERSION},"stratum":"{stratum.value}"}}')
+    for stratum in Stratum
+}
+
+
+def stability_text(M: KroneckerModule) -> JsonText:
+    """The CLI stability document of M, schema_version included: its stratum's
+    fixed members, then the witness written from _decide's integers with the
+    strings str(Fraction) gives."""
+    stratum, found = _decide(M)
+    head = _STABILITY_HEADS[stratum]
+    if found is None:
+        return JsonText(head + "null}")
+    kind, point, form = found
+    vector = "null" if point is None else json_strings(_vector_strings(kind, *point))
+    form = "null" if form is None else json_strings([str(c) for c in form])
+    return JsonText(f'{head}{{"form":{form},"kind":"{kind.value}","vector":{vector}}}}}')
+
+
+def stratify_text(M: KroneckerModule) -> JsonText:
+    """The CLI stratify document of M, schema_version included."""
+    return _STRATIFY_TEXTS[stratify(M)]
 
 
 def _det_gram(a, b, c, d, indices, den: int = 1) -> RatMatrix:

@@ -189,10 +189,15 @@ class BinaryForm(RatVector):
         """
         if self.is_zero:
             return self
-        g = math.gcd(*self.nums)
-        if next(v for v in self.nums if v) < 0:
-            g = -g
-        return BinaryForm.from_ints([v // g for v in self.nums])
+        return BinaryForm.from_ints(_normalized(self.nums))
+
+
+def _normalized(nums: Sequence[int]) -> tuple[int, ...]:
+    """Nonzero integer coefficients divided by their gcd, the first nonzero one made positive."""
+    g = math.gcd(*nums)
+    if next(v for v in nums if v) < 0:
+        g = -g
+    return tuple(v // g for v in nums)
 
 
 class AllZero:
@@ -238,8 +243,10 @@ def span_basis(triples: Iterable[Sequence[int]]) -> list[Sequence[int]]:
     return basis
 
 
-def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
-    """Gcd of binary quadratics given as integer coefficient triples.
+def gcd_coefficients(triples: Iterable[Sequence[int]]) -> tuple[int, ...] | None:
+    """Gcd of binary quadratics given as integer coefficient triples: its
+    coefficients, coprime integers with a positive leading entry, or None when
+    every triple is zero.
 
     The triples span at most three dimensions, and the span decides the gcd.
     Dimension 3 leaves no common factor.  In dimension 2 the cross product
@@ -247,19 +254,23 @@ def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
     every common root (s0 : t0), so the basis shares a root exactly when the
     resultant Y^2 - XZ vanishes, and then the root is (X : Y), or (0 : 1) when
     X = 0.  In dimension 1 every triple is a multiple of the first nonzero one.
-    The result is normalized to coprime integers with a positive leading
-    entry, and ALL_ZERO when every triple is zero.
     """
     basis = span_basis(triples)
     if not basis:
-        return ALL_ZERO
+        return None
     if len(basis) == 1:
-        return BinaryForm.from_ints(basis[0]).normalized()
+        return _normalized(basis[0])
     x, y, z = cross(*basis[:2])
     if len(basis) == 3 or y * y != x * z:
-        return BinaryForm.from_ints((1,))
+        return (1,)
     s0, t0 = (x, y) if x else (y, z)
-    return BinaryForm.from_ints((t0, -s0)).normalized()
+    return _normalized((t0, -s0))
+
+
+def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
+    """gcd_coefficients as a BinaryForm, and ALL_ZERO when every triple is zero."""
+    nums = gcd_coefficients(triples)
+    return ALL_ZERO if nums is None else BinaryForm.from_ints(nums)
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +300,44 @@ class RootStructure(NamedTuple):
     discriminant: Fraction | None
 
 
-def _proj_point(s: int, t: int) -> tuple[Fraction, Fraction]:
-    # canonical representative: (s/t, 1) if t != 0, else (1, 0)
-    Fraction = fraction_type()
-    if t:
-        return (Fraction(s, t), Fraction(1))
-    return (Fraction(1), Fraction(0))
+def _point(s: int, t: int) -> tuple[int, int]:
+    """The projective point (s : t), (s, t) != (0, 0), as coprime integers with
+    t > 0, or (1, 0) when t = 0."""
+    if not t:
+        return (1, 0)
+    g = math.gcd(s, t) if t > 0 else -math.gcd(s, t)
+    return (s // g, t // g)
+
+
+def root_points(nums: Sequence[int]) -> tuple[RootKind, tuple[tuple[int, int], ...], int | None]:
+    """The roots of a nonzero integer binary form of degree 1 or 2: their kind,
+    the rational ones as coprime points (s, t) with t > 0 or (1, 0), and the
+    integer discriminant c1^2 - 4 c0 c2 of a quadratic (None for a linear form).
+    A quadratic with two distinct roots has both or neither listed: they are
+    rational exactly when the discriminant is a square."""
+    if len(nums) == 2:
+        c0, c1 = nums
+        return RootKind.SIMPLE_ROOT, (_point(-c1, c0),), None
+    c0, c1, c2 = nums
+    d = c1 * c1 - 4 * c0 * c2
+    if d == 0:
+        # when c0 = 0 then c1 = 0 too, and the double root is (1 : 0)
+        return RootKind.DOUBLE_ROOT, (_point(-c1, 2 * c0),), d
+    if c0 == 0:
+        # t divides the form
+        return RootKind.TWO_DISTINCT_ROOTS, ((1, 0), _point(-c2, c1)), d
+    if d > 0 and (w := math.isqrt(d)) ** 2 == d:
+        return RootKind.TWO_DISTINCT_ROOTS, (_point(-c1 + w, 2 * c0), _point(-c1 - w, 2 * c0)), d
+    return RootKind.TWO_DISTINCT_ROOTS, (), d
 
 
 def quadratic_root_structure(f: BinaryForm) -> RootStructure:
     """Classify the roots of a nonzero binary form of degree 0, 1, or 2.
 
     With f = (c0, c1, c2) / den over integers, the denominator cancels from
-    every root, and the discriminant is D / den^2 for the integer
-    D = c1^2 - 4 c0 c2, a rational square exactly when D is a square.
+    every root, so root_points finds them from the integers; the discriminant
+    is D / den^2 for its integer D.  A root (s, t) is listed as (s/t, 1), or
+    (1, 0) when t = 0.
     """
     if f.is_zero:
         raise ValueError("root structure of the zero form is undefined")
@@ -310,20 +345,8 @@ def quadratic_root_structure(f: BinaryForm) -> RootStructure:
         raise ValueError("only forms of degree <= 2 are classified")
     if f.degree == 0:
         return RootStructure(RootKind.NO_ROOT, (), True, None)
-    if f.degree == 1:
-        c0, c1 = f.nums
-        return RootStructure(RootKind.SIMPLE_ROOT, (_proj_point(-c1, c0),), True, None)
-    c0, c1, c2 = f.nums
-    d = c1 * c1 - 4 * c0 * c2
-    disc = fraction_type()(d, f.den * f.den)
-    if d == 0:
-        # when c0 = 0 then c1 = 0 too, and the double root is (1 : 0)
-        return RootStructure(RootKind.DOUBLE_ROOT, (_proj_point(-c1, 2 * c0),), True, disc)
-    if c0 == 0:
-        # t divides the form
-        roots = (_proj_point(1, 0), _proj_point(-c2, c1))
-        return RootStructure(RootKind.TWO_DISTINCT_ROOTS, roots, True, disc)
-    if d > 0 and (w := math.isqrt(d)) ** 2 == d:
-        roots = (_proj_point(-c1 + w, 2 * c0), _proj_point(-c1 - w, 2 * c0))
-        return RootStructure(RootKind.TWO_DISTINCT_ROOTS, roots, True, disc)
-    return RootStructure(RootKind.TWO_DISTINCT_ROOTS, (), False, disc)
+    kind, points, d = root_points(f.nums)
+    Fraction = fraction_type()
+    roots = tuple((Fraction(s, t), Fraction(1)) if t else (Fraction(1), Fraction(0)) for s, t in points)
+    disc = None if d is None else Fraction(d, f.den * f.den)
+    return RootStructure(kind, roots, bool(roots), disc)

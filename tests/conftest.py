@@ -3,12 +3,15 @@ independent sympy route for cross-checking minor-gcd classifications,
 reference polynomial and binary-form arithmetic on coefficient tuples, the
 documents json_text writes read back, the cross-section coordinates of the
 chamber lookup with the orientation loop and the verdict writer it had before
-its sign and text tables, and the argparse parser the CLI read its flags with
-before its flag table."""
+its sign and text tables, the stability and stratify documents as the CLI
+wrote them from the records, and the argparse parser the CLI read its flags
+with before its flag table."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -16,7 +19,19 @@ from itertools import combinations
 
 import pytest
 
-from moriconic import ChamberVerdict, KroneckerModule, LinearForm, NotDivisible, RatMatrix, Stratum, ZeroDivisor
+from moriconic import (
+    ChamberVerdict,
+    KroneckerModule,
+    LinearForm,
+    NotDivisible,
+    RatMatrix,
+    StabilityClass,
+    Stratum,
+    Witness,
+    ZeroDivisor,
+    stratify,
+)
+from moriconic import cli
 from moriconic.chamber import _CELLS, _GRID, GENERATORS, Cell, NMode
 
 
@@ -342,6 +357,42 @@ def reference_to_json(verdict: ChamberVerdict) -> dict:
         "description": verdict.description,
         "cell": {"dim": verdict.cell.dim, "generators": list(verdict.cell.generators)},
     }
+
+
+# The stability document as the CLI wrote it from the records, before its
+# per-stratum texts, kept as the reference those texts are tested against.
+
+
+def reference_witness_json(w: Witness) -> dict:
+    """The JSON members of a witness, as Witness.to_json wrote them."""
+    doc: dict = {"kind": w.kind.value}
+    doc["vector"] = [str(c) for c in w.vector] if w.vector else None
+    doc["form"] = w.form.to_json() if w.form is not None else None
+    return doc
+
+
+def cli_stdout(*argv) -> tuple[int, str]:
+    """The exit code and stdout of one in-process CLI request."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def reference_stability_stdout(cls: StabilityClass) -> str:
+    """The stdout of a stability request whose module classify_stability classed as cls."""
+    return cli._encode({
+        "schema_version": 1,
+        "verdict": cls.verdict.value,
+        "witness": reference_witness_json(cls.witness) if cls.witness else None,
+        "closed_orbit": cls.closed_orbit,
+        "stabilizer": cls.stabilizer_kind.value if cls.stabilizer_kind else None,
+    }) + "\n"
+
+
+def reference_stratify_stdout(M: KroneckerModule) -> str:
+    """The stdout of a stratify request on M, built from stratify."""
+    return cli._encode({"schema_version": 1, "stratum": stratify(M).value}) + "\n"
 
 
 # Reference wedge coordinates, envelope and stdout, on Fractions, sharing no

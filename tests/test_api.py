@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -38,8 +39,8 @@ except SystemExit as exc:
 # Standard-library modules none of these requests needs: argparse took about
 # 3 ms of a cold request, dataclasses, with inspect and what inspect imports,
 # 7-10 ms, and fractions, with the decimal it imports, about 2-3 ms.  A
-# request loads fractions only to build a Fraction: a witness vector, a root
-# or a base point.
+# request loads fractions only to build a Fraction, which only a modify base
+# point does.
 HEAVY = ("argparse", "dataclasses", "inspect", "fractions", "decimal")
 REPORT = """
 import json, sys
@@ -120,11 +121,37 @@ def test_record_types_load_no_heavy_module():
     assert fresh_report(script) == (expected, set())
 
 
-def test_unstable_witness_loads_fractions_when_built():
-    # the one place a stability request needs Fractions: its witness vector
-    doc = json.dumps({"n": 2, "matrix": [[["1", "0", "0"], ["0", "1", "0"]], [["0", "0", "0"], ["0", "0", "0"]]]})
-    script = CLI_SCRIPT.format(argv=["stability", "--json", doc])
-    assert fresh_report(script) == (KERNEL, {"fractions", "decimal"})
+def module_doc(n: int, *entries: str) -> str:
+    """The module document of four entries given as comma-separated coefficients."""
+    m11, m12, m21, m22 = (e.split(",") for e in entries)
+    return json.dumps({"n": n, "matrix": [[m11, m12], [m21, m22]]})
+
+
+# One module per stratum, Y1 with rational and with irrational roots, and
+# roots (s : t) with t = 0, t = 1 and t > 1.
+STRATUM_DOCS = {
+    "unstable_locus": module_doc(2, "1,0,0", "0,1,0", "0,0,0", "0,0,0"),
+    "Y0": module_doc(2, "1,0,0", "0,0,0", "0,0,0", "1,0,0"),
+    "Y1 rational": module_doc(2, "1,0,0", "0,0,0", "0,0,0", "0,1,0"),
+    "Y1 irrational": module_doc(2, "1,0,0", "0,2,0", "0,1,0", "1,0,0"),
+    "Z0": module_doc(2, "0,1,0", "0,0,0", "-1,0,0", "0,-1,0"),
+    "Z1": module_doc(2, "1/3,0,0", "0,1/3,0", "0,0,2/3", "0,0,1/3"),
+    "stable_locus": MODULE_DOC,
+}
+
+
+def test_stability_and_stratify_load_no_fractions():
+    # the witness is written from integers, so neither request builds a Fraction
+    witnesses = {}
+    for label, doc in STRATUM_DOCS.items():
+        module = moriconic.KroneckerModule.from_json(json.loads(doc))
+        assert moriconic.stratify(module).value == label.split()[0]
+        witnesses[label] = moriconic.classify_stability(module).witness
+    assert witnesses["Y1 irrational"].kind is moriconic.WitnessKind.GCD_CERTIFICATE
+    assert [witnesses[label].vector for label in ("Y0", "Z0", "Z1")] == [(1, 0), (0, 1), (Fraction(-1, 2), 1)]
+    script = "".join(CLI_SCRIPT.format(argv=[op, "--json", doc])
+                     for doc in STRATUM_DOCS.values() for op in ("stability", "stratify"))
+    assert fresh_report(script) == (KERNEL, set())
 
 
 def module_level_imports(tree: ast.AST):

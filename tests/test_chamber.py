@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import random
 from collections import defaultdict
@@ -20,7 +18,7 @@ from moriconic import (
 from moriconic import cli
 from moriconic.chamber import _CELLS, _TEXTS, GENERATORS, Cell, response_text
 
-from conftest import COORDS, ref_stdout, reference_resolve, reference_to_json
+from conftest import COORDS, cli_stdout, ref_stdout, reference_resolve, reference_to_json
 
 # (case, model, positive generators, optional generators) per item of the
 # generic (n > 3) table.
@@ -314,13 +312,6 @@ def seeded_nums(rng) -> tuple[int, ...]:
     support = rng.choice(SUPPORTS)
     weights = dict(zip(support, rng.choices(WEIGHTS, k=len(support))))
     return tuple(weights.get(g, 0) for g in GENERATORS)
-
-
-def cli_stdout(*argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
 
 
 class TestTables:

@@ -1,4 +1,8 @@
+import json
+import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +16,7 @@ from moriconic import (
     StabilizerKind,
     Stratum,
     Verdict,
+    Witness,
     WitnessKind,
     classify_stability,
     cokernel_kind,
@@ -27,9 +32,12 @@ from moriconic.linalg import BinaryForm
 
 from conftest import (
     NORMAL_FORM_BUILDERS,
+    cli_stdout,
     irrational_diagonalizable_module,
     random_module,
     random_sl2,
+    reference_stability_stdout,
+    reference_stratify_stdout,
     scaled,
     scaled_module,
     sympy_stratum,
@@ -135,8 +143,8 @@ class TestClassification:
         import moriconic.kronecker as kronecker
 
         calls = []
-        real = kronecker.quadratic_root_structure
-        monkeypatch.setattr(kronecker, "quadratic_root_structure", lambda g: calls.append(g) or real(g))
+        real = kronecker.root_points
+        monkeypatch.setattr(kronecker, "root_points", lambda g: calls.append(g) or real(g))
         cls = classify_stability(m)
         assert len(calls) == 1
         assert cls.verdict is Verdict.STRICTLY_SEMISTABLE and stratify(m) is stratum
@@ -339,3 +347,74 @@ class TestDimensionRange:
             KroneckerModule.from_json({"n": 3, "matrix": [[["1"], ["0"]], [["0"], ["1"]]]})
         with pytest.raises((ValueError, KeyError)):
             KroneckerModule.from_json({"matrix": []})
+
+
+def assert_documents_match_the_reference(M: KroneckerModule) -> Witness | None:
+    """stability and stratify on M's document write the reference bytes; M's witness."""
+    doc = json.dumps(M.to_json())
+    cls = classify_stability(M)
+    assert cli_stdout("stability", "--json", doc) == (0, reference_stability_stdout(cls))
+    assert cli_stdout("stratify", "--json", doc) == (0, reference_stratify_stdout(M))
+    w = cls.witness
+    if w is not None and w.vector is not None:
+        # a rank drop's canonical root (s/t, 1) or (1, 0); a zero column's or
+        # row's coprime integers, the first nonzero one positive
+        assert all(type(c) is Fraction for c in w.vector)
+        s, t = w.vector
+        if w.kind is WitnessKind.RANK_DROP:
+            assert t == 1 or (s, t) == (1, 0)
+        else:
+            assert s.denominator == t.denominator == 1 and gcd(s.numerator, t.numerator) == 1
+            assert s > 0 or s == 0 and t > 0
+    return w
+
+
+class TestDocuments:
+    """The per-stratum texts against the documents the CLI encoded from the records."""
+
+    def test_moved_normal_forms(self):
+        rng = random.Random(2323)
+        builders = [*NORMAL_FORM_BUILDERS.values(), irrational_diagonalizable_module]
+        kinds = Counter()
+        for n in (2, 3, 4, 5, 6, 20):
+            for builder in builders:
+                for _ in range(3):
+                    M = builder(rng, n).transform(random_sl2(rng), random_sl2(rng))
+                    for m in (M, M.transpose()):
+                        w = assert_documents_match_the_reference(m)
+                        if w is not None:
+                            kinds[w.kind] += 1
+                            if w.kind is WitnessKind.RANK_DROP:
+                                kinds["t > 1" if w.vector[0].denominator > 1 else "t <= 1"] += 1
+        assert set(kinds) == {*WitnessKind, "t > 1", "t <= 1"}
+
+    def test_zero_heavy_modules(self):
+        # entries in {-1, 0, 1} at n = 2 hit zero columns, zero rows, Y0 and Z0
+        rng = random.Random(2324)
+        strata = Counter()
+        for _ in range(5000):
+            nums = rng.choices((-1, 0, 0, 0, 1), k=12)
+            if not any(nums):
+                continue
+            M = KroneckerModule.from_ints(2, nums)
+            w = assert_documents_match_the_reference(M)
+            strata[stratify(M)] += 1
+            if w is not None:
+                strata[w.kind] += 1
+        assert set(strata) >= {*Stratum, *WitnessKind} - {Stratum.STABLE_LOCUS}
+
+    @pytest.mark.parametrize("doc, detail", [
+        ('{"n":1,"matrix":[[["1","0"],["0","1"]],[["0","0"],["1","0"]]]}', "ambient parameter n must be >= 2"),
+        ('{"n":2,"matrix":[[["0","0","0"],["0","0","0"]],[["0","0","0"],["0","0","0"]]]}',
+         "the zero matrix is not a point of the projective space"),
+        ('{"n":2,"matrix":[[["1","0","0"],["0","1"]],[["0","0","0"],["0","0","1"]]]}',
+         "expected 3 coefficients, got 2"),
+        ('{"n":2,"matrix":[[[1.5,0,0],[0,1,0]],[[0,0,0],[0,0,1]]]}', "exact rational expected, got float"),
+        ('{"n":2,"matrix":[[["1/0","0","0"],["0","1","0"]],[["0","0","0"],["0","0","1"]]]}',
+         "malformed rational string: '1/0'"),
+        ('{"n":2}', "'matrix'"),
+    ])
+    def test_parse_errors(self, doc, detail):
+        for op in ("stability", "stratify"):
+            assert cli_stdout(op, "--json", doc) == (1, json.dumps(
+                {"detail": detail, "error": "parse_error"}, separators=(",", ":")) + "\n")
