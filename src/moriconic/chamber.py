@@ -29,6 +29,8 @@ from .errors import ZeroDivisor
 from .wire import SCHEMA_VERSION, JsonText, fraction_type, json_strings, rat_strings, rationals
 
 GENERATORS = ("Dunb", "Ddeg", "Delta", "T", "H11", "H2", "P")
+# The index of each generator in GENERATORS.
+_INDEX = {g: i for i, g in enumerate(GENERATORS)}
 
 # The cross-section coordinates times 18, their common denominator, so that
 # every sign test is in integers: Dunb (0, 0), Ddeg (10, 0), Delta (5, 7),
@@ -69,15 +71,17 @@ class DivisorCombo(NamedTuple):
         """
         if not isinstance(coeffs, dict):
             raise ValueError("coeffs must be a JSON object of generator coefficients")
-        for name in coeffs:
-            if name not in GENERATORS:
-                raise ValueError(f"unknown divisor generator: {name!r}")
+        if not coeffs.keys() <= _INDEX.keys():
+            unknown = next(name for name in coeffs if name not in _INDEX)
+            raise ValueError(f"unknown divisor generator: {unknown!r}")
         nums, den = rationals(coeffs.values())
-        table = dict(zip(coeffs, nums))
-        for name, x in table.items():
-            if x < 0:
-                raise ValueError(f"coefficient of {name} must be nonnegative")
-        return cls(tuple(table.get(g, 0) for g in GENERATORS), den, n_mode)
+        if min(nums, default=0) < 0:
+            negative = next(name for name, x in zip(coeffs, nums) if x < 0)
+            raise ValueError(f"coefficient of {negative} must be nonnegative")
+        values = [0] * len(GENERATORS)
+        for name, x in zip(coeffs, nums):
+            values[_INDEX[name]] = x
+        return cls(tuple(values), den, n_mode)
 
     @property
     def coeffs(self) -> "tuple[tuple[str, Fraction], ...]":

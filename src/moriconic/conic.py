@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain, combinations, islice, zip_longest
 from math import comb
-from operator import mul
+from operator import mul, neg
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -29,7 +29,6 @@ from .kronecker import (
     KroneckerModule,
     LinearForm,
     index_pairs,
-    integer_minors,
     json_coefficients,
     json_n,
     json_n_and_entries,
@@ -44,7 +43,19 @@ from .linalg import (
     quadratic_root_structure,
     span_basis,
 )
-from .wire import JsonText, json_array, json_strings, lowest_terms, num_den, rat_strings, rationals
+from .wire import (
+    JsonText,
+    json_array,
+    json_strings,
+    lowest_terms,
+    num_den,
+    pack_slots,
+    rat_strings,
+    rationals,
+    read_slots,
+    slot_bytes,
+    slot_width,
+)
 
 
 def _pair_keys(n: int) -> list[str]:
@@ -160,8 +171,24 @@ class Envelope(RatMatrix):
 
 
 def _wedge(n: int, a1, b1, a2, b2, d: int) -> PluckerConic:
-    """The conic of the pencil rows (s * a1 + t * b1) / d and (s * a2 + t * b2) / d."""
-    return PluckerConic.from_ints(n, [x for t in integer_minors(a1, b1, a2, b2) for x in t], d * d)
+    """The conic of the pencil rows (s * a1 + t * b1) / d and (s * a2 + t * b2) / d.
+
+    With k-byte slots and W = 2^(8k), pencil row r packs as
+    X_r = sum_j (a_r[j] + b_r[j] W) W^(3j), three slots per column.  Then
+    (a1[i] + b1[i] W) X2 - (a2[i] + b2[i] W) X1 holds in its slots 3j, 3j + 1
+    and 3j + 2 the triple of the minor over the columns i and j, for every j,
+    and no slot exceeds 4 m^2 for m the largest entry: the minors of column i
+    against every j > i are that product's slots from 3(i + 1) on.
+    """
+    k = slot_width(4 * max(map(abs, chain(a1, b1, a2, b2))) ** 2)
+    w = 8 * k
+    zero = (0,) * (n + 1)
+    x1 = pack_slots([v for column in zip(a1, b1, zero) for v in column], k)
+    x2 = pack_slots([v for column in zip(a2, b2, zero) for v in column], k)
+    rows = slot_bytes([(p + (q << w)) * x2 - (u + (v << w)) * x1 for p, q, u, v in zip(a1, b1, a2, b2)],
+                      k, 3 * (n + 1))
+    tails = b"".join([row[3 * k * i:] for i, row in enumerate(rows, 1)])
+    return PluckerConic.from_ints(n, read_slots(tails, k), d * d)
 
 
 def plucker_conic(M: KroneckerModule) -> PluckerConic:
@@ -182,11 +209,15 @@ def envelope(c: PluckerConic) -> Envelope:
     adj(V) = (v_2 x v_3, v_3 x v_1, v_1 x v_2) take each column
     w = sum a_i v_i of S to det(V) a_i.  So the first r rows of adj(V) S,
     over det(V), are the reduced echelon basis.
+
+    A row (x, y, z) of adj(V) takes S to x S_0 + y S_1 + z S_2: three products
+    with the slices packed into slots that hold max |S| (|x| + |y| + |z|).
+    With det(V) made positive, lowest terms divide the rows only when every
+    entry shares a factor with det(V).
     """
     if c.is_zero:
         raise ZeroConic("the envelope of the zero conic is undefined")
-    triples = c.int_rows()
-    v = span_basis(triples)
+    v = span_basis(c.triples())
     dim = len(v)
     if dim == 1:
         m = next(k for k in range(3) if v[0][k])
@@ -197,8 +228,13 @@ def envelope(c: PluckerConic) -> Envelope:
     v1, v2, v3 = v
     adj = (cross(v2, v3), cross(v3, v1), cross(v1, v2))[:dim]
     det = sum(map(mul, v1, adj[0]))
-    nums = [x * a + y * b + z * d for x, y, z in adj for a, b, d in triples]
-    return Envelope.from_ints(nums, det, c.rows)
+    if det < 0:
+        adj, det = [tuple(map(neg, row)) for row in adj], -det
+    nums = c.nums
+    k = slot_width(max(max(nums), -min(nums)) * max(sum(map(abs, row)) for row in adj))
+    s0, s1, s2 = (pack_slots(nums[i::3], k) for i in range(3))
+    rows = slot_bytes([x * s0 + y * s1 + z * s2 for x, y, z in adj], k, c.rows)
+    return Envelope.from_ints(read_slots(b"".join(rows), k), det, c.rows)
 
 
 def conic_degree(c: PluckerConic) -> int:

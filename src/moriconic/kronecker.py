@@ -47,9 +47,9 @@ from .linalg import (
     RatMatrix,
     RatVector,
     RootKind,
-    bareiss,
     common_denominator,
     gcd_coefficients,
+    pivot_columns,
     quadratic_gcd,
     root_points,
 )
@@ -458,12 +458,14 @@ def cokernel_kind(M: KroneckerModule) -> CokernelKind:
     The Gram matrix of a*d - b*c is W K W^T for W = [a b c d] and a constant
     4 x 4 matrix K.  If the coordinates P give r = rank W independent rows
     W_P, then W = T W_P with T of full column rank, so the determinant rank is
-    the rank of the r x r block of the Gram matrix on P.
+    the rank of the r x r block of the Gram matrix on P.  The rows of W are
+    read in coordinate order, each kept when independent of those before it,
+    and reading stops once four are kept (linalg.pivot_columns).
     """
     a, b, c, d = M.int_rows()
     if _destabilizing_witness(a, b, c, d) is not None:
         raise NotSemistable("cokernel shape is defined for semistable modules only")
-    _, pivots, _ = bareiss([a, b, c, d])
+    pivots = pivot_columns([a, b, c, d])
     r = _det_gram(a, b, c, d, pivots).rank()
     if r >= 3:
         return CokernelKind("twisted_ideal_of_quadric", r)

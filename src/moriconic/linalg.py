@@ -70,6 +70,32 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, 
     return m[:r], tuple(pivots), prev
 
 
+def pivot_columns(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The pivot columns of an integer matrix, the ones bareiss finds: each
+    column independent of the columns before it, read only until there are as
+    many as rows.
+
+    A column is reduced by the kept ones, fraction-free, each of which is zero
+    at the leading entries of those kept before it; it is independent exactly
+    when something is left.
+    """
+    kept: list[tuple[int, list[int]]] = []
+    pivots: list[int] = []
+    for c, column in enumerate(zip(*rows)):
+        for lead, v in kept:
+            f = column[lead]
+            if f:
+                p = v[lead]
+                column = [p * x - f * y for x, y in zip(column, v)]
+        lead = next((i for i, x in enumerate(column) if x), None)
+        if lead is not None:
+            kept.append((lead, column))
+            pivots.append(c)
+            if len(pivots) == len(rows):
+                break
+    return tuple(pivots)
+
+
 class RatMatrix:
     """Matrix over Q, rows x cols: its entries, row by row, as Python ints nums
     over one positive denominator den, in lowest terms, so equal matrices are

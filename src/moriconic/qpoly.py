@@ -16,11 +16,11 @@ There is no general division: the motivic formulas divide only by factors
 from __future__ import annotations
 
 import re
-from itertools import repeat, starmap, zip_longest
+from itertools import starmap, zip_longest
 from operator import add, sub
 from typing import Iterable
 
-from .wire import JsonText, json_array, json_strings, rat_strings
+from .wire import JsonText, json_array, json_strings, pack_slots, rat_strings, read_slots, slot_bytes, slot_width
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -106,11 +106,10 @@ class QPoly:
     def __mul__(self, other) -> "QPoly":
         """Product by Kronecker substitution: one big-integer multiplication.
 
-        Each operand becomes one integer with k bytes per coefficient, so the
-        product's coefficients sit in its k-byte slots.  No product
-        coefficient exceeds max|a| max|b| min(len a, len b) in absolute value,
-        and k holds that bound plus a sign bit, so adding 2^(8k-1) to every
-        slot makes all slots nonnegative and no slot carries into the next.
+        Each operand becomes one integer with one k-byte slot per coefficient
+        (wire.pack_slots), so the product's coefficients sit in its k-byte
+        slots.  No product coefficient exceeds max|a| max|b| min(len a, len b)
+        in absolute value, and k holds that bound beside a sign bit.
         """
         o = self._coerce(other)
         if o is None:
@@ -118,16 +117,11 @@ class QPoly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return QPoly()
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        k = bound.bit_length() // 8 + 1
-        n = len(a) + len(b) - 1
-        packed = _pack(a, k)
+        k = slot_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+        packed = pack_slots(a, k)
         # a square packs once, and CPython squares faster than it multiplies
-        prod = packed * (packed if b is a else _pack(b, k))
-        half = 1 << (8 * k - 1)
-        prod += int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
-        buf = prod.to_bytes(n * k, "little")
-        return QPoly([int.from_bytes(buf[i:i + k], "little") - half for i in range(0, n * k, k)])
+        prod = packed * (packed if b is a else pack_slots(b, k))
+        return QPoly(read_slots(slot_bytes([prod], k, len(a) + len(b) - 1)[0], k))
 
     __rmul__ = __mul__
 
@@ -162,14 +156,3 @@ class QPoly:
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
 
-
-def _pack_unsigned(cs: list[int], k: int) -> int:
-    """sum(c_i 2^(8ki)) for 0 <= c_i < 2^(8k), one k-byte slot per coefficient."""
-    return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(k), repeat("little"))), "little")
-
-
-def _pack(cs: tuple[int, ...], k: int) -> int:
-    """sum(c_i 2^(8ki)) for |c_i| < 2^(8k): the positive part minus the negative part."""
-    return _pack_unsigned([c if c > 0 else 0 for c in cs], k) - _pack_unsigned(
-        [-c if c < 0 else 0 for c in cs], k
-    )

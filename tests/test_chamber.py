@@ -199,6 +199,17 @@ class TestResolveExamples:
         with pytest.raises(ValueError):
             combo({"X": 1})
 
+    @pytest.mark.parametrize("coeffs, detail", [
+        ({"T": -1, "X": 1}, "unknown divisor generator: 'X'"),
+        ({"T": "-1", "H2": "1/0"}, "malformed rational string: '1/0'"),
+        ({"H2": "y", "Z": "1"}, "unknown divisor generator: 'Z'"),
+    ])
+    def test_faults_of_two_kinds_report_the_earlier_kind(self, coeffs, detail):
+        # the later kind comes first in the document, and is not the one reported
+        with pytest.raises(ValueError) as info:
+            DivisorCombo.make(coeffs)
+        assert str(info.value) == detail
+
     def test_coeffs_must_be_a_mapping(self):
         with pytest.raises(ValueError):
             DivisorCombo.make([1, 2])

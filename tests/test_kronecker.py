@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from moriconic import (
     ALL_ZERO,
@@ -28,7 +29,7 @@ from moriconic import (
     quadric_rank,
     stratify,
 )
-from moriconic.linalg import BinaryForm
+from moriconic.linalg import BinaryForm, bareiss, pivot_columns
 
 from conftest import (
     NORMAL_FORM_BUILDERS,
@@ -323,6 +324,50 @@ class TestCokernelKind:
     def test_unstable_rejected(self):
         with pytest.raises(NotSemistable):
             cokernel_kind(ZERO_ROW)
+
+
+@st.composite
+def rank_limited_rows(draw):
+    """Integer 4 x (n + 1) matrices L R of rank at most r, 1 <= r <= 4, after
+    up to three leading zero columns."""
+    n = draw(st.integers(2, 7))
+    r = draw(st.integers(1, 4))
+    zeros = draw(st.integers(0, min(n, 3)))
+    entries = st.integers(-3, 3)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=4, max_size=4))
+    right = draw(st.lists(st.lists(entries, min_size=n + 1 - zeros, max_size=n + 1 - zeros),
+                          min_size=r, max_size=r))
+    return n, [[0] * zeros + [sum(a * row[j] for a, row in zip(coeffs, right)) for j in range(n + 1 - zeros)]
+               for coeffs in left]
+
+
+def reference_cokernel_kind(M: KroneckerModule):
+    """cokernel_kind's answer from the rank of the whole determinant Gram
+    matrix, by Bareiss elimination, and the stability verdict."""
+    if classify_stability(M).verdict is Verdict.UNSTABLE:
+        return NotSemistable
+    r = quadric_rank(det_quadric(M))
+    return ("twisted_ideal_of_quadric" if r >= 3 else "plane_pair_extension", r)
+
+
+class TestPivotScan:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rank_limited_rows())
+    def test_pivots_match_bareiss(self, case):
+        n, rows = case
+        assert pivot_columns(rows) == bareiss(rows)[1]
+        assume(any(map(any, rows)))
+        M = KroneckerModule.from_ints(n, [x for row in rows for x in row])
+        try:
+            found = tuple(cokernel_kind(M))
+        except NotSemistable:
+            found = NotSemistable
+        assert found == reference_cokernel_kind(M)
+
+    def test_scan_stops_at_four_pivots(self):
+        # a column past the fourth pivot is never read
+        rows = [[1, 0, 0, 0, 1], [0, 1, 0, 0, 2], [0, 0, 1, 0, 3], [0, 0, 0, 1, "not read"]]
+        assert pivot_columns(rows) == (0, 1, 2, 3)
 
 
 class TestMinorGcdMarker:

@@ -64,6 +64,19 @@ class TestRationals:
             num_den(value)
         assert str(info.value) == detail
 
+    def test_mixed_list_reads_each_value(self):
+        # ints, Fractions and strings together: the join refuses the list, and
+        # each value is read on its own
+        assert rationals([2, Fraction(-3, 4), "5/6", "7"]) == ((24, -9, 10, 84), 12)
+
+    def test_float_in_a_list_refused(self):
+        with pytest.raises(TypeError, match="got float"):
+            rationals(["1", 0.5, "2"])
+
+    def test_bool_in_a_list_refused(self):
+        with pytest.raises(TypeError, match="got bool"):
+            rationals(["1", True])
+
     @pytest.mark.parametrize("text", [
         "3\n", "1/2\n", "-\u0661\u0662", "\u0663", "1/\u0663", "\uff17", " 1", "+1",
     ])
