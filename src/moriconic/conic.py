@@ -185,8 +185,8 @@ def _wedge(n: int, a1, b1, a2, b2, d: int) -> PluckerConic:
     zero = (0,) * (n + 1)
     x1 = pack_slots([v for column in zip(a1, b1, zero) for v in column], k)
     x2 = pack_slots([v for column in zip(a2, b2, zero) for v in column], k)
-    rows = slot_bytes([(p + (q << w)) * x2 - (u + (v << w)) * x1 for p, q, u, v in zip(a1, b1, a2, b2)],
-                      k, 3 * (n + 1))
+    rows = slot_bytes([(a1i + (b1i << w)) * x2 - (a2i + (b2i << w)) * x1
+                       for a1i, b1i, a2i, b2i in zip(a1, b1, a2, b2)], k, 3 * (n + 1))
     tails = b"".join([row[3 * k * i:] for i, row in enumerate(rows, 1)])
     return PluckerConic.from_ints(n, read_slots(tails, k), d * d)
 

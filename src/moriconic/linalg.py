@@ -77,7 +77,8 @@ def pivot_columns(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     A column is reduced by the kept ones, fraction-free, each of which is zero
     at the leading entries of those kept before it; it is independent exactly
-    when something is left.
+    when something is left.  With no exact division the entries double in
+    length with each kept column, which suits the four rows of a module.
     """
     kept: list[tuple[int, list[int]]] = []
     pivots: list[int] = []
