@@ -46,7 +46,9 @@ _EXPORTS = {
         "mbar_gr_poincare", "mp2_4m2_poincare", "poincare", "proj_space_poincare",
         "sym2_poincare", "t4_poincare",
     ),
+    "packing": (),
     "qpoly": ("QPoly",),
+    "strata": (),
     "wire": (),
 }
 

@@ -238,15 +238,15 @@ def _run_poincare(doc: dict) -> dict:
 
 
 def _run_stability(doc: dict) -> JsonText:
-    from .kronecker import KroneckerModule, stability_text
+    from .strata import read_module, stability_text
 
-    return stability_text(KroneckerModule.from_json(doc))
+    return stability_text(read_module(doc)[1])
 
 
 def _run_stratify(doc: dict) -> JsonText:
-    from .kronecker import KroneckerModule, stratify_text
+    from .strata import read_module, stratify_text
 
-    return stratify_text(KroneckerModule.from_json(doc))
+    return stratify_text(read_module(doc)[1])
 
 
 def _run_conic(doc: dict) -> dict:

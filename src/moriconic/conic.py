@@ -25,37 +25,11 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import IdenticallyZero, ZeroConic
-from .kronecker import (
-    KroneckerModule,
-    LinearForm,
-    index_pairs,
-    json_coefficients,
-    json_n,
-    json_n_and_entries,
-)
-from .linalg import (
-    ALL_ZERO,
-    BinaryForm,
-    RatMatrix,
-    common_denominator,
-    cross,
-    quadratic_gcd,
-    quadratic_root_structure,
-    span_basis,
-)
-from .wire import (
-    JsonText,
-    json_array,
-    json_strings,
-    lowest_terms,
-    num_den,
-    pack_slots,
-    rat_strings,
-    rationals,
-    read_slots,
-    slot_bytes,
-    slot_width,
-)
+from .kronecker import KroneckerModule, LinearForm, index_pairs
+from .linalg import ALL_ZERO, BinaryForm, RatMatrix, common_denominator, quadratic_gcd, quadratic_root_structure
+from .packing import pack_slots, read_slots, slot_bytes, slot_width
+from .strata import cross, json_coefficients, json_n, json_n_and_entries, span_basis
+from .wire import JsonText, json_array, json_strings, lowest_terms, num_den, rat_strings, rationals
 
 
 def _pair_keys(n: int) -> list[str]:

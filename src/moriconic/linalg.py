@@ -15,8 +15,12 @@ Elimination is fraction-free on the integer rows (den * a matrix has the same
 rank, span and reduced form).
 Binary forms are homogeneous polynomials in (s, t), stored by coefficient of
 s^(d-i) t^i.  Irrational roots are never constructed; existence is certified
-through the discriminant or gcd degrees.  Reading and writing the wire
-strings is the wire module's.
+through the discriminant or gcd degrees.  The integer routines behind the
+gcd and the roots (gcd_coefficients, span_basis, cross, root_points) live in
+strata, with the stability decision that is their main caller, so that a
+stability request need not load this module; here quadratic_gcd,
+BinaryForm.normalized and quadratic_root_structure wrap them in forms and
+Enums.  Reading and writing the wire strings is the wire module's.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .strata import gcd_coefficients, normalized, root_points
 from .wire import fraction_type, lowest_terms, rat_strings, rationals
 
 
@@ -216,15 +221,7 @@ class BinaryForm(RatVector):
         """
         if self.is_zero:
             return self
-        return BinaryForm.from_ints(_normalized(self.nums))
-
-
-def _normalized(nums: Sequence[int]) -> tuple[int, ...]:
-    """Nonzero integer coefficients divided by their gcd, the first nonzero one made positive."""
-    g = math.gcd(*nums)
-    if next(v for v in nums if v) < 0:
-        g = -g
-    return tuple(v // g for v in nums)
+        return BinaryForm.from_ints(normalized(self.nums))
 
 
 class AllZero:
@@ -242,56 +239,6 @@ class AllZero:
 
 
 ALL_ZERO = AllZero()
-
-
-def cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    """The cross product u x v of two integer triples."""
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def span_basis(triples: Iterable[Sequence[int]]) -> list[Sequence[int]]:
-    """The first nonzero triple, the first off its line and the first off their
-    plane: the pivot columns of the matrix whose columns are the triples.
-
-    Reading stops at the third; the number returned is the rank.
-    """
-    basis: list[Sequence[int]] = []
-    for v in triples:
-        if len(basis) == 2:
-            if normal[0] * v[0] + normal[1] * v[1] + normal[2] * v[2]:
-                basis.append(v)
-                break
-        elif basis:
-            normal = cross(basis[0], v)
-            if any(normal):
-                basis.append(v)
-        elif any(v):
-            basis.append(v)
-    return basis
-
-
-def gcd_coefficients(triples: Iterable[Sequence[int]]) -> tuple[int, ...] | None:
-    """Gcd of binary quadratics given as integer coefficient triples: its
-    coefficients, coprime integers with a positive leading entry, or None when
-    every triple is zero.
-
-    The triples span at most three dimensions, and the span decides the gcd.
-    Dimension 3 leaves no common factor.  In dimension 2 the cross product
-    (X, Y, Z) of two basis triples is proportional to (s0^2, s0 t0, t0^2) for
-    every common root (s0 : t0), so the basis shares a root exactly when the
-    resultant Y^2 - XZ vanishes, and then the root is (X : Y), or (0 : 1) when
-    X = 0.  In dimension 1 every triple is a multiple of the first nonzero one.
-    """
-    basis = span_basis(triples)
-    if not basis:
-        return None
-    if len(basis) == 1:
-        return _normalized(basis[0])
-    x, y, z = cross(*basis[:2])
-    if len(basis) == 3 or y * y != x * z:
-        return (1,)
-    s0, t0 = (x, y) if x else (y, z)
-    return _normalized((t0, -s0))
 
 
 def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
@@ -327,37 +274,6 @@ class RootStructure(NamedTuple):
     discriminant: Fraction | None
 
 
-def _point(s: int, t: int) -> tuple[int, int]:
-    """The projective point (s : t), (s, t) != (0, 0), as coprime integers with
-    t > 0, or (1, 0) when t = 0."""
-    if not t:
-        return (1, 0)
-    g = math.gcd(s, t) if t > 0 else -math.gcd(s, t)
-    return (s // g, t // g)
-
-
-def root_points(nums: Sequence[int]) -> tuple[RootKind, tuple[tuple[int, int], ...], int | None]:
-    """The roots of a nonzero integer binary form of degree 1 or 2: their kind,
-    the rational ones as coprime points (s, t) with t > 0 or (1, 0), and the
-    integer discriminant c1^2 - 4 c0 c2 of a quadratic (None for a linear form).
-    A quadratic with two distinct roots has both or neither listed: they are
-    rational exactly when the discriminant is a square."""
-    if len(nums) == 2:
-        c0, c1 = nums
-        return RootKind.SIMPLE_ROOT, (_point(-c1, c0),), None
-    c0, c1, c2 = nums
-    d = c1 * c1 - 4 * c0 * c2
-    if d == 0:
-        # when c0 = 0 then c1 = 0 too, and the double root is (1 : 0)
-        return RootKind.DOUBLE_ROOT, (_point(-c1, 2 * c0),), d
-    if c0 == 0:
-        # t divides the form
-        return RootKind.TWO_DISTINCT_ROOTS, ((1, 0), _point(-c2, c1)), d
-    if d > 0 and (w := math.isqrt(d)) ** 2 == d:
-        return RootKind.TWO_DISTINCT_ROOTS, (_point(-c1 + w, 2 * c0), _point(-c1 - w, 2 * c0)), d
-    return RootKind.TWO_DISTINCT_ROOTS, (), d
-
-
 def quadratic_root_structure(f: BinaryForm) -> RootStructure:
     """Classify the roots of a nonzero binary form of degree 0, 1, or 2.
 
@@ -376,4 +292,4 @@ def quadratic_root_structure(f: BinaryForm) -> RootStructure:
     Fraction = fraction_type()
     roots = tuple((Fraction(s, t), Fraction(1)) if t else (Fraction(1), Fraction(0)) for s, t in points)
     disc = None if d is None else Fraction(d, f.den * f.den)
-    return RootStructure(kind, roots, bool(roots), disc)
+    return RootStructure(RootKind(kind), roots, bool(roots), disc)

@@ -20,7 +20,8 @@ from itertools import starmap, zip_longest
 from operator import add, sub
 from typing import Iterable
 
-from .wire import JsonText, json_array, json_strings, pack_slots, rat_strings, read_slots, slot_bytes, slot_width
+from .packing import pack_slots, read_slots, slot_bytes, slot_width
+from .wire import JsonText, json_array, json_strings, rat_strings
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -107,7 +108,7 @@ class QPoly:
         """Product by Kronecker substitution: one big-integer multiplication.
 
         Each operand becomes one integer with one k-byte slot per coefficient
-        (wire.pack_slots), so the product's coefficients sit in its k-byte
+        (packing.pack_slots), so the product's coefficients sit in its k-byte
         slots.  No product coefficient exceeds max|a| max|b| min(len a, len b)
         in absolute value, and k holds that bound beside a sign bit.
         """

@@ -1,11 +1,12 @@
 """Shared builders: random SL2(Q) changes of basis, normal-form modules, the
-independent sympy route for cross-checking minor-gcd classifications,
-reference polynomial and binary-form arithmetic on coefficient tuples, the
-documents json_text writes read back, the cross-section coordinates of the
-chamber lookup with the orientation loop and the verdict writer it had before
-its sign and text tables, the stability and stratify documents as the CLI
-wrote them from the records, and the argparse parser the CLI read its flags
-with before its flag table."""
+independent sympy route for cross-checking minor-gcd classifications, the
+root structure of a binary form on Fractions, reference polynomial and
+binary-form arithmetic on coefficient tuples, the documents json_text writes
+read back, the cross-section coordinates of the chamber lookup with the
+orientation loop and the verdict writer it had before its sign and text
+tables, the stability and stratify documents as the CLI wrote them from the
+records, and the argparse parser the CLI read its flags with before its flag
+table."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -25,6 +27,8 @@ from moriconic import (
     LinearForm,
     NotDivisible,
     RatMatrix,
+    RootKind,
+    RootStructure,
     StabilityClass,
     Stratum,
     Witness,
@@ -207,6 +211,36 @@ def sympy_stratum(M: KroneckerModule) -> Stratum:
     c2 = p.coeff_monomial(t**2)
     disc = sp.expand(c1**2 - 4 * c0 * c2)
     return Stratum.Z0 if disc == 0 else Stratum.Y1
+
+
+# The root structure on Fraction coefficients, sharing no code with the package.
+
+
+def ref_root_structure(coeffs) -> RootStructure:
+    """The root structure computed on the Fraction coefficients."""
+
+    def point(s, t):
+        return (s / t, Fraction(1)) if t != 0 else (Fraction(1), Fraction(0))
+
+    if len(coeffs) == 1:
+        return RootStructure(RootKind.NO_ROOT, (), True, None)
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return RootStructure(RootKind.SIMPLE_ROOT, (point(-c1, c0),), True, None)
+    c0, c1, c2 = coeffs
+    disc = c1 * c1 - 4 * c0 * c2
+    if c0 == 0:
+        if c1 == 0:
+            return RootStructure(RootKind.DOUBLE_ROOT, (point(1, 0),), True, disc)
+        return RootStructure(RootKind.TWO_DISTINCT_ROOTS, (point(1, 0), point(-c2, c1)), True, disc)
+    if disc == 0:
+        return RootStructure(RootKind.DOUBLE_ROOT, (point(-c1, 2 * c0),), True, disc)
+    p, q = disc.numerator, disc.denominator
+    if p > 0 and isqrt(p) ** 2 == p and isqrt(q) ** 2 == q:
+        w = Fraction(isqrt(p), isqrt(q))
+        roots = (point(-c1 + w, 2 * c0), point(-c1 - w, 2 * c0))
+        return RootStructure(RootKind.TWO_DISTINCT_ROOTS, roots, True, disc)
+    return RootStructure(RootKind.TWO_DISTINCT_ROOTS, (), False, disc)
 
 
 # Reference polynomial arithmetic on coefficient tuples (lowest degree first),

@@ -97,17 +97,21 @@ def test_submodule_resolves_after_bare_import():
     assert loaded_submodules(script) == {"chamber", "errors", "wire"}
 
 
-KERNEL = {"errors", "kronecker", "linalg", "wire"}
+# The stability and stratify requests load the integer decision alone, not
+# the records and linear algebra that kronecker and linalg build around it;
+# only the conic and Poincare paths multiply packed integers.
+CORE = {"errors", "strata", "wire"}
+KERNEL = CORE | {"kronecker", "linalg"}
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["stability", "--json", MODULE_DOC], KERNEL),
-    (["stratify", "--json", MODULE_DOC], KERNEL),
-    (["conic", "--json", MODULE_DOC], KERNEL | {"conic"}),
-    (["modify", "--json", FAMILY_DOC], KERNEL | {"conic"}),
+    (["stability", "--json", MODULE_DOC], CORE),
+    (["stratify", "--json", MODULE_DOC], CORE),
+    (["conic", "--json", MODULE_DOC], KERNEL | {"conic", "packing"}),
+    (["modify", "--json", FAMILY_DOC], KERNEL | {"conic", "packing"}),
     (["chamber", "--coeffs", '{"T":"1"}'], {"errors", "chamber", "wire"}),
     (["poincare", "--space", "Sym2", "--inner", '{"space":"T4","n":3}'],
-     {"errors", "motivic", "qpoly", "wire"}),
+     {"errors", "motivic", "packing", "qpoly", "wire"}),
 ])
 def test_each_subcommand_loads_only_its_modules(argv, expected):
     # MODULE_DOC is stable and FAMILY_DOC base-point-free: no request here
@@ -117,7 +121,7 @@ def test_each_subcommand_loads_only_its_modules(argv, expected):
 
 def test_record_types_load_no_heavy_module():
     script = "from moriconic import T4, Witness, DivisorCombo\n"
-    expected = {"chamber", "errors", "kronecker", "linalg", "motivic", "qpoly", "wire"}
+    expected = {"chamber", "errors", "kronecker", "linalg", "motivic", "packing", "qpoly", "strata", "wire"}
     assert fresh_report(script) == (expected, set())
 
 
@@ -151,7 +155,23 @@ def test_stability_and_stratify_load_no_fractions():
     assert [witnesses[label].vector for label in ("Y0", "Z0", "Z1")] == [(1, 0), (0, 1), (Fraction(-1, 2), 1)]
     script = "".join(CLI_SCRIPT.format(argv=[op, "--json", doc])
                      for doc in STRATUM_DOCS.values() for op in ("stability", "stratify"))
-    assert fresh_report(script) == (KERNEL, set())
+    assert fresh_report(script) == (CORE, set())
+
+
+def test_records_hold_enum_members_in_a_fresh_interpreter():
+    # strata decides in wire strings; the records map them to Enum members
+    script = """
+import json
+from moriconic import (StabilizerKind, Stratum, Verdict, WitnessKind, KroneckerModule,
+                       classify_stability, stratify)
+for label, doc in {docs!r}:
+    M = KroneckerModule.from_json(json.loads(doc))
+    cls = classify_stability(M)
+    assert stratify(M) is Stratum(label.split()[0]) and type(cls.verdict) is Verdict
+    assert cls.stabilizer_kind is None or type(cls.stabilizer_kind) is StabilizerKind
+    assert cls.witness is None or type(cls.witness.kind) is WitnessKind
+""".format(docs=list(STRATUM_DOCS.items()))
+    assert loaded_submodules(script) == KERNEL
 
 
 def module_level_imports(tree: ast.AST):

@@ -2,7 +2,7 @@
 
 plucker_conic and family_conic read every minor out of fixed-width slots of
 one big integer, and envelope its rows out of the packed coefficient slices
-(wire.pack_slots).  Here each result is compared with conftest's Fraction
+(packing.pack_slots).  Here each result is compared with conftest's Fraction
 wedge (ref_minors), Fraction Gauss-Jordan (ref_rref) and a sympy gcd, and the
 conic request's stdout with the document they make, byte for byte.  Entries
 of 2^9 keep the minors in 4-byte slots; entries of 2^31 and 10^12 need slots
@@ -27,7 +27,7 @@ from moriconic import (
     family_conic,
     plucker_conic,
 )
-from moriconic.wire import slot_width
+from moriconic.packing import slot_width
 
 from conftest import cli_stdout, ref_minors, ref_rref, ref_stdout
 

@@ -141,11 +141,11 @@ class TestClassification:
 
     @pytest.mark.parametrize("m, stratum", [(DIAG, Stratum.Y1), (UNIPOTENT, Stratum.Z0)])
     def test_root_structure_computed_once(self, monkeypatch, m, stratum):
-        import moriconic.kronecker as kronecker
+        import moriconic.strata as strata
 
         calls = []
-        real = kronecker.root_points
-        monkeypatch.setattr(kronecker, "root_points", lambda g: calls.append(g) or real(g))
+        real = strata.root_points
+        monkeypatch.setattr(strata, "root_points", lambda g: calls.append(g) or real(g))
         cls = classify_stability(m)
         assert len(calls) == 1
         assert cls.verdict is Verdict.STRICTLY_SEMISTABLE and stratify(m) is stratum

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -19,15 +19,13 @@ from moriconic import (
     LinearForm,
     PluckerConic,
     RatMatrix,
-    RootKind,
-    RootStructure,
     det_quadric,
     quadratic_root_structure,
 )
 from moriconic.linalg import bareiss
 from moriconic.wire import rat_strings
 
-from conftest import scaled_module, schoolbook_product, written
+from conftest import ref_root_structure, scaled_module, schoolbook_product, written
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -349,33 +347,6 @@ def test_det_quadric_matches_fraction_gram(forms):
         tuple((a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i]) / 2 for j in range(n + 1))
         for i in range(n + 1)
     )
-
-
-def ref_root_structure(coeffs) -> RootStructure:
-    """The root structure computed on the Fraction coefficients."""
-
-    def point(s, t):
-        return (s / t, Fraction(1)) if t != 0 else (Fraction(1), Fraction(0))
-
-    if len(coeffs) == 1:
-        return RootStructure(RootKind.NO_ROOT, (), True, None)
-    if len(coeffs) == 2:
-        c0, c1 = coeffs
-        return RootStructure(RootKind.SIMPLE_ROOT, (point(-c1, c0),), True, None)
-    c0, c1, c2 = coeffs
-    disc = c1 * c1 - 4 * c0 * c2
-    if c0 == 0:
-        if c1 == 0:
-            return RootStructure(RootKind.DOUBLE_ROOT, (point(1, 0),), True, disc)
-        return RootStructure(RootKind.TWO_DISTINCT_ROOTS, (point(1, 0), point(-c2, c1)), True, disc)
-    if disc == 0:
-        return RootStructure(RootKind.DOUBLE_ROOT, (point(-c1, 2 * c0),), True, disc)
-    p, q = disc.numerator, disc.denominator
-    if p > 0 and isqrt(p) ** 2 == p and isqrt(q) ** 2 == q:
-        w = Fraction(isqrt(p), isqrt(q))
-        roots = (point(-c1 + w, 2 * c0), point(-c1 - w, 2 * c0))
-        return RootStructure(RootKind.TWO_DISTINCT_ROOTS, roots, True, disc)
-    return RootStructure(RootKind.TWO_DISTINCT_ROOTS, (), False, disc)
 
 
 SMALL = st.integers(-5, 5)
