@@ -47,6 +47,7 @@ _EXPORTS = {
         "sym2_poincare", "t4_poincare",
     ),
     "packing": (),
+    "plucker": (),
     "qpoly": ("QPoly",),
     "strata": (),
     "wire": (),

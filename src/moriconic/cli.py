@@ -249,33 +249,21 @@ def _run_stratify(doc: dict) -> JsonText:
     return stratify_text(read_module(doc)[1])
 
 
-def _run_conic(doc: dict) -> dict:
-    from .conic import conic_degree, envelope, plucker_conic
-    from .kronecker import KroneckerModule
+def _run_conic(doc: dict) -> JsonText:
+    from .plucker import conic_text
 
-    c = plucker_conic(KroneckerModule.from_json(doc))
-    return {
-        "n": c.n,
-        "coords": c.coords_text(),
-        "envelope": envelope(c).json_text(),
-        "degree": conic_degree(c),
-    }
+    return conic_text(doc)
 
 
 def _run_modify(doc: dict) -> dict:
-    from .conic import LambdaFamily, modify_family
+    from .conic import LambdaFamily, modified_conic
+    from .strata import root_points, vector_strings
 
-    family = LambdaFamily.from_json(doc)
-    result = modify_family(family)
-    return {
-        "k": result.k,
-        "conic": result.conic.json_text(),
-        "residual_base": {
-            "gcd": result.base_gcd.to_json(),
-            "gcd_degree": result.base_gcd.degree,
-            "rational_points": [[str(s), str(t)] for s, t in result.base_points],
-        },
-    }
+    k, conic, gcd = modified_conic(LambdaFamily.from_json(doc))
+    points = root_points(gcd)[1] if len(gcd) > 1 else ()
+    base = {"gcd": [str(c) for c in gcd], "gcd_degree": len(gcd) - 1,
+            "rational_points": [vector_strings("rank_drop", s, t) for s, t in points]}
+    return {"k": k, "conic": conic.json_text(), "residual_base": base}
 
 
 def _run_chamber(doc: dict) -> JsonText:

@@ -5,7 +5,8 @@ pairs with s, column 2 with t); its 2x2 minors are the Pluecker coordinates
 p_I(s, t), one binary quadratic per pair I = {i < j}, tracing out a conic in
 the Pluecker space of the Grassmannian of codimension-2 subspaces.  The
 envelope is the span of the coefficient vectors of s^2, st, t^2 across all I,
-a plane for an honest conic.
+a plane for an honest conic.  The integer routines behind both live in
+plucker, which serves a CLI conic request alone.
 
 For a one-parameter family M(lambda) the wedge may vanish identically at
 lambda = 0 without vanishing nearby; the elementary modification divides all
@@ -20,26 +21,20 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain, combinations, islice, zip_longest
 from math import comb
-from operator import mul, neg
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import IdenticallyZero, ZeroConic
+from .errors import IdenticallyZero
 from .kronecker import KroneckerModule, LinearForm, index_pairs
-from .linalg import ALL_ZERO, BinaryForm, RatMatrix, common_denominator, quadratic_gcd, quadratic_root_structure
-from .packing import pack_slots, read_slots, slot_bytes, slot_width
-from .strata import cross, json_coefficients, json_n, json_n_and_entries, span_basis
-from .wire import JsonText, json_array, json_strings, lowest_terms, num_den, rat_strings, rationals
+from .linalg import BinaryForm, RatMatrix, common_denominator, quadratic_root_structure
+from .plucker import coords_text, degree, envelope_rows, envelope_text, pair_offsets, wedge
+from .strata import gcd_coefficients, json_coefficients, json_n, json_n_and_entries, span_basis
+from .wire import JsonText, json_array, lowest_terms, num_den, rat_strings, rationals
 
 
 def _pair_keys(n: int) -> list[str]:
     """The wire keys "i,j" of the pairs i < j in {0..n}, in index_pairs order."""
     return list(map(",".join, combinations(map(str, range(n + 1)), 2)))
-
-
-def _pair_offsets(n: int) -> list[int]:
-    """offsets[i] + j is the index_pairs position of the pair i < j in {0..n}."""
-    return [i * (2 * n - i - 1) // 2 - 1 for i in range(n + 1)]
 
 
 class PluckerConic(RatMatrix):
@@ -89,20 +84,7 @@ class PluckerConic(RatMatrix):
         return f"PluckerConic(n={self.n}, nonzero={nz!r})"
 
     def coords_text(self) -> JsonText:
-        """The coords object as wire text, its keys in sorted order.
-
-        "," sorts below every digit, so "i,j" sorts by str(i) first, then by
-        str(j): the keys run i, then j > i, through sorted(range(n + 1), key=str).
-        """
-        triples = list(map('","'.join, self._split(rat_strings(self.nums, self.den))))
-        names = list(map(str, range(self.n + 1)))
-        lex = sorted(range(self.n + 1), key=str)
-        offsets = _pair_offsets(self.n)
-        members = []
-        for i in lex:
-            head, base = f'"{names[i]},', offsets[i]
-            members += [f'{head}{names[j]}":["{triples[base + j]}"]' for j in lex if j > i]
-        return JsonText("{" + ",".join(members) + "}")
+        return coords_text(self.n, self.nums, self.den)
 
     def json_text(self) -> JsonText:
         return JsonText(f'{{"coords":{self.coords_text()},"n":{self.n}}}')
@@ -140,86 +122,23 @@ class Envelope(RatMatrix):
         return f"Envelope(dim={self.dim}, basis={self.json_rows()})"
 
     def json_text(self) -> JsonText:
-        rows = map(json_strings, self._split(rat_strings(self.nums, self.den)))
-        return JsonText(f'{{"basis":[{",".join(rows)}],"dim":{self.dim}}}')
-
-
-def _wedge(n: int, a1, b1, a2, b2, d: int) -> PluckerConic:
-    """The conic of the pencil rows (s * a1 + t * b1) / d and (s * a2 + t * b2) / d.
-
-    With k-byte slots and W = 2^(8k), pencil row r packs as
-    X_r = sum_j (a_r[j] + b_r[j] W) W^(3j), three slots per column.  Then
-    (a1[i] + b1[i] W) X2 - (a2[i] + b2[i] W) X1 holds in its slots 3j, 3j + 1
-    and 3j + 2 the triple of the minor over the columns i and j, for every j,
-    and no slot exceeds 4 m^2 for m the largest entry: the minors of column i
-    against every j > i are that product's slots from 3(i + 1) on.
-    """
-    k = slot_width(4 * max(map(abs, chain(a1, b1, a2, b2))) ** 2)
-    w = 8 * k
-    zero = (0,) * (n + 1)
-    x1 = pack_slots([v for column in zip(a1, b1, zero) for v in column], k)
-    x2 = pack_slots([v for column in zip(a2, b2, zero) for v in column], k)
-    rows = slot_bytes([(a1i + (b1i << w)) * x2 - (a2i + (b2i << w)) * x1
-                       for a1i, b1i, a2i, b2i in zip(a1, b1, a2, b2)], k, 3 * (n + 1))
-    tails = b"".join([row[3 * k * i:] for i, row in enumerate(rows, 1)])
-    return PluckerConic.from_ints(n, read_slots(tails, k), d * d)
+        return envelope_text(self.nums, self.den, self.dim)
 
 
 def plucker_conic(M: KroneckerModule) -> PluckerConic:
     """Wedge coordinates of the pencil matrix of M, one quadratic per pair."""
-    return _wedge(M.n, *M.int_rows(), M.den)
-
-
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return PluckerConic.from_ints(M.n, wedge(*M.int_rows())[0], M.den * M.den)
 
 
 def envelope(c: PluckerConic) -> Envelope:
-    """Linear envelope of the conic: the span of its three coefficient slices.
-
-    The slices are the rows of the matrix S whose columns are the triples of
-    den * c, which has the same span and reduced echelon form.  Its pivot
-    columns v_1, ..., v_r are the first r independent triples; completed by
-    unit vectors to an invertible V = (v_1, v_2, v_3), the rows of
-    adj(V) = (v_2 x v_3, v_3 x v_1, v_1 x v_2) take each column
-    w = sum a_i v_i of S to det(V) a_i.  So the first r rows of adj(V) S,
-    over det(V), are the reduced echelon basis.
-
-    A row (x, y, z) of adj(V) takes S to x S_0 + y S_1 + z S_2: three products
-    with the slices packed into slots that hold max |S| (|x| + |y| + |z|).
-    With det(V) made positive, lowest terms divide the rows only when every
-    entry shares a factor with det(V).
-    """
-    if c.is_zero:
-        raise ZeroConic("the envelope of the zero conic is undefined")
-    v = span_basis(c.triples())
-    dim = len(v)
-    if dim == 1:
-        m = next(k for k in range(3) if v[0][k])
-        v += [_UNITS[m - 2], _UNITS[m - 1]]  # det(V) = v_1[m]
-    elif dim == 2:
-        normal = cross(*v)
-        v.append(_UNITS[next(k for k in range(3) if normal[k])])  # det(V) = normal[m]
-    v1, v2, v3 = v
-    adj = (cross(v2, v3), cross(v3, v1), cross(v1, v2))[:dim]
-    det = sum(map(mul, v1, adj[0]))
-    if det < 0:
-        adj, det = [tuple(map(neg, row)) for row in adj], -det
-    nums = c.nums
-    k = slot_width(max(max(nums), -min(nums)) * max(sum(map(abs, row)) for row in adj))
-    s0, s1, s2 = (pack_slots(nums[i::3], k) for i in range(3))
-    rows = slot_bytes([x * s0 + y * s1 + z * s2 for x, y, z in adj], k, c.rows)
-    return Envelope.from_ints(read_slots(b"".join(rows), k), det, c.rows)
+    """Linear envelope of the conic: the span of its three coefficient slices."""
+    rows, det, _ = envelope_rows(c.nums, span_basis(c.triples()), max(map(abs, c.nums)))
+    return Envelope.from_ints(rows, det, c.rows)
 
 
 def conic_degree(c: PluckerConic) -> int:
-    """Parametrized degree: 2 minus the degree of the common factor.
-
-    A common linear factor of all coordinates drops the degree by one; a
-    common quadratic factor means the map is constant.
-    """
-    if c.is_zero:
-        raise ZeroConic("the degree of the zero conic is undefined")
-    return 2 - quadratic_gcd(c.triples()).degree
+    """Parametrized degree: 2 minus the degree of the common factor."""
+    return degree(span_basis(c.triples()))
 
 
 class LambdaFamily:
@@ -360,44 +279,51 @@ def _lowest_wedge(F: LambdaFamily):
             return None
         rows.append((low, degrees[low:]))
     (low1, top), (low2, bottom) = rows
-    offsets = _pair_offsets(F.n)
+    offsets = pair_offsets(F.n)
     for k in range(len(top) + len(bottom) - 1):
-        wedge = {}
+        minors = {}
         for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
             part = _part_minors(top[d1], bottom[k - d1], offsets)
-            if not wedge:
-                wedge = part
+            if not minors:
+                minors = part
                 continue
             for p, (x, y, z) in part.items():
-                u, v, w = wedge.get(p, _ZERO_TRIPLE)
-                wedge[p] = (u + x, v + y, w + z)
-        if any(map(any, wedge.values())):
-            return low1 + low2 + k, wedge
+                u, v, w = minors.get(p, _ZERO_TRIPLE)
+                minors[p] = (u + x, v + y, w + z)
+        if any(map(any, minors.values())):
+            return low1 + low2 + k, minors
     return None
 
 
 def family_conic(F: LambdaFamily, lam) -> PluckerConic:
     """Wedge coordinates of the family at a specific rational parameter value."""
-    return _wedge(F.n, *F._integer_values(lam))
+    *rows, d = F._integer_values(lam)
+    return PluckerConic.from_ints(F.n, wedge(*rows)[0], d * d)
+
+
+def modified_conic(F: LambdaFamily) -> tuple[int, PluckerConic, tuple[int, ...]]:
+    """(k, conic, gcd): modify_family's integers, the common factor of the
+    conic's coordinates as strata.gcd_coefficients writes it."""
+    lowest = _lowest_wedge(F)
+    if lowest is None:
+        raise IdenticallyZero("the wedge of the family vanishes for every lambda")
+    k, minors = lowest
+    # lowest terms over the triples that have a term first, so that the conic's
+    # own reduction over all C(n + 1, 2) triples has no zero left to divide
+    flat, den = lowest_terms(chain.from_iterable(minors.values()), F.den * F.den)
+    triples = [_ZERO_TRIPLE] * comb(F.n + 1, 2)
+    for p, t in zip(minors, zip(*[iter(flat)] * 3)):
+        triples[p] = t
+    conic = PluckerConic.from_ints(F.n, chain.from_iterable(triples), den)
+    # the zero triples leave the gcd as it is
+    g = gcd_coefficients(minors.values())
+    assert g is not None  # impossible by minimality of k
+    return k, conic, g
 
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    lowest = _lowest_wedge(F)
-    if lowest is None:
-        raise IdenticallyZero("the wedge of the family vanishes for every lambda")
-    k, wedge = lowest
-    # lowest terms over the triples that have a term first, so that the conic's
-    # own reduction over all C(n + 1, 2) triples has no zero left to divide
-    flat, den = lowest_terms(chain.from_iterable(wedge.values()), F.den * F.den)
-    triples = [_ZERO_TRIPLE] * comb(F.n + 1, 2)
-    for p, t in zip(wedge, zip(*[iter(flat)] * 3)):
-        triples[p] = t
-    conic = PluckerConic.from_ints(F.n, chain.from_iterable(triples), den)
-    # the zero triples leave the gcd as it is
-    g = quadratic_gcd(wedge.values())
-    assert g is not ALL_ZERO  # impossible by minimality of k
-    points: tuple[tuple[Fraction, Fraction], ...] = ()
-    if g.degree >= 1:
-        points = quadratic_root_structure(g).roots
-    return ModificationResult(k, conic, g, points)
+    k, conic, g = modified_conic(F)
+    base_gcd = BinaryForm.from_ints(g)
+    points = quadratic_root_structure(base_gcd).roots if len(g) > 1 else ()
+    return ModificationResult(k, conic, base_gcd, points)

@@ -5,7 +5,7 @@ Kronecker substitution (Schoenhage 1982): integers v_0, v_1, ... with
 each.  Sums and products of such integers add and convolve the slots, and
 while every slot stays in that range it can be read back, in C for the slot
 widths struct reads.  Polynomial products (qpoly), the conic's minors and its
-envelope (conic) share it; no other request path loads this module.
+envelope (plucker) share it; no other request path loads this module.
 """
 
 from __future__ import annotations

@@ -326,10 +326,16 @@ def form_value(cs, s, t) -> Fraction:
     return sum(Fraction(c) * Fraction(s) ** (d - i) * Fraction(t) ** i for i, c in enumerate(cs))
 
 
+def integer_coords(c) -> dict:
+    """{(i, j): the integer triple of den * p_ij} of a conic, by pair."""
+    return dict(zip(combinations(range(c.n + 1), 2), c.triples()))
+
+
 def plucker_relation(p, i, j, k, l) -> list:
-    """The coefficients of p_ij p_kl - p_ik p_jl + p_il p_jk, for the quadratics
-    p of a conic's coords, by pair."""
-    x, y, z = (schoolbook_product(p[a].coeffs, p[b].coeffs)
+    """The coefficients of p_ij p_kl - p_ik p_jl + p_il p_jk, for the triples p
+    of integer_coords.  The relation is homogeneous of degree 2, so it
+    vanishes on den * p exactly when it vanishes on the conic."""
+    x, y, z = (schoolbook_product(p[a], p[b])
                for a, b in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))))
     return [u - v + w for u, v, w in zip(x, y, z)]
 

@@ -34,6 +34,7 @@ from moriconic.chamber import DivisorCombo, GENERATORS, NMode
 
 from conftest import (
     generic_triangular_module,
+    integer_coords,
     irrational_diagonalizable_module,
     is_palindromic,
     nonscalar_diagonal_module,
@@ -156,7 +157,7 @@ def test_criterion_6_plucker_suite():
     rng = random.Random(606)
 
     def relations_vanish(c):
-        p = c.coords  # each read builds every quadratic
+        p = integer_coords(c)
         return not any(any(plucker_relation(p, i, j, k, l))
                        for i, j, k, l in combinations(range(c.n + 1), 4))
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import moriconic
+from moriconic import cli
 
 SRC = os.path.dirname(os.path.dirname(moriconic.__file__))
 
@@ -38,9 +39,9 @@ except SystemExit as exc:
 """
 # Standard-library modules none of these requests needs: argparse took about
 # 3 ms of a cold request, dataclasses, with inspect and what inspect imports,
-# 7-10 ms, and fractions, with the decimal it imports, about 2-3 ms.  A
-# request loads fractions only to build a Fraction, which only a modify base
-# point does.
+# 7-10 ms, and fractions, with the decimal it imports, about 2-3 ms.  No
+# request builds a Fraction: even a modify base point is written from
+# integers.
 HEAVY = ("argparse", "dataclasses", "inspect", "fractions", "decimal")
 REPORT = """
 import json, sys
@@ -97,26 +98,37 @@ def test_submodule_resolves_after_bare_import():
     assert loaded_submodules(script) == {"chamber", "errors", "wire"}
 
 
-# The stability and stratify requests load the integer decision alone, not
-# the records and linear algebra that kronecker and linalg build around it;
-# only the conic and Poincare paths multiply packed integers.
+# The stability, stratify and conic requests load the integer routines alone,
+# not the records and linear algebra that kronecker, linalg and conic build
+# around them; only the conic, modify and Poincare paths multiply packed
+# integers.
 CORE = {"errors", "strata", "wire"}
 KERNEL = CORE | {"kronecker", "linalg"}
+PLUCKER = CORE | {"packing", "plucker"}
 
 
 @pytest.mark.parametrize("argv, expected", [
     (["stability", "--json", MODULE_DOC], CORE),
     (["stratify", "--json", MODULE_DOC], CORE),
-    (["conic", "--json", MODULE_DOC], KERNEL | {"conic", "packing"}),
-    (["modify", "--json", FAMILY_DOC], KERNEL | {"conic", "packing"}),
+    (["conic", "--json", MODULE_DOC], PLUCKER),
+    (["modify", "--json", FAMILY_DOC], KERNEL | PLUCKER | {"conic"}),
     (["chamber", "--coeffs", '{"T":"1"}'], {"errors", "chamber", "wire"}),
     (["poincare", "--space", "Sym2", "--inner", '{"space":"T4","n":3}'],
      {"errors", "motivic", "packing", "qpoly", "wire"}),
 ])
 def test_each_subcommand_loads_only_its_modules(argv, expected):
-    # MODULE_DOC is stable and FAMILY_DOC base-point-free: no request here
-    # builds a Fraction
     assert fresh_report(CLI_SCRIPT.format(argv=argv)) == (expected, set())
+
+
+def test_modify_with_rational_base_points_builds_no_fraction(capsys):
+    # the rows 2 x0, x0 and x1, 3 x1 give the one minor (2s + t)(s + 3t)
+    doc = {"n": 2, "matrix": [[[["2", "0", "0"]], [["1", "0", "0"]]], [[["0", "1", "0"]], [["0", "3", "0"]]]]}
+    result = moriconic.modify_family(moriconic.LambdaFamily.from_json(doc))
+    assert result.base_points == ((Fraction(-1, 2), 1), (Fraction(-3), 1))
+    assert cli.main(["modify", "--json", json.dumps(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["residual_base"]["rational_points"] == [["-1/2", "1"], ["-3", "1"]]
+    assert fresh_report(CLI_SCRIPT.format(argv=["modify", "--json", json.dumps(doc)])) == (
+        KERNEL | PLUCKER | {"conic"}, set())
 
 
 def test_record_types_load_no_heavy_module():

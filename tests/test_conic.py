@@ -1,3 +1,6 @@
+import collections
+import json
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -24,16 +27,21 @@ from moriconic import (
     plucker_conic,
 )
 
+from moriconic import cli
 from moriconic.conic import _part_minors
+from moriconic.plucker import conic_text
 
 from conftest import (
+    NORMAL_FORM_BUILDERS,
     form_value,
+    integer_coords,
     lin_comb,
     plucker_relation,
     random_sl2,
     random_stable_module,
     ref_rref,
     scaled,
+    scaled_module,
     written,
 )
 
@@ -260,6 +268,44 @@ def check_envelope(dim, triples, den):
     assert written(envelope(c)) == {"dim": dim, "basis": [[str(x) for x in row] for row in basis]}
 
 
+def library_conic_document(doc: dict, capsys) -> str:
+    """The CLI conic document from the library records, written by cli._emit's
+    dict path as the CLI wrote it before conic_text."""
+    try:
+        c = plucker_conic(KroneckerModule.from_json(doc))
+        body = {"schema_version": 1, "n": c.n, "coords": c.coords_text(),
+                "envelope": envelope(c).json_text(), "degree": conic_degree(c)}
+    except ZeroConic as exc:
+        body = {"error": exc.code, "detail": str(exc)}
+    cli._emit(body, None)
+    return capsys.readouterr().out
+
+
+def conic_text_document(doc: dict) -> str:
+    try:
+        return conic_text(doc) + "\n"
+    except ZeroConic as exc:
+        return json.dumps({"detail": str(exc), "error": exc.code}, separators=(",", ":")) + "\n"
+
+
+def test_conic_text_matches_the_library_records(capsys):
+    rng = random.Random(2611)
+    docs = []
+    for n in (2, 3, 11, 20, 60):
+        docs += [random_stable_module(rng, n).to_json(),
+                 scaled_module(random_stable_module(rng, n), Fraction(-7, 12)).to_json()]
+        docs += [build(rng, n).to_json() for build in NORMAL_FORM_BUILDERS.values()]
+    # a point (dimension 1), a line (dimension 2) and the zero conic
+    docs += [KroneckerModule(3, *forms).to_json() for forms in (
+        (x(0), z(), z(), x(1)), (x(0), x(1), z(), x(2)), (x(0), z(), z(), x(0)))]
+    seen = collections.Counter()
+    for doc in docs:
+        expected = library_conic_document(doc, capsys)
+        assert conic_text_document(doc) == expected
+        seen[json.loads(expected).get("envelope", {}).get("dim", "zero_conic")] += 1
+    assert set(seen) == {1, 2, 3, "zero_conic"}
+
+
 class TestConicDegree:
     def test_generic_degree_two(self):
         c = plucker_conic(KroneckerModule(3, x(0), x(2), x(3), x(1)))
@@ -280,8 +326,7 @@ class TestPluckerRelations:
         for n in (3, 4, 5, 6):
             for _ in range(10):
                 m = random_stable_module(rng, n)
-                c = plucker_conic(m)
-                p = c.coords
+                p = integer_coords(plucker_conic(m))
                 for i, j, k, l in combinations(range(n + 1), 4):
                     assert not any(plucker_relation(p, i, j, k, l))
 
