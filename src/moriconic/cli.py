@@ -7,8 +7,10 @@ Output is byte-deterministic: sorted keys, compact separators, rationals as
 canonical strings, and a schema_version field pinned to 1.
 
 argv is read once against one flag table (_FLAGS) into a request document,
-and each subcommand's runner takes that document and nothing else.  -h or
---help anywhere prints a usage document built from the same table.
+and each subcommand's runner takes that document and nothing else and
+returns the whole success document as one JsonText, written as it is; only
+error and usage documents go through the JSON encoder.  -h or --help
+anywhere prints a usage document built from the same table.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 import sys
 
 from .errors import DomainError
-from .wire import SCHEMA_VERSION, JsonText
+from .wire import SCHEMA_VERSION, JsonText, json_strings
 
 # The largest degree of a Poincare polynomial the CLI computes, checked on
 # the identifier before any product is formed.  The costliest requests within
@@ -178,22 +180,9 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular
 
 
 def _emit(doc: dict | JsonText, out_path: str | None) -> None:
-    """Write doc as compact JSON with sorted keys through the shared encoder.
-
-    A whole-document JsonText is written as it is.  A JsonText member is too,
-    so a document holding one is written member by member (its keys are plain
-    names that need no escaping); any other in one call.
-    """
-    if isinstance(doc, JsonText):
-        text = doc + "\n"
-    elif any(isinstance(value, JsonText) for value in doc.values()):
-        members = [
-            f'"{key}":{value if isinstance(value, JsonText) else _encode(value)}'
-            for key, value in sorted(doc.items())
-        ]
-        text = "{" + ",".join(members) + "}\n"
-    else:
-        text = _encode(doc) + "\n"
+    """Write a runner's JsonText as it is, or an error or usage dict as compact
+    JSON with sorted keys through the shared encoder, and a newline."""
+    text = (doc if isinstance(doc, JsonText) else _encode(doc)) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -231,10 +220,11 @@ def _space_from_json(doc):
     return space
 
 
-def _run_poincare(doc: dict) -> dict:
+def _run_poincare(doc: dict) -> JsonText:
     from .motivic import poincare
 
-    return {"poly": poincare(_space_from_json(doc)).json_text()}
+    poly = poincare(_space_from_json(doc)).json_text()
+    return JsonText(f'{{"poly":{poly},"schema_version":{SCHEMA_VERSION}}}')
 
 
 def _run_stability(doc: dict) -> JsonText:
@@ -255,15 +245,17 @@ def _run_conic(doc: dict) -> JsonText:
     return conic_text(doc)
 
 
-def _run_modify(doc: dict) -> dict:
+def _run_modify(doc: dict) -> JsonText:
     from .conic import LambdaFamily, modified_conic
     from .strata import root_points, vector_strings
 
     k, conic, gcd = modified_conic(LambdaFamily.from_json(doc))
     points = root_points(gcd)[1] if len(gcd) > 1 else ()
-    base = {"gcd": [str(c) for c in gcd], "gcd_degree": len(gcd) - 1,
-            "rational_points": [vector_strings("rank_drop", s, t) for s, t in points]}
-    return {"k": k, "conic": conic.json_text(), "residual_base": base}
+    vectors = ",".join(json_strings(vector_strings("rank_drop", s, t)) for s, t in points)
+    base = (f'{{"gcd":{json_strings([str(c) for c in gcd])},"gcd_degree":{len(gcd) - 1},'
+            f'"rational_points":[{vectors}]}}')
+    return JsonText(f'{{"conic":{conic.json_text()},"k":{k},"residual_base":{base},'
+                    f'"schema_version":{SCHEMA_VERSION}}}')
 
 
 def _run_chamber(doc: dict) -> JsonText:
@@ -298,9 +290,7 @@ def main(argv=None) -> int:
         return 0
     try:
         op, request, out_path = _read_argv(argv)
-        body = _RUNNERS[op](request)
-        doc = body if isinstance(body, JsonText) else {"schema_version": SCHEMA_VERSION, **body}
-        code = 0
+        doc, code = _RUNNERS[op](request), 0
     except DomainError as exc:
         doc, code = {"error": exc.code, "detail": str(exc)}, 2
     except (KeyError, TypeError, ValueError, OSError) as exc:

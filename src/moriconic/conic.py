@@ -19,7 +19,7 @@ act; the blow-up charts beyond that point are out of scope.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain, combinations, islice, zip_longest
+from itertools import chain, islice, zip_longest
 from math import comb
 from types import MappingProxyType
 from typing import NamedTuple
@@ -30,11 +30,6 @@ from .linalg import BinaryForm, RatMatrix, common_denominator, quadratic_root_st
 from .plucker import coords_text, degree, envelope_rows, envelope_text, pair_offsets, wedge
 from .strata import gcd_coefficients, json_coefficients, json_n, json_n_and_entries, span_basis
 from .wire import JsonText, json_array, lowest_terms, num_den, rat_strings, rationals
-
-
-def _pair_keys(n: int) -> list[str]:
-    """The wire keys "i,j" of the pairs i < j in {0..n}, in index_pairs order."""
-    return list(map(",".join, combinations(map(str, range(n + 1)), 2)))
 
 
 class PluckerConic(RatMatrix):
@@ -96,7 +91,8 @@ class PluckerConic(RatMatrix):
         if not isinstance(coords, dict):
             raise ValueError("'coords' must be a JSON object")
         # the count first: a small document is rejected without the keys of a large n
-        keys = _pair_keys(n) if len(coords) == comb(max(n + 1, 0), 2) else None
+        keys = ([f"{i},{j}" for i, j in index_pairs(n)]
+                if len(coords) == comb(max(n + 1, 0), 2) else None)
         if keys is None or set(coords) != set(keys):
             raise ValueError("'coords' must have exactly the keys 'i,j' for 0 <= i < j <= n")
         triples = [json_array(coords[key], "a coordinate") for key in keys]

@@ -267,7 +267,8 @@ def cokernel_kind(M: KroneckerModule) -> CokernelKind:
     W_P, then W = T W_P with T of full column rank, so the determinant rank is
     the rank of the r x r block of the Gram matrix on P.  The rows of W are
     read in coordinate order, each kept when independent of those before it,
-    and reading stops once four are kept (linalg.pivot_columns).
+    and reading stops once four are kept (linalg.pivot_columns); the same scan
+    counts the block's rank (RatMatrix.rank).
     """
     a, b, c, d = M.int_rows()
     if destabilizing_witness(a, b, c, d) is not None:

@@ -11,8 +11,9 @@ wire strings work on those ints.  The Fractions of .entries, .coeffs,
 .coords and .basis, and of a root structure, are built only when read or
 found, through wire.fraction_type: fractions is not imported when this
 module loads.
-Elimination is fraction-free on the integer rows (den * a matrix has the same
-rank, span and reduced form).
+Elimination is one fraction-free scan with exact division, pivot_columns, on
+the integer rows (den * a matrix has the same pivot columns): rank counts
+them, and kronecker.cokernel_kind reads its coordinates from them.
 Binary forms are homogeneous polynomials in (s, t), stored by coefficient of
 s^(d-i) t^i.  Irrational roots are never constructed; existence is certified
 through the discriminant or gcd degrees.  The integer routines behind the
@@ -40,59 +41,26 @@ def common_denominator(vectors: Sequence[RatMatrix]) -> tuple[list[int], int]:
     return [x * (d // v.den) for v in vectors for x in v.nums], d
 
 
-def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
-
-    Returns the nonzero rows of the reduced echelon form scaled by a common
-    integer d, the pivot columns, and d: row i over d is row i of the reduced
-    row echelon form.  Each update (p * x - f * y) / prev divides exactly by
-    Sylvester's identity, so entries stay minors of the input.
-    """
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        k = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if k is None:
-            continue
-        m[r], m[k] = m[k], m[r]
-        top = m[r]
-        p = top[c]
-        for i, row in enumerate(m):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            elif p != prev:
-                m[i] = [p * x // prev for x in row]
-        pivots.append(c)
-        prev = p
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], tuple(pivots), prev
-
-
 def pivot_columns(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The pivot columns of an integer matrix, the ones bareiss finds: each
-    column independent of the columns before it, read only until there are as
-    many as rows.
+    """The pivot columns of an integer matrix: each column independent of the
+    columns before it, read only until there are as many as rows.  Their
+    count is the rank.
 
-    A column is reduced by the kept ones, fraction-free, each of which is zero
-    at the leading entries of those kept before it; it is independent exactly
-    when something is left.  With no exact division the entries double in
-    length with each kept column, which suits the four rows of a module.
+    A column is reduced, fraction-free, by each kept column in turn, each of
+    which is zero at the leading entries of those kept before it; it is
+    independent exactly when something is left.  Each step divides exactly by
+    the pivot of the kept column before (Bareiss 1968): by Sylvester's
+    identity, after k steps every entry is a (k + 1)-minor of the input, so
+    the entries grow with the rank only linearly.
     """
     kept: list[tuple[int, list[int]]] = []
     pivots: list[int] = []
     for c, column in enumerate(zip(*rows)):
+        prev = 1
         for lead, v in kept:
-            f = column[lead]
-            if f:
-                p = v[lead]
-                column = [p * x - f * y for x, y in zip(column, v)]
+            p, f = v[lead], column[lead]
+            column = [(p * x - f * y) // prev for x, y in zip(column, v)]
+            prev = p
         lead = next((i for i, x in enumerate(column) if x), None)
         if lead is not None:
             kept.append((lead, column))
@@ -162,7 +130,7 @@ class RatMatrix:
         return RatMatrix.from_ints(flat, self.den, self.rows)
 
     def rank(self) -> int:
-        return len(bareiss(self.int_rows())[1])
+        return len(pivot_columns(self.int_rows()))
 
     def json_rows(self) -> list[list[str]]:
         """The wire strings of the entries, row by row."""

@@ -4,7 +4,7 @@ root structure of a binary form on Fractions, reference polynomial and
 binary-form arithmetic on coefficient tuples, the documents json_text writes
 read back, the cross-section coordinates of the chamber lookup with the
 orientation loop and the verdict writer it had before its sign and text
-tables, the stability and stratify documents as the CLI wrote them from the
+tables, the Bareiss elimination behind the pivot-column scan's checks, the stability and stratify documents as the CLI wrote them from the
 records, and the argparse parser the CLI read its flags with before its flag
 table."""
 
@@ -465,6 +465,43 @@ def ref_rref(rows):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return rows[:r]
+
+
+def bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968),
+    the elimination linalg ran before its pivot-column scan: the reference that
+    scan and RatMatrix.rank are compared against.
+
+    Returns the nonzero rows of the reduced echelon form scaled by a common
+    integer d, the pivot columns, and d: row i over d is row i of the reduced
+    row echelon form.  Each update (p * x - f * y) / prev divides exactly by
+    Sylvester's identity, so entries stay minors of the input.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], tuple(pivots), prev
 
 
 def ref_stdout(doc: dict) -> str:

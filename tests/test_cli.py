@@ -20,7 +20,9 @@ from moriconic import (
     pencil_matrix,
     plucker_conic,
 )
+from moriconic import cli
 from moriconic.cli import MAX_POINCARE_DEGREE, main
+from moriconic.wire import JsonText
 
 from conftest import ReferenceHelp, ReferenceRefused, ref_minors, ref_rref, ref_stdout, reference_argv
 
@@ -524,6 +526,9 @@ class TestHarnessContract:
             doc = json.loads(out)
             assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
             assert doc.get("schema_version") == (1 if code == 0 else None)
+            if code == 0:
+                # the runner returns the whole document as one JsonText
+                assert isinstance(cli._RUNNERS[argv[0]](cli._read_argv(argv)[1]), JsonText)
 
     @pytest.mark.parametrize("argv", [
         ["stability", "--in="],

@@ -29,10 +29,11 @@ from moriconic import (
     quadric_rank,
     stratify,
 )
-from moriconic.linalg import BinaryForm, bareiss, pivot_columns
+from moriconic.linalg import BinaryForm, pivot_columns
 
 from conftest import (
     NORMAL_FORM_BUILDERS,
+    bareiss,
     cli_stdout,
     irrational_diagonalizable_module,
     random_module,
@@ -327,17 +328,18 @@ class TestCokernelKind:
 
 
 @st.composite
-def rank_limited_rows(draw):
-    """Integer 4 x (n + 1) matrices L R of rank at most r, 1 <= r <= 4, after
-    up to three leading zero columns."""
-    n = draw(st.integers(2, 7))
-    r = draw(st.integers(1, 4))
-    zeros = draw(st.integers(0, min(n, 3)))
+def rank_limited_rows(draw, heights=st.just(4)):
+    """Integer h x (n + 1) matrices L R of rank at most r, 1 <= r <= h, with up
+    to three columns zero.  With r = h they have full rank but for the zero
+    columns, and then only when there are at least h others."""
+    h = draw(heights)
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, h))
+    zeros = draw(st.sets(st.integers(0, n), max_size=3))
     entries = st.integers(-3, 3)
-    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=4, max_size=4))
-    right = draw(st.lists(st.lists(entries, min_size=n + 1 - zeros, max_size=n + 1 - zeros),
-                          min_size=r, max_size=r))
-    return n, [[0] * zeros + [sum(a * row[j] for a, row in zip(coeffs, right)) for j in range(n + 1 - zeros)]
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=h, max_size=h))
+    right = draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1), min_size=r, max_size=r))
+    return n, [[0 if j in zeros else sum(a * row[j] for a, row in zip(coeffs, right)) for j in range(n + 1)]
                for coeffs in left]
 
 
@@ -346,16 +348,23 @@ def reference_cokernel_kind(M: KroneckerModule):
     matrix, by Bareiss elimination, and the stability verdict."""
     if classify_stability(M).verdict is Verdict.UNSTABLE:
         return NotSemistable
-    r = quadric_rank(det_quadric(M))
+    r = len(bareiss(det_quadric(M).gram.int_rows())[1])
     return ("twisted_ideal_of_quadric" if r >= 3 else "plane_pair_extension", r)
 
 
 class TestPivotScan:
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(rank_limited_rows())
+    @given(rank_limited_rows(st.integers(1, 8)))
     def test_pivots_match_bareiss(self, case):
+        _, rows = case
+        pivots = bareiss(rows)[1]
+        assert pivot_columns(rows) == pivots
+        assert RatMatrix(rows).rank() == len(pivots)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rank_limited_rows())
+    def test_cokernel_kind_matches_the_whole_gram(self, case):
         n, rows = case
-        assert pivot_columns(rows) == bareiss(rows)[1]
         assume(any(map(any, rows)))
         M = KroneckerModule.from_ints(n, [x for row in rows for x in row])
         try:

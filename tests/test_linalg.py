@@ -1,4 +1,6 @@
+import random
 import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -18,7 +20,7 @@ from moriconic import (
 )
 from moriconic.wire import num_den, rationals
 
-from conftest import form_value, schoolbook_product
+from conftest import bareiss, form_value, schoolbook_product
 
 
 def form(*coeffs):
@@ -134,6 +136,16 @@ class TestRank:
 
     def test_proportional_rows(self):
         assert RatMatrix([[1, 2], [2, 4]]).rank() == 1
+
+    def test_full_rank_40_by_40_in_well_under_a_second(self):
+        # exact division keeps every entry a minor of the input; without it
+        # the entries would double in length with each of the 40 pivots
+        rng = random.Random(40)
+        rows = [[rng.randint(-99, 99) for _ in range(40)] for _ in range(40)]
+        start = time.perf_counter()
+        assert RatMatrix(rows).rank() == 40
+        assert time.perf_counter() - start < 1
+        assert len(bareiss(rows)[1]) == 40
 
     @given(
         st.lists(

@@ -22,10 +22,9 @@ from moriconic import (
     det_quadric,
     quadratic_root_structure,
 )
-from moriconic.linalg import bareiss
 from moriconic.wire import rat_strings
 
-from conftest import ref_root_structure, scaled_module, schoolbook_product, written
+from conftest import bareiss, ref_root_structure, scaled_module, schoolbook_product, written
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
