@@ -4,7 +4,8 @@ root structure of a binary form on Fractions, reference polynomial and
 binary-form arithmetic on coefficient tuples, the documents json_text writes
 read back, the cross-section coordinates of the chamber lookup with the
 orientation loop and the verdict writer it had before its sign and text
-tables, the Bareiss elimination behind the pivot-column scan's checks, the stability and stratify documents as the CLI wrote them from the
+tables, the Bareiss elimination that the pivot-column scan is checked
+against, the stability and stratify documents as the CLI wrote them from the
 records, and the argparse parser the CLI read its flags with before its flag
 table."""
 
