@@ -527,7 +527,6 @@ class TestHarnessContract:
             assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
             assert doc.get("schema_version") == (1 if code == 0 else None)
             if code == 0:
-                # the runner returns the whole document as one JsonText
                 assert isinstance(cli._RUNNERS[argv[0]](cli._read_argv(argv)[1]), JsonText)
 
     @pytest.mark.parametrize("argv", [
