@@ -16,11 +16,10 @@ anywhere prints a usage document built from the same table.
 from __future__ import annotations
 
 import json
-import re
 import sys
 
 from .errors import DomainError
-from .wire import SCHEMA_VERSION, JsonText, json_strings
+from .wire import INTEGER_RE, SCHEMA_VERSION, JsonText
 
 # The largest degree of a Poincare polynomial the CLI computes, checked on
 # the identifier before any product is formed.  The costliest requests within
@@ -41,9 +40,6 @@ _SPACES = {
     "MP2-4m+2": ("MP24m2", ()),
 }
 
-
-# The grammar of an integer flag value: the same as a QPoly.from_json coefficient.
-_INTEGER = re.compile(r"-?[0-9]+")
 
 # Per subcommand: each flag's exact name mapped to (destination, kind), and the
 # flags of which exactly one must be given.  A kind is str, int, bool for a
@@ -117,10 +113,10 @@ def _read_argv(argv) -> tuple[str, dict, str | None]:
             continue
         if not eq:
             value = next(tokens, None)
-            if value is None or value.startswith("-") and not _INTEGER.fullmatch(value):
+            if value is None or value.startswith("-") and not INTEGER_RE.fullmatch(value):
                 raise ValueError(f"{flag} expects a value")
         if kind is int:
-            if not _INTEGER.fullmatch(value):
+            if not INTEGER_RE.fullmatch(value):
                 raise ValueError(f"{flag} expects an integer, got {value!r}")
             value = int(value)
         elif kind is not str and value not in kind:
@@ -246,16 +242,9 @@ def _run_conic(doc: dict) -> JsonText:
 
 
 def _run_modify(doc: dict) -> JsonText:
-    from .conic import LambdaFamily, modified_conic
-    from .strata import root_points, vector_strings
+    from .plucker import modify_text
 
-    k, conic, gcd = modified_conic(LambdaFamily.from_json(doc))
-    points = root_points(gcd)[1] if len(gcd) > 1 else ()
-    vectors = ",".join(json_strings(vector_strings("rank_drop", s, t)) for s, t in points)
-    base = (f'{{"gcd":{json_strings([str(c) for c in gcd])},"gcd_degree":{len(gcd) - 1},'
-            f'"rational_points":[{vectors}]}}')
-    return JsonText(f'{{"conic":{conic.json_text()},"k":{k},"residual_base":{base},'
-                    f'"schema_version":{SCHEMA_VERSION}}}')
+    return modify_text(doc)
 
 
 def _run_chamber(doc: dict) -> JsonText:

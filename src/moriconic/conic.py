@@ -5,8 +5,8 @@ pairs with s, column 2 with t); its 2x2 minors are the Pluecker coordinates
 p_I(s, t), one binary quadratic per pair I = {i < j}, tracing out a conic in
 the Pluecker space of the Grassmannian of codimension-2 subspaces.  The
 envelope is the span of the coefficient vectors of s^2, st, t^2 across all I,
-a plane for an honest conic.  The integer routines behind both live in
-plucker, which serves a CLI conic request alone.
+a plane for an honest conic.  The records here wrap plucker's integer
+routines, which serve the CLI conic and modify requests alone.
 
 For a one-parameter family M(lambda) the wedge may vanish identically at
 lambda = 0 without vanishing nearby; the elementary modification divides all
@@ -18,17 +18,15 @@ act; the blow-up charts beyond that point are out of scope.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import chain, islice, zip_longest
 from math import comb
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import IdenticallyZero
 from .kronecker import KroneckerModule, LinearForm, index_pairs
 from .linalg import BinaryForm, RatMatrix, common_denominator, quadratic_root_structure
-from .plucker import coords_text, degree, envelope_rows, envelope_text, pair_offsets, wedge
-from .strata import gcd_coefficients, json_coefficients, json_n, json_n_and_entries, span_basis
+from .plucker import (coords_text, degree, envelope_rows, envelope_text, family_entries,
+                      modified_wedge, read_family, wedge)
+from .strata import json_n, span_basis
 from .wire import JsonText, json_array, lowest_terms, num_den, rat_strings, rationals
 
 
@@ -154,17 +152,7 @@ class LambdaFamily:
         forms = [f for row in rows for entry in row for f in entry]
         if any(not isinstance(f, LinearForm) or f.n != n for f in forms):
             raise ValueError("entry coefficients must be LinearForms sharing n")
-        self._store(n, [len(e) for row in rows for e in row], *common_denominator(forms))
-
-    def _store(self, n: int, lengths, nums, den: int) -> None:
-        """Every constructor's storage, after the one check of n: nums / den in lowest
-        terms, split into forms of n + 1, lengths[i] of them in the i-th entry."""
-        if n < 2:
-            raise ValueError("ambient parameter n must be >= 2")
-        flat, self.den = lowest_terms(nums, den)
-        forms = (flat[i:i + n + 1] for i in range(0, len(flat), n + 1))
-        e11, e12, e21, e22 = (tuple(islice(forms, k)) for k in lengths)
-        self.nums, self.n = ((e11, e12), (e21, e22)), n
+        self.n, self.nums, self.den = family_entries(n, rows[0] + rows[1], *common_denominator(forms))
 
     def _integer_values(self, lam):
         """(m11, m12, m21, m22, d): the coefficient tuples of d * F(lam), all integers.
@@ -197,11 +185,8 @@ class LambdaFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LambdaFamily":
-        n, entries = json_n_and_entries(doc)
-        entries = [[json_array(f, "a form") for f in e] for e in entries]
-        nums, den = rationals(json_coefficients(n, [f for entry in entries for f in entry]))
         family = object.__new__(cls)
-        family._store(n, [len(e) for e in entries], nums, den)
+        family.n, family.nums, family.den = read_family(doc)
         return family
 
 
@@ -220,106 +205,16 @@ class ModificationResult(NamedTuple):
     base_points: tuple[tuple[Fraction, Fraction], ...]
 
 
-_ZERO_TRIPLE = (0, 0, 0)
-
-
-def _part_minors(row1, row2, offsets) -> dict:
-    """{position: triple}: the minors over i < j of two pencil rows, each given as
-    (s coefficients, t coefficients, support), that can be nonzero.  Every term
-    of a minor reads one row at i and the other at j, so the pair needs a column
-    in each support: i in the first and j in the second, or the other way round.
-    The minor over i < j sits at index_pairs position offsets[i] + j."""
-    a1, b1, support1 = row1
-    a2, b2, support2 = row2
-    only1, only2 = set(support1).difference(support2), set(support2).difference(support1)
-    either = sorted(set(support1).union(support2))
-    minors = {}
-    for i in either:
-        partners = support2 if i in only1 else support1 if i in only2 else either
-        a1i, b1i, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
-        base = offsets[i]
-        for j in partners[bisect_right(partners, i):]:
-            a1j, b1j, a2j, b2j = a1[j], b1[j], a2[j], b2[j]
-            minors[base + j] = (
-                a1i * a2j - a1j * a2i,
-                a1i * b2j + b1i * a2j - a1j * b2i - b1j * a2i,
-                b1i * b2j - b1j * b2i,
-            )
-    return minors
-
-
-def _lowest_wedge(F: LambdaFamily):
-    """(k, {position: triple}): the lowest power k of lambda at which the wedge of
-    den * F has a nonzero coordinate, and the coordinates that have a term at
-    lambda^k, by index_pairs position; None when the wedge vanishes for every
-    lambda.
-
-    The coordinates of F are these over den^2.  The lambda^k coefficient of
-    the minor over i < j sums, over d1 + d2 = k, the minors of the pencil rows
-    of degrees d1 and d2, and a part adds only the pairs with a column in each
-    row's support.  Each row starts at its lowest nonzero power, so k starts at
-    the sum of the two, and leading zero powers cost nothing.
-    """
-    if not all(s_entry or t_entry for s_entry, t_entry in F.nums):
-        return None  # a row with no form is zero, and nothing in the document bounds n
-    zero = (0,) * (F.n + 1)
-    rows = []
-    for s_entry, t_entry in F.nums:
-        # per lambda degree, the coefficients of s and of t and the columns where one is nonzero
-        degrees = [
-            (s, t, [i for i, (a, b) in enumerate(zip(s, t)) if a or b])
-            for s, t in zip_longest(s_entry, t_entry, fillvalue=zero)
-        ]
-        low = next((d for d, (_, _, support) in enumerate(degrees) if support), None)
-        if low is None:
-            return None
-        rows.append((low, degrees[low:]))
-    (low1, top), (low2, bottom) = rows
-    offsets = pair_offsets(F.n)
-    for k in range(len(top) + len(bottom) - 1):
-        minors = {}
-        for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
-            part = _part_minors(top[d1], bottom[k - d1], offsets)
-            if not minors:
-                minors = part
-                continue
-            for p, (x, y, z) in part.items():
-                u, v, w = minors.get(p, _ZERO_TRIPLE)
-                minors[p] = (u + x, v + y, w + z)
-        if any(map(any, minors.values())):
-            return low1 + low2 + k, minors
-    return None
-
-
 def family_conic(F: LambdaFamily, lam) -> PluckerConic:
     """Wedge coordinates of the family at a specific rational parameter value."""
     *rows, d = F._integer_values(lam)
     return PluckerConic.from_ints(F.n, wedge(*rows)[0], d * d)
 
 
-def modified_conic(F: LambdaFamily) -> tuple[int, PluckerConic, tuple[int, ...]]:
-    """(k, conic, gcd): modify_family's integers, the common factor of the
-    conic's coordinates as strata.gcd_coefficients writes it."""
-    lowest = _lowest_wedge(F)
-    if lowest is None:
-        raise IdenticallyZero("the wedge of the family vanishes for every lambda")
-    k, minors = lowest
-    # lowest terms over the triples that have a term first, so that the conic's
-    # own reduction over all C(n + 1, 2) triples has no zero left to divide
-    flat, den = lowest_terms(chain.from_iterable(minors.values()), F.den * F.den)
-    triples = [_ZERO_TRIPLE] * comb(F.n + 1, 2)
-    for p, t in zip(minors, zip(*[iter(flat)] * 3)):
-        triples[p] = t
-    conic = PluckerConic.from_ints(F.n, chain.from_iterable(triples), den)
-    # the zero triples leave the gcd as it is
-    g = gcd_coefficients(minors.values())
-    assert g is not None  # impossible by minimality of k
-    return k, conic, g
-
-
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    k, conic, g = modified_conic(F)
+    k, nums, den, g = modified_wedge(F.n, F.nums, F.den)
+    conic = PluckerConic.from_ints(F.n, nums, den)
     base_gcd = BinaryForm.from_ints(g)
     points = quadratic_root_structure(base_gcd).roots if len(g) > 1 else ()
     return ModificationResult(k, conic, base_gcd, points)

@@ -1,24 +1,28 @@
-"""The integer Pluecker conic of a module: its wedge, envelope and degree.
+"""The integer Pluecker conic of a module or family: its wedge, envelope and degree.
 
 The 2x2 minors of the pencil rows s * m11 + t * m12 and s * m21 + t * m22,
 one binary quadratic per pair i < j in {0..n}, are the conic's coordinates;
 the span of their coefficient slices is its envelope, and 2 minus the degree
 of their gcd its degree.  Matrices stay unreduced integers over one
 denominator, since the text writers reduce each entry as str(Fraction) would.
-conic_text writes a conic request's document, loading only this module,
-strata, packing and wire; conic builds its records from the same routines.
+conic_text and modify_text write a conic or modify request's document,
+loading only this module, strata, packing and wire; conic builds its records
+from the same routines.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from bisect import bisect_right
+from itertools import chain, islice, zip_longest
+from math import comb
 from operator import mul, neg
 from typing import Sequence
 
-from .errors import ZeroConic
+from .errors import IdenticallyZero, ZeroConic
 from .packing import pack_slots, read_slots, slot_bytes, slot_width
-from .strata import cross, gcd_coefficients, read_module, span_basis
-from .wire import SCHEMA_VERSION, JsonText, json_strings, rat_strings
+from .strata import (cross, gcd_coefficients, json_coefficients, json_n_and_entries, read_module,
+                     root_points, span_basis, vector_strings)
+from .wire import SCHEMA_VERSION, JsonText, json_array, json_strings, lowest_terms, rat_strings, rationals
 
 
 def pair_offsets(n: int) -> list[int]:
@@ -123,3 +127,123 @@ def conic_text(doc: dict) -> JsonText:
     env = envelope_text(*envelope_rows(minors, basis, bound))
     return JsonText(f'{{"coords":{coords},"degree":{degree(basis)},"envelope":{env},'
                     f'"n":{n},"schema_version":{SCHEMA_VERSION}}}')
+
+
+def family_entries(n: int, entries: Sequence, nums: Sequence[int], den: int) -> tuple[int, tuple, int]:
+    """(n, ((m11, m12), (m21, m22)), den) of a family, after its one check of n: nums / den
+    in lowest terms, split into forms of n + 1, as many per entry as entries[i] holds."""
+    if n < 2:
+        raise ValueError("ambient parameter n must be >= 2")
+    nums, den = lowest_terms(nums, den)
+    forms = (nums[i:i + n + 1] for i in range(0, len(nums), n + 1))
+    m11, m12, m21, m22 = (tuple(islice(forms, len(e))) for e in entries)
+    return n, ((m11, m12), (m21, m22)), den
+
+
+def read_family(doc: dict) -> tuple[int, tuple, int]:
+    """family_entries of a family document, whose entries are arrays of forms."""
+    n, entries = json_n_and_entries(doc)
+    entries = [[json_array(f, "a form") for f in e] for e in entries]
+    nums, den = rationals(json_coefficients(n, [f for entry in entries for f in entry]))
+    return family_entries(n, entries, nums, den)
+
+
+def _part_minors(row1, row2, offsets) -> dict:
+    """{position: triple}: the minors over i < j of two pencil rows, each given as
+    (s coefficients, t coefficients, support), that can be nonzero.  Every term
+    of a minor reads one row at i and the other at j, so the pair needs a column
+    in each support: i in the first and j in the second, or the other way round.
+    The minor over i < j sits at index_pairs position offsets[i] + j."""
+    a1, b1, support1 = row1
+    a2, b2, support2 = row2
+    only1, only2 = set(support1).difference(support2), set(support2).difference(support1)
+    either = sorted(set(support1).union(support2))
+    minors = {}
+    for i in either:
+        partners = support2 if i in only1 else support1 if i in only2 else either
+        a1i, b1i, a2i, b2i = a1[i], b1[i], a2[i], b2[i]
+        base = offsets[i]
+        for j in partners[bisect_right(partners, i):]:
+            a1j, b1j, a2j, b2j = a1[j], b1[j], a2[j], b2[j]
+            minors[base + j] = (
+                a1i * a2j - a1j * a2i,
+                a1i * b2j + b1i * a2j - a1j * b2i - b1j * a2i,
+                b1i * b2j - b1j * b2i,
+            )
+    return minors
+
+
+def _lowest_wedge(n: int, entries):
+    """(k, {position: triple}): the lowest power k of lambda at which the wedge of
+    the family with these integer entries (family_entries') has a nonzero
+    coordinate, and the coordinates with a term at lambda^k, by index_pairs
+    position; None when the wedge vanishes for every lambda.
+
+    The lambda^k coefficient of the minor over i < j sums, over d1 + d2 = k,
+    the minors of the pencil rows of degrees d1 and d2, and a part adds only
+    the pairs with a column in each row's support.  Each row starts at its
+    lowest nonzero power, so k starts at the sum of the two, and leading zero
+    powers cost nothing.
+    """
+    if not all(s_entry or t_entry for s_entry, t_entry in entries):
+        return None  # a row with no form is zero, and nothing in the document bounds n
+    zero = (0,) * (n + 1)
+    rows = []
+    for s_entry, t_entry in entries:
+        # per lambda degree, the coefficients of s and of t and the columns where one is nonzero
+        degrees = [
+            (s, t, [i for i, (a, b) in enumerate(zip(s, t)) if a or b])
+            for s, t in zip_longest(s_entry, t_entry, fillvalue=zero)
+        ]
+        low = next((d for d, (_, _, support) in enumerate(degrees) if support), None)
+        if low is None:
+            return None
+        rows.append((low, degrees[low:]))
+    (low1, top), (low2, bottom) = rows
+    offsets = pair_offsets(n)
+    for k in range(len(top) + len(bottom) - 1):
+        minors = {}
+        for d1 in range(max(0, k - len(bottom) + 1), min(k, len(top) - 1) + 1):
+            part = _part_minors(top[d1], bottom[k - d1], offsets)
+            if not minors:
+                minors = part
+                continue
+            for p, (x, y, z) in part.items():
+                u, v, w = minors.get(p, (0, 0, 0))
+                minors[p] = (u + x, v + y, w + z)
+        if any(map(any, minors.values())):
+            return low1 + low2 + k, minors
+    return None
+
+
+def modified_wedge(n: int, entries, den: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+    """(k, nums, d, gcd): the elementary modification of the family entries / den.
+    k is the power of lambda divided out of its wedge, nums / d in lowest terms
+    the triples of the conic at lambda = 0, flattened in index_pairs order, and
+    gcd their common factor as strata.gcd_coefficients writes it."""
+    if (lowest := _lowest_wedge(n, entries)) is None:
+        raise IdenticallyZero("the wedge of the family vanishes for every lambda")
+    k, minors = lowest
+    # lowest terms over the triples that have a term first, so that the conic
+    # record's own reduction over all C(n + 1, 2) triples has nothing to divide
+    flat, d = lowest_terms(chain.from_iterable(minors.values()), den * den)
+    triples = [(0, 0, 0)] * comb(n + 1, 2)
+    for p, t in zip(minors, zip(*[iter(flat)] * 3)):
+        triples[p] = t
+    # the zero triples leave the gcd as it is
+    g = gcd_coefficients(minors.values())
+    assert g is not None  # impossible by minimality of k
+    return k, tuple(chain.from_iterable(triples)), d, g
+
+
+def modify_text(doc: dict) -> JsonText:
+    """The CLI modify document of a family document, schema_version included:
+    the modified conic, k and the residual base points, written from integers."""
+    n, entries, den = read_family(doc)
+    k, nums, d, gcd = modified_wedge(n, entries, den)
+    points = root_points(gcd)[1] if len(gcd) > 1 else ()
+    vectors = ",".join(json_strings(vector_strings("rank_drop", s, t)) for s, t in points)
+    base = (f'{{"gcd":{json_strings([str(c) for c in gcd])},"gcd_degree":{len(gcd) - 1},'
+            f'"rational_points":[{vectors}]}}')
+    return JsonText(f'{{"conic":{{"coords":{coords_text(n, nums, d)},"n":{n}}},"k":{k},'
+                    f'"residual_base":{base},"schema_version":{SCHEMA_VERSION}}}')

@@ -15,15 +15,12 @@ There is no general division: the motivic formulas divide only by factors
 
 from __future__ import annotations
 
-import re
 from itertools import starmap, zip_longest
 from operator import add, sub
 from typing import Iterable
 
 from .packing import pack_slots, read_slots, slot_bytes, slot_width
-from .wire import JsonText, json_array, json_strings, rat_strings
-
-_INT_RE = re.compile(r"-?[0-9]+")
+from .wire import INTEGER_RE, JsonText, json_array, json_strings, rat_strings
 
 
 class QPoly:
@@ -150,7 +147,7 @@ class QPoly:
     def from_json(cls, data: list[str]) -> "QPoly":
         """Inverse of json_text: a JSON array of decimal integer strings."""
         cs = json_array(data, "a polynomial")
-        if not all(isinstance(c, str) and _INT_RE.fullmatch(c) for c in cs):
+        if not all(isinstance(c, str) and INTEGER_RE.fullmatch(c) for c in cs):
             raise ValueError("coefficients must be decimal integer strings")
         return cls([int(c) for c in cs])
 

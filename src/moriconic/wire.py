@@ -21,7 +21,8 @@ from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 # ASCII digits only: \d would also match other scripts' digits, and $ a final newline
-_RAT = r"-?[0-9]+(?:/[1-9][0-9]*)?"
+INTEGER_RE = re.compile(r"-?[0-9]+")
+_RAT = rf"{INTEGER_RE.pattern}(?:/[1-9][0-9]*)?"
 _RAT_RE = re.compile(_RAT)
 # integer or p/q strings joined by ",", with exactly one comma per join when no
 # string holds one

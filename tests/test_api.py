@@ -98,9 +98,9 @@ def test_submodule_resolves_after_bare_import():
     assert loaded_submodules(script) == {"chamber", "errors", "wire"}
 
 
-# The stability, stratify and conic requests load the integer routines alone,
-# not the records and linear algebra that kronecker, linalg and conic build
-# around them; only the conic, modify and Poincare paths multiply packed
+# The stability, stratify, conic and modify requests load the integer routines
+# alone, not the records and linear algebra that kronecker, linalg and conic
+# build around them; only the conic, modify and Poincare paths multiply packed
 # integers.
 CORE = {"errors", "strata", "wire"}
 KERNEL = CORE | {"kronecker", "linalg"}
@@ -111,7 +111,7 @@ PLUCKER = CORE | {"packing", "plucker"}
     (["stability", "--json", MODULE_DOC], CORE),
     (["stratify", "--json", MODULE_DOC], CORE),
     (["conic", "--json", MODULE_DOC], PLUCKER),
-    (["modify", "--json", FAMILY_DOC], KERNEL | PLUCKER | {"conic"}),
+    (["modify", "--json", FAMILY_DOC], PLUCKER),
     (["chamber", "--coeffs", '{"T":"1"}'], {"errors", "chamber", "wire"}),
     (["poincare", "--space", "Sym2", "--inner", '{"space":"T4","n":3}'],
      {"errors", "motivic", "packing", "qpoly", "wire"}),
@@ -127,8 +127,7 @@ def test_modify_with_rational_base_points_builds_no_fraction(capsys):
     assert result.base_points == ((Fraction(-1, 2), 1), (Fraction(-3), 1))
     assert cli.main(["modify", "--json", json.dumps(doc)]) == 0
     assert json.loads(capsys.readouterr().out)["residual_base"]["rational_points"] == [["-1/2", "1"], ["-3", "1"]]
-    assert fresh_report(CLI_SCRIPT.format(argv=["modify", "--json", json.dumps(doc)])) == (
-        KERNEL | PLUCKER | {"conic"}, set())
+    assert fresh_report(CLI_SCRIPT.format(argv=["modify", "--json", json.dumps(doc)])) == (PLUCKER, set())
 
 
 def test_record_types_load_no_heavy_module():

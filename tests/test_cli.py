@@ -332,7 +332,7 @@ class TestModify:
         def refuse(*rows):
             raise AssertionError("a minor term was added")
 
-        monkeypatch.setattr("moriconic.conic._part_minors", refuse)
+        monkeypatch.setattr("moriconic.plucker._part_minors", refuse)
         code, out = run(capsys, "modify", "--json", json.dumps({"n": n, "matrix": matrix}))
         assert code == 2
         assert json.loads(out) == {

@@ -26,8 +26,8 @@ from moriconic import (
     plucker_conic,
 )
 
-from moriconic.conic import _part_minors
-from moriconic.plucker import conic_text
+from moriconic.cli import main as cli_main
+from moriconic.plucker import _part_minors, conic_text
 
 from conftest import (
     NORMAL_FORM_BUILDERS,
@@ -84,12 +84,16 @@ def diagonal_perturbation_family(n, a, b) -> LambdaFamily:
     )
 
 
+def shifted(doc: dict, k1: int, k2: int) -> dict:
+    """The family document with its rows multiplied by lambda^k1 and lambda^k2."""
+    zero = ["0"] * (doc["n"] + 1)
+    matrix = [[[zero] * k + entry for entry in row] for row, k in zip(doc["matrix"], (k1, k2))]
+    return {"n": doc["n"], "matrix": matrix}
+
+
 def row_power_shift(family: LambdaFamily, k1: int, k2: int) -> LambdaFamily:
     """The family with its rows multiplied by lambda^k1 and lambda^k2."""
-    doc = family.to_json()
-    zero = ["0"] * (family.n + 1)
-    doc["matrix"] = [[[zero] * k + entry for entry in row] for row, k in zip(doc["matrix"], (k1, k2))]
-    return LambdaFamily.from_json(doc)
+    return LambdaFamily.from_json(shifted(family.to_json(), k1, k2))
 
 
 def random_coeffs(rng, n, start):
@@ -109,7 +113,7 @@ def count_minor_terms(monkeypatch) -> list:
         terms.extend(minors.items())
         return minors
 
-    monkeypatch.setattr("moriconic.conic._part_minors", counted)
+    monkeypatch.setattr("moriconic.plucker._part_minors", counted)
     return terms
 
 
@@ -522,6 +526,78 @@ class TestModifyFamily:
             result = modify_family(scalar_perturbation_family(n, a, b))
             assert result.k >= 1
             assert not result.conic.is_zero
+
+
+
+def library_modify_document(doc: dict) -> str:
+    """The CLI modify document from the records of modify_family, written by
+    one stdlib json.dumps, every coefficient and base point as str(Fraction)
+    writes it."""
+    try:
+        result = modify_family(LambdaFamily.from_json(doc))
+    except IdenticallyZero as exc:
+        body = {"error": exc.code, "detail": str(exc)}
+    else:
+        coords = {f"{i},{j}": [str(c) for c in f.coeffs] for (i, j), f in result.conic.coords.items()}
+        base = {"gcd": [str(c) for c in result.base_gcd.coeffs], "gcd_degree": result.base_gcd.degree,
+                "rational_points": [[str(s), str(t)] for s, t in result.base_points]}
+        body = {"schema_version": 1, "k": result.k, "conic": {"n": result.conic.n, "coords": coords},
+                "residual_base": base}
+    return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def random_family_doc(rng, n: int, density: float, powers: int) -> dict:
+    """A family document with powers random forms per entry, each coefficient
+    nonzero with probability density, some of them p/q strings."""
+    def coefficient():
+        if rng.random() >= density:
+            return "0"
+        p = rng.choice([i for i in range(-9, 10) if i])
+        return str(p) if rng.random() < 0.6 else f"{p}/{rng.randint(2, 7)}"
+
+    return {"n": n, "matrix": [[[[coefficient() for _ in range(n + 1)] for _ in range(powers)]
+                                for _ in range(2)] for _ in range(2)]}
+
+
+def unit_form(n: int, i: int, c=1) -> list[str]:
+    """The wire form of c x_i in n + 1 coordinates."""
+    return [str(c) if j == i else "0" for j in range(n + 1)]
+
+
+def test_modify_stdout_matches_the_library_records(capsys):
+    rng = random.Random(2801)
+    docs = []
+    for n in (2, 3, 11, 20, 60):
+        x0, x1, zero = unit_form(n, 0), unit_form(n, 1), ["0"] * (n + 1)
+        # sparse rows and rows nonzero in every column, shifted by up to three powers
+        for density, (k1, k2) in zip((0.15, 1.0, 0.5, 1.0), ((0, 0), (1, 0), (1, 1), (2, 1))):
+            docs.append(shifted(random_family_doc(rng, n, density, rng.randint(1, 3)), k1, k2))
+        # [[x0, L x1], [L x2 - x1 / 3, x0]]: at lambda^0 the rows s x0 and t x0 have zero wedge
+        mixed = ["0", "-1/3", "1"] + zero[3:]
+        docs.append({"n": n, "matrix": [[[x0], [zero, x1]], [[zero, mixed], [x0]]]})
+        # rows (2s + t) x0 and (s + 3t) x1: one minor (2s + t)(s + 3t), rational base points
+        rational = {"n": n, "matrix": [[[unit_form(n, 0, 2)], [x0]], [[x1], [unit_form(n, 1, 3)]]]}
+        # rows s x0 + t x1 and t x0 - s x1: one minor -(s^2 + t^2), irrational base points
+        irrational = {"n": n, "matrix": [[[x0], [x1]], [[unit_form(n, 1, -1)], [x0]]]}
+        docs += [rational, shifted(irrational, 0, 1), shifted(rational, 1, 2)]
+        # the identically zero wedge: equal rows, and a row with no form
+        row = random_family_doc(rng, n, 0.5, 2)["matrix"][0]
+        docs += [{"n": n, "matrix": [row, row]}, {"n": n, "matrix": [row, [[], []]]}]
+    seen = set()
+    for doc in docs:
+        expected = library_modify_document(doc)
+        body = json.loads(expected)
+        assert cli_main(["modify", "--json", json.dumps(doc)]) == (2 if "error" in body else 0)
+        assert capsys.readouterr().out == expected
+        if "error" in body:
+            seen.add(body["error"])
+            continue
+        base = body["residual_base"]
+        seen.add(("k", body["k"]))
+        seen.add("rational" if base["rational_points"] else "irrational" if base["gcd_degree"] else "absent")
+        seen.add(("n", body["conic"]["n"]))
+    assert seen == {"identically_zero", "rational", "irrational", "absent",
+                    *(("k", k) for k in range(4)), *(("n", n) for n in (2, 3, 11, 20, 60))}
 
 
 # ---------------------------------------------------------------------------
