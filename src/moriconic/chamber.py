@@ -8,7 +8,8 @@ containing it; its cell is spanned by the corners with a positive
 barycentric coordinate.  Each of those signs is the sign of a fixed integer
 linear form in the seven numerators, built once from the cross-section, so
 a combination on a wall is assigned the wall's own label, never a
-neighbouring chamber's.  Each cell's CLI response is one fixed text per mode.
+neighbouring chamber's.  Each cell's CLI response is one fixed text per mode,
+and chamber_text serves a request document with it.
 
 The cross-section coordinates realize the required incidences: Dunb, H11, T
 are collinear; Ddeg, H2, T are collinear; and P is the intersection of the
@@ -276,3 +277,12 @@ _REFLECTED = tuple(map(GENERATORS.index, ("Ddeg", "Dunb", "Delta", "T", "H2", "H
 def duality_reflect(d: DivisorCombo) -> DivisorCombo:
     """The reflection through the Delta-P axis: swaps Dunb/Ddeg and H11/H2."""
     return DivisorCombo(tuple(d.nums[i] for i in _REFLECTED), d.den, d.n_mode)
+
+
+def chamber_text(doc: dict) -> JsonText:
+    """The CLI chamber document of a request document: the cell of its
+    combination, reflected first when its "reflect" is true."""
+    d = DivisorCombo.from_json(doc)
+    if doc.get("reflect"):
+        d = duality_reflect(d)
+    return response_text(d)

@@ -6,8 +6,9 @@ document, and exits 0 on success, 2 on domain errors, 1 on parse errors.
 Output is byte-deterministic: sorted keys, compact separators, rationals as
 canonical strings, and a schema_version field pinned to 1.
 
-argv is read once against one flag table (_FLAGS) into a request document,
-and each subcommand's runner takes that document and nothing else and
+argv is read once against one flag table (_FLAGS) into a request document.
+One runner table (_RUNNERS) names each subcommand's runner, a function in
+the module that serves it: it takes that document and nothing else and
 returns the whole success document as one JsonText, written as it is; only
 error and usage documents go through the JSON encoder.  -h or --help
 anywhere prints a usage document built from the same table.
@@ -21,34 +22,16 @@ import sys
 from .errors import DomainError
 from .wire import INTEGER_RE, SCHEMA_VERSION, JsonText
 
-# The largest degree of a Poincare polynomial the CLI computes, checked on
-# the identifier before any product is formed.  The costliest requests within
-# it nest Sym2 eight or more levels deep, each level doubling the bit length
-# of the coefficients: Sym2^8 of MbarGr(4) takes 0.6-0.9 s on a 2-vCPU Xeon
-# with Python 3.11, nearly all of it in its big-integer squarings.
-MAX_POINCARE_DEGREE = 4000
-
-# Per space tag: the name of its identifier class in motivic and its integer
-# fields.  Sym2 is handled apart: it wraps another identifier and doubles its
-# degree.
-_SPACES = {
-    "Pn": ("ProjSpace", ("n",)),
-    "Gr": ("Grassmannian", ("k", "N")),
-    "MbarP": ("KontsevichProj", ("n",)),
-    "MbarGr": ("MbarGr", ("n",)),
-    "T4": ("T4", ("n",)),
-    "MP2-4m+2": ("MP24m2", ()),
-}
-
-
 # Per subcommand: each flag's exact name mapped to (destination, kind), and the
 # flags of which exactly one must be given.  A kind is str, int, bool for a
-# switch, or the tuple of accepted choices.
+# switch, or the tuple of accepted choices.  The --space choices are the tags
+# of motivic._SPACES and Sym2, written out so that only a poincare request
+# loads motivic.
 _MODULE_FLAGS = ({"--in": ("in", str), "--json": ("json", str), "--out": ("out", str)},
                  ("--in", "--json"))
 _FLAGS = {
     "poincare": ({
-        "--space": ("space", (*_SPACES, "Sym2")),
+        "--space": ("space", ("Pn", "Gr", "MbarP", "MbarGr", "T4", "MP2-4m+2", "Sym2")),
         "--n": ("n", int),
         "--k": ("k", int),
         "--N": ("N", int),
@@ -186,84 +169,23 @@ def _emit(doc: dict | JsonText, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _space_from_json(doc):
-    """The space an identifier names, if its Poincare degree is within the cap.
-
-    Sym2 levels are unwound without recursion.  A degree below 1 still
-    doubles per level in the bound, so the level count is bounded too.
-    """
-    from . import motivic
-
-    levels = 0
-    while isinstance(doc, dict) and doc.get("space") == "Sym2":
-        levels += 1
-        doc = doc.get("inner")
-    if not isinstance(doc, dict) or "space" not in doc:
-        raise ValueError("space identifier must be an object with a 'space' key")
-    tag = doc["space"]
-    if tag not in _SPACES:
-        raise ValueError(f"unknown space identifier {tag!r}")
-    cls_name, fields = _SPACES[tag]
-    values = [doc.get(field) for field in fields]
-    for field, value in zip(fields, values):
-        if type(value) is not int:
-            raise ValueError(f"space {tag} requires an integer {field!r}")
-    space = getattr(motivic, cls_name)(*values)
-    if max(space.dimension, 1) << levels > MAX_POINCARE_DEGREE:
-        raise ValueError(f"the Poincare polynomial would exceed degree {MAX_POINCARE_DEGREE}")
-    for _ in range(levels):
-        space = motivic.Sym2Of(space)
-    return space
-
-
-def _run_poincare(doc: dict) -> JsonText:
-    from .motivic import poincare
-
-    poly = poincare(_space_from_json(doc)).json_text()
-    return JsonText(f'{{"poly":{poly},"schema_version":{SCHEMA_VERSION}}}')
-
-
-def _run_stability(doc: dict) -> JsonText:
-    from .strata import read_module, stability_text
-
-    return stability_text(read_module(doc)[1])
-
-
-def _run_stratify(doc: dict) -> JsonText:
-    from .strata import read_module, stratify_text
-
-    return stratify_text(read_module(doc)[1])
-
-
-def _run_conic(doc: dict) -> JsonText:
-    from .plucker import conic_text
-
-    return conic_text(doc)
-
-
-def _run_modify(doc: dict) -> JsonText:
-    from .plucker import modify_text
-
-    return modify_text(doc)
-
-
-def _run_chamber(doc: dict) -> JsonText:
-    from .chamber import DivisorCombo, duality_reflect, response_text
-
-    combo = DivisorCombo.from_json(doc)
-    if doc.get("reflect"):
-        combo = duality_reflect(combo)
-    return response_text(combo)
-
-
+# Per subcommand: the module that serves it and the function there that
+# takes its request document and returns its success document.
 _RUNNERS = {
-    "poincare": _run_poincare,
-    "stability": _run_stability,
-    "stratify": _run_stratify,
-    "conic": _run_conic,
-    "modify": _run_modify,
-    "chamber": _run_chamber,
+    "poincare": ("motivic", "poincare_text"),
+    "stability": ("strata", "stability_text"),
+    "stratify": ("strata", "stratify_text"),
+    "conic": ("plucker", "conic_text"),
+    "modify": ("plucker", "modify_text"),
+    "chamber": ("chamber", "chamber_text"),
 }
+
+
+def _run(op: str, doc: dict) -> JsonText:
+    """Subcommand op's success document for its request document; the
+    serving module is loaded on the first request."""
+    module, name = _RUNNERS[op]
+    return getattr(__import__(f"{__package__}.{module}", fromlist=(name,)), name)(doc)
 
 
 def _parse_error(exc: Exception) -> int:
@@ -279,7 +201,7 @@ def main(argv=None) -> int:
         return 0
     try:
         op, request, out_path = _read_argv(argv)
-        doc, code = _RUNNERS[op](request), 0
+        doc, code = _run(op, request), 0
     except DomainError as exc:
         doc, code = {"error": exc.code, "detail": str(exc)}, 2
     except (KeyError, TypeError, ValueError, OSError) as exc:

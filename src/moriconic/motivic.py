@@ -19,6 +19,11 @@ implementation bug, never data.
 
 The symmetric square rule P(Sym^2 X) = (P(X)(q)^2 + P(X)(q^2)) / 2 is the one
 place a half-integer appears; integrality of the result is enforced.
+
+One table (_SPACES) gives each space tag its identifier class, the fields a
+request document names and its formula; poincare dispatches on it, and
+space_from_json reads an identifier document through it, under the degree
+cap MAX_POINCARE_DEGREE, so poincare_text serves a poincare request alone.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import NamedTuple, Union
 
 from .errors import NonIntegral, NotDivisible
 from .qpoly import QPoly
+from .wire import SCHEMA_VERSION, JsonText
 
 
 class _Linear(tuple):
@@ -358,21 +364,68 @@ class MP24m2(_Space, NamedTuple("MP24m2", [])):
 
 SpaceId = Union[ProjSpace, Grassmannian, KontsevichProj, MbarGr, Sym2Of, T4, MP24m2]
 
+# Per space tag of a request document: its identifier class, the integer
+# fields that document gives, and its formula.  The fields are the formula's
+# arguments, in order, so an identifier's formula is formula(*space).  Sym2
+# is handled apart: it wraps another identifier and doubles its degree.
+_SPACES = {
+    "Pn": (ProjSpace, ("n",), proj_space_poincare),
+    "Gr": (Grassmannian, ("k", "N"), grassmannian_poincare),
+    "MbarP": (KontsevichProj, ("n",), kontsevich_proj_poincare),
+    "MbarGr": (MbarGr, ("n",), mbar_gr_poincare),
+    "T4": (T4, ("n",), t4_poincare),
+    "MP2-4m+2": (MP24m2, (), mp2_4m2_poincare),
+}
+_FORMULAS = {cls: formula for cls, _, formula in _SPACES.values()}
+
 
 def poincare(space: SpaceId) -> QPoly:
     """Virtual Poincare polynomial of a described space."""
-    if isinstance(space, ProjSpace):
-        return proj_space_poincare(space.n)
-    if isinstance(space, Grassmannian):
-        return grassmannian_poincare(space.k, space.big_n)
-    if isinstance(space, KontsevichProj):
-        return kontsevich_proj_poincare(space.n)
-    if isinstance(space, MbarGr):
-        return mbar_gr_poincare(space.n)
-    if isinstance(space, Sym2Of):
+    if type(space) is Sym2Of:
         return sym2_poincare(poincare(space.inner))
-    if isinstance(space, T4):
-        return t4_poincare(space.n)
-    if isinstance(space, MP24m2):
-        return mp2_4m2_poincare()
-    raise TypeError(f"unknown space identifier: {space!r}")
+    if type(space) not in _FORMULAS:
+        raise TypeError(f"unknown space identifier: {space!r}")
+    return _FORMULAS[type(space)](*space)
+
+
+# The largest degree of a Poincare polynomial the CLI computes, checked on
+# the identifier before any product is formed.  The costliest requests within
+# it nest Sym2 eight or more levels deep, each level doubling the bit length
+# of the coefficients: Sym2^8 of MbarGr(4) takes 0.6-0.9 s on a 2-vCPU Xeon
+# with Python 3.11, nearly all of it in its big-integer squarings.
+MAX_POINCARE_DEGREE = 4000
+
+
+def space_from_json(doc) -> SpaceId:
+    """The space an identifier document names, if its Poincare degree is
+    within the cap.
+
+    Sym2 levels are unwound without recursion.  A degree below 1 still
+    doubles per level in the bound, so the level count is bounded too.
+    """
+    levels = 0
+    while isinstance(doc, dict) and doc.get("space") == "Sym2":
+        levels += 1
+        doc = doc.get("inner")
+    if not isinstance(doc, dict) or "space" not in doc:
+        raise ValueError("space identifier must be an object with a 'space' key")
+    tag = doc["space"]
+    if tag not in _SPACES:
+        raise ValueError(f"unknown space identifier {tag!r}")
+    cls, fields, _ = _SPACES[tag]
+    values = [doc.get(field) for field in fields]
+    for field, value in zip(fields, values):
+        if type(value) is not int:
+            raise ValueError(f"space {tag} requires an integer {field!r}")
+    space = cls(*values)
+    if max(space.dimension, 1) << levels > MAX_POINCARE_DEGREE:
+        raise ValueError(f"the Poincare polynomial would exceed degree {MAX_POINCARE_DEGREE}")
+    for _ in range(levels):
+        space = Sym2Of(space)
+    return space
+
+
+def poincare_text(doc: dict) -> JsonText:
+    """The CLI poincare document of a space identifier document, schema_version included."""
+    poly = poincare(space_from_json(doc)).json_text()
+    return JsonText(f'{{"poly":{poly},"schema_version":{SCHEMA_VERSION}}}')

@@ -73,10 +73,6 @@ class QPoly:
     def __hash__(self) -> int:
         return hash(("QPoly", self.coeffs))
 
-    def coefficient(self, k: int) -> int:
-        """Coefficient of q^k (0 beyond the degree)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod

@@ -20,9 +20,9 @@ rows and ignores their denominator: proportional columns or rows by cross
 products, the minor gcd from the at most 3-dimensional span of the minors.
 Strata, verdicts, witness and root kinds are wire strings here ("Y1",
 "rank_drop"); kronecker and linalg map them to their Enums.  read_module
-reads a module document, and stability_text and stratify_text write the CLI
-documents, so a stability or stratify request loads only this module and
-wire.
+reads a module document, and stability_text and stratify_text serve a
+request document with it, so a stability or stratify request loads only
+this module and wire.
 """
 
 from __future__ import annotations
@@ -278,11 +278,11 @@ _STRATIFY_TEXTS = {
 }
 
 
-def stability_text(nums: Sequence[int]) -> JsonText:
-    """The CLI stability document of the module nums, schema_version
+def stability_text(doc: dict) -> JsonText:
+    """The CLI stability document of a module document, schema_version
     included: its stratum's fixed members, then the witness written from
     decide's integers with the strings str(Fraction) gives."""
-    stratum, found = decide(nums)
+    stratum, found = decide(read_module(doc)[1])
     head = _STABILITY_HEADS[stratum]
     if found is None:
         return JsonText(head + "null}")
@@ -292,6 +292,6 @@ def stability_text(nums: Sequence[int]) -> JsonText:
     return JsonText(f'{head}{{"form":{form},"kind":"{kind}","vector":{vector}}}}}')
 
 
-def stratify_text(nums: Sequence[int]) -> JsonText:
-    """The CLI stratify document of the module nums, schema_version included."""
-    return _STRATIFY_TEXTS[decide(nums)[0]]
+def stratify_text(doc: dict) -> JsonText:
+    """The CLI stratify document of a module document, schema_version included."""
+    return _STRATIFY_TEXTS[decide(read_module(doc)[1])[0]]

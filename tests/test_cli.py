@@ -20,8 +20,10 @@ from moriconic import (
     pencil_matrix,
     plucker_conic,
 )
-from moriconic import cli
-from moriconic.cli import MAX_POINCARE_DEGREE, main
+import moriconic
+from moriconic import cli, motivic
+from moriconic.cli import main
+from moriconic.motivic import MAX_POINCARE_DEGREE
 from moriconic.wire import JsonText
 
 from conftest import ReferenceHelp, ReferenceRefused, ref_minors, ref_rref, ref_stdout, reference_argv
@@ -527,7 +529,7 @@ class TestHarnessContract:
             assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
             assert doc.get("schema_version") == (1 if code == 0 else None)
             if code == 0:
-                assert isinstance(cli._RUNNERS[argv[0]](cli._read_argv(argv)[1]), JsonText)
+                assert isinstance(cli._run(argv[0], cli._read_argv(argv)[1]), JsonText)
 
     @pytest.mark.parametrize("argv", [
         ["stability", "--in="],
@@ -576,6 +578,14 @@ class TestFlagReader:
         for op, names in COMMANDS.items():
             _, out = run(capsys, op, "-h")
             assert re.findall(r"--[\w-]+", json.loads(out)["usage"]) == names
+
+    def test_runner_table_names_one_function_per_subcommand(self):
+        assert set(cli._RUNNERS) == set(cli._FLAGS)
+        for module, name in cli._RUNNERS.values():
+            assert module in moriconic._EXPORTS
+            assert callable(getattr(getattr(moriconic, module), name))
+        # the --space choices are the one fact that cli and motivic both hold
+        assert cli._FLAGS["poincare"][0]["--space"][1] == (*motivic._SPACES, "Sym2")
 
     @pytest.mark.parametrize("value", ["\uff13", " 3_0 ", "3_0", "+3", " 3", "3\n", "\u0663", "-\u0663",
                                        "1.5", "", "0x3", "3e0"])

@@ -177,6 +177,7 @@ class TestPluckerConic:
         {"n": 1, "coords": {}},
         {"n": 2, "coords": {" 0,+1": ["1", "0", "0"], "0,2": ["0", "0", "0"], "1,2": ["0", "1", "0"]}},
         {"n": 2, "coords": {"0,01": ["1", "0", "0"], "0,2": ["0", "0", "0"], "1,2": ["0", "1", "0"]}},
+        {"n": 2, "coords": {"0,1": ["1", "0"], "0,2": ["0", "0", "0"], "1,2": ["0", "1", "0"]}},
     ])
     def test_from_json_rejects_malformed_documents(self, doc):
         from moriconic import PluckerConic

@@ -321,6 +321,11 @@ class TestSpaceDispatch:
         assert poincare(ProjSpace(1)) * poincare(ProjSpace(1)) == QPoly([1, 2, 1])
         assert sym2_poincare(poincare(ProjSpace(1)) * poincare(ProjSpace(0))) == QPoly([1, 1, 1])
 
+    @pytest.mark.parametrize("space", [3, ("n", 3), QPoly([1])])
+    def test_unknown_identifier_is_type_error(self, space):
+        with pytest.raises(TypeError, match="unknown space identifier"):
+            poincare(space)
+
     def test_t4_validation(self):
         with pytest.raises(ValueError):
             T4(2)

@@ -15,10 +15,13 @@ from moriconic import (
     Grassmannian,
     KontsevichProj,
     KroneckerModule,
+    LambdaFamily,
+    LinearForm,
     MbarGr,
     ModificationResult,
     MP24m2,
     NMode,
+    PluckerConic,
     ProjSpace,
     QuadricForm,
     RatMatrix,
@@ -42,6 +45,10 @@ MODULE = {"n": 2, "matrix": [[["1", "0", "0"], ["0", "1", "0"]], [["0", "0", "1"
 
 def module():
     return KroneckerModule.from_json(MODULE)
+
+
+QUAD = BinaryForm(2, [1, 0, 0])
+FORM = LinearForm(2, [1, 0, 0])
 
 
 # One value of each record type, built twice by its factory, and its repr.
@@ -119,8 +126,20 @@ def test_repr_names_every_field(kind, make, text):
     lambda: T4(3)._replace(n=2),
     lambda: Grassmannian(2, 4)._replace(big_n=1),
     lambda: det_quadric(module())._replace(gram=RatMatrix([[1, 2, 0], [0, 1, 0], [0, 0, 1]])),
+    lambda: module().transform([[1, 0], [0, 1]], [[1, 2], [2, 4]]),
+    lambda: KroneckerModule.from_ints(2, [1] * 11),
+    lambda: PluckerConic(2, {(0, 1): QUAD, (0, 2): QUAD}),
+    lambda: PluckerConic(2, {(0, 1): QUAD, (0, 2): QUAD, (1, 2): BinaryForm(1, [1, 0])}),
+    lambda: LambdaFamily(2, [[[FORM], [FORM]]]),
+    lambda: LambdaFamily(2, [[[FORM], [FORM]], [[FORM], [LinearForm(3, [0, 0, 0, 1])]]]),
+    lambda: BinaryForm(-1, []),
+    lambda: RatMatrix([[1, 2], [3]]),
+    lambda: LinearForm(3, [1, 2]),
+    lambda: quadratic_root_structure(BinaryForm(3, [1, 0, 0, 1])),
 ], ids=["T4(2)", "Gr(3,2)", "nonsymmetric", "wrong size", "P^-1", "MbarP(1)", "MbarGr(2)",
-        "T4 replace", "Gr replace", "quadric replace"])
+        "T4 replace", "Gr replace", "quadric replace", "singular B", "module length",
+        "conic missing pair", "conic linear coordinate", "family not 2x2", "family mixed n",
+        "form degree -1", "ragged rows", "linear form length", "cubic roots"])
 def test_checked_records_reject_invalid_fields(make):
     with pytest.raises(ValueError):
         make()
