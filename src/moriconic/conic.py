@@ -18,6 +18,7 @@ act; the blow-up charts beyond that point are out of scope.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 from types import MappingProxyType
 from typing import NamedTuple
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from .kronecker import KroneckerModule, LinearForm, index_pairs
 from .linalg import BinaryForm, RatMatrix, common_denominator, quadratic_root_structure
 from .plucker import (coords_text, degree, envelope_rows, envelope_text, family_entries,
-                      modified_wedge, read_family, wedge)
+                      modified_wedge, read_family, triple_texts, wedge)
 from .strata import json_n, span_basis
 from .wire import JsonText, json_array, lowest_terms, num_den, rat_strings, rationals
 
@@ -77,7 +78,7 @@ class PluckerConic(RatMatrix):
         return f"PluckerConic(n={self.n}, nonzero={nz!r})"
 
     def coords_text(self) -> JsonText:
-        return coords_text(self.n, self.nums, self.den)
+        return coords_text(self.n, triple_texts(self.nums, self.den))
 
     def json_text(self) -> JsonText:
         return JsonText(f'{{"coords":{self.coords_text()},"n":{self.n}}}')
@@ -152,7 +153,8 @@ class LambdaFamily:
         forms = [f for row in rows for entry in row for f in entry]
         if any(not isinstance(f, LinearForm) or f.n != n for f in forms):
             raise ValueError("entry coefficients must be LinearForms sharing n")
-        self.n, self.nums, self.den = family_entries(n, rows[0] + rows[1], *common_denominator(forms))
+        nums, den = lowest_terms(*common_denominator(forms))
+        self.n, self.nums, self.den = family_entries(n, rows[0] + rows[1], nums, den)
 
     def _integer_values(self, lam):
         """(m11, m12, m21, m22, d): the coefficient tuples of d * F(lam), all integers.
@@ -213,8 +215,11 @@ def family_conic(F: LambdaFamily, lam) -> PluckerConic:
 
 def modify_family(F: LambdaFamily) -> ModificationResult:
     """Divide the wedge of the family by its maximal lambda power, then set lambda = 0."""
-    k, nums, den, g = modified_wedge(F.n, F.nums, F.den)
-    conic = PluckerConic.from_ints(F.n, nums, den)
+    k, positions, nums, den, g = modified_wedge(F.n, F.nums, F.den)
+    triples = [(0, 0, 0)] * comb(F.n + 1, 2)
+    for p, t in zip(positions, zip(*[iter(nums)] * 3)):
+        triples[p] = t
+    conic = PluckerConic.from_ints(F.n, chain.from_iterable(triples), den)
     base_gcd = BinaryForm.from_ints(g)
     points = quadratic_root_structure(base_gcd).roots if len(g) > 1 else ()
     return ModificationResult(k, conic, base_gcd, points)

@@ -4,7 +4,8 @@ The 2x2 minors of the pencil rows s * m11 + t * m12 and s * m21 + t * m22,
 one binary quadratic per pair i < j in {0..n}, are the conic's coordinates;
 the span of their coefficient slices is its envelope, and 2 minus the degree
 of their gcd its degree.  Matrices stay unreduced integers over one
-denominator, since the text writers reduce each entry as str(Fraction) would.
+denominator, since the text writers reduce each entry as str(Fraction) would,
+and a family's modified conic keeps only the triples with a term, by position.
 conic_text and modify_text write a conic or modify request's document,
 loading only this module, strata, packing and wire; conic builds its records
 from the same routines.
@@ -94,12 +95,16 @@ def degree(basis: list) -> int:
     return 3 - len(gcd_coefficients(basis))
 
 
-def coords_text(n: int, nums: Sequence[int], den: int) -> JsonText:
-    """The coords object of the triples nums / den as wire text, its keys in
+def triple_texts(nums: Sequence[int], den: int) -> list[str]:
+    """The triples nums / den, each as its three wire strings joined by '","'."""
+    return list(map('","'.join, zip(*[iter(rat_strings(nums, den))] * 3)))
+
+
+def coords_text(n: int, triples: Sequence[str]) -> JsonText:
+    """The coords object of the triple_texts in index_pairs order, its keys in
     sorted order.  "," sorts below every digit, so "i,j" sorts by str(i),
     then by str(j): i, then j > i, run through sorted(range(n + 1), key=str).
     """
-    triples = list(map('","'.join, zip(*[iter(rat_strings(nums, den))] * 3)))
     names = list(map(str, range(n + 1)))
     lex = sorted(range(n + 1), key=str)
     offsets = pair_offsets(n)
@@ -122,7 +127,7 @@ def conic_text(doc: dict) -> JsonText:
     its coords, envelope and degree, written from integers."""
     n, nums, den = read_module(doc)
     minors, bound = wedge(*zip(*[iter(nums)] * (n + 1)))
-    coords = coords_text(n, minors, den * den)
+    coords = coords_text(n, triple_texts(minors, den * den))
     basis = span_basis(zip(*[iter(minors)] * 3))
     env = envelope_text(*envelope_rows(minors, basis, bound))
     return JsonText(f'{{"coords":{coords},"degree":{degree(basis)},"envelope":{env},'
@@ -130,11 +135,10 @@ def conic_text(doc: dict) -> JsonText:
 
 
 def family_entries(n: int, entries: Sequence, nums: Sequence[int], den: int) -> tuple[int, tuple, int]:
-    """(n, ((m11, m12), (m21, m22)), den) of a family, after its one check of n: nums / den
+    """(n, ((m11, m12), (m21, m22)), den) of a family, after its one check of n: nums / den,
     in lowest terms, split into forms of n + 1, as many per entry as entries[i] holds."""
     if n < 2:
         raise ValueError("ambient parameter n must be >= 2")
-    nums, den = lowest_terms(nums, den)
     forms = (nums[i:i + n + 1] for i in range(0, len(nums), n + 1))
     m11, m12, m21, m22 = (tuple(islice(forms, len(e))) for e in entries)
     return n, ((m11, m12), (m21, m22)), den
@@ -144,8 +148,7 @@ def read_family(doc: dict) -> tuple[int, tuple, int]:
     """family_entries of a family document, whose entries are arrays of forms."""
     n, entries = json_n_and_entries(doc)
     entries = [[json_array(f, "a form") for f in e] for e in entries]
-    nums, den = rationals(json_coefficients(n, [f for entry in entries for f in entry]))
-    return family_entries(n, entries, nums, den)
+    return family_entries(n, entries, *rationals(json_coefficients(n, [f for entry in entries for f in entry])))
 
 
 def _part_minors(row1, row2, offsets) -> dict:
@@ -216,34 +219,31 @@ def _lowest_wedge(n: int, entries):
     return None
 
 
-def modified_wedge(n: int, entries, den: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
-    """(k, nums, d, gcd): the elementary modification of the family entries / den.
-    k is the power of lambda divided out of its wedge, nums / d in lowest terms
-    the triples of the conic at lambda = 0, flattened in index_pairs order, and
-    gcd their common factor as strata.gcd_coefficients writes it."""
+def modified_wedge(n: int, entries, den: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple]:
+    """(k, positions, nums, d, gcd): the elementary modification of the family entries / den.
+    k is the power of lambda divided out of its wedge; the conic at lambda = 0 is zero but
+    for its triples at these index_pairs positions, nums / d in lowest terms, flattened in
+    that order; gcd is their common factor as strata.gcd_coefficients writes it."""
     if (lowest := _lowest_wedge(n, entries)) is None:
         raise IdenticallyZero("the wedge of the family vanishes for every lambda")
     k, minors = lowest
-    # lowest terms over the triples that have a term first, so that the conic
-    # record's own reduction over all C(n + 1, 2) triples has nothing to divide
-    flat, d = lowest_terms(chain.from_iterable(minors.values()), den * den)
-    triples = [(0, 0, 0)] * comb(n + 1, 2)
-    for p, t in zip(minors, zip(*[iter(flat)] * 3)):
-        triples[p] = t
-    # the zero triples leave the gcd as it is
+    nums, d = lowest_terms(chain.from_iterable(minors.values()), den * den)
     g = gcd_coefficients(minors.values())
     assert g is not None  # impossible by minimality of k
-    return k, tuple(chain.from_iterable(triples)), d, g
+    return k, tuple(minors), nums, d, g
 
 
 def modify_text(doc: dict) -> JsonText:
     """The CLI modify document of a family document, schema_version included:
     the modified conic, k and the residual base points, written from integers."""
     n, entries, den = read_family(doc)
-    k, nums, d, gcd = modified_wedge(n, entries, den)
+    k, positions, nums, d, gcd = modified_wedge(n, entries, den)
+    triples = ['0","0","0'] * comb(n + 1, 2)
+    for p, text in zip(positions, triple_texts(nums, d)):
+        triples[p] = text
     points = root_points(gcd)[1] if len(gcd) > 1 else ()
     vectors = ",".join(json_strings(vector_strings("rank_drop", s, t)) for s, t in points)
     base = (f'{{"gcd":{json_strings([str(c) for c in gcd])},"gcd_degree":{len(gcd) - 1},'
             f'"rational_points":[{vectors}]}}')
-    return JsonText(f'{{"conic":{{"coords":{coords_text(n, nums, d)},"n":{n}}},"k":{k},'
+    return JsonText(f'{{"conic":{{"coords":{coords_text(n, triples)},"n":{n}}},"k":{k},'
                     f'"residual_base":{base},"schema_version":{SCHEMA_VERSION}}}')

@@ -842,6 +842,32 @@ def test_widest_modify_byte_identical(capsys):
     assert run(capsys, "modify", "--json", json.dumps(doc)) == (0, expected)
 
 
+def test_widest_sparse_modify_byte_identical(capsys):
+    # rows lambda (a1 s + b1 t) and a2 s + b2 t, the first nonzero only in the columns
+    # 0 and 100: the only nonzero minors are at the pairs (0, j) and (i, 100), so the
+    # filled triples sit on both sides of "0,100" < "0,11" and "1,100" < "10,11"
+    rng = random.Random(WIDEST_N + 2)
+    a2, b2 = (widest_forms(rng, WIDEST_N, last_zero=False) for _ in range(2))
+    a1, b1 = ([Fraction(0)] * (WIDEST_N + 1) for _ in range(2))
+    a1[0], b1[0], b1[WIDEST_N] = Fraction(3, 2), Fraction(-1), Fraction(5, 7)
+    minors = ref_minors(a1, b1, a2, b2)
+    coords = {f"{i},{j}": wire(t) for (i, j), t in zip(combinations(range(WIDEST_N + 1), 2), minors)}
+    nonzero = {key for key, t in coords.items() if t != ["0", "0", "0"]}
+    assert nonzero == {f"0,{j}" for j in range(1, WIDEST_N + 1)} | {f"{i},100" for i in range(1, WIDEST_N)}
+    zero = ["0"] * (WIDEST_N + 1)
+    doc = {"n": WIDEST_N, "matrix": [[[zero, wire(a1)], [zero, wire(b1)]], [[wire(a2)], [wire(b2)]]]}
+    # the first row's columns 0 and 100 (3/2 s - t and 5/7 t) are not proportional,
+    # nor are all of the second row's columns, so the minors have no common factor
+    expected = ref_stdout({
+        "k": 1,
+        "conic": {"n": WIDEST_N, "coords": coords},
+        "residual_base": {"gcd": ["1"], "gcd_degree": 0, "rational_points": []},
+    })
+    assert expected.index('"0,100"') < expected.index('"0,11"')
+    assert expected.index('"1,100"') < expected.index('"10,11"')
+    assert run(capsys, "modify", "--json", json.dumps(doc)) == (0, expected)
+
+
 # Arbitrary JSON, with keys and strings drawn often enough from the documents'
 # own vocabulary that some of it gets past the first check.
 KEYS = st.sampled_from(["n", "matrix", "coeffs", "n_mode", "space", "inner", "k", "N", "T"])

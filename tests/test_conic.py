@@ -27,7 +27,8 @@ from moriconic import (
 )
 
 from moriconic.cli import main as cli_main
-from moriconic.plucker import _part_minors, conic_text
+from moriconic.plucker import _part_minors, conic_text, modify_text
+from moriconic.wire import rat_strings
 
 from conftest import (
     NORMAL_FORM_BUILDERS,
@@ -115,6 +116,19 @@ def count_minor_terms(monkeypatch) -> list:
 
     monkeypatch.setattr("moriconic.plucker._part_minors", counted)
     return terms
+
+
+def count_written_values(monkeypatch) -> list:
+    """The number of values that each rat_strings call of plucker writes from now on."""
+    sizes = []
+
+    def counted(nums, den):
+        nums = tuple(nums)
+        sizes.append(len(nums))
+        return rat_strings(nums, den)
+
+    monkeypatch.setattr("moriconic.plucker.rat_strings", counted)
+    return sizes
 
 
 class TestPluckerConic:
@@ -499,6 +513,20 @@ class TestModifyFamily:
         for i in range(1, n + 1):
             assert result.conic.coords[(0, i)] == quad(b[i], 0, -a[i])
         assert all(f.is_zero for (i, _), f in result.conic.coords.items() if i)
+
+    def test_modify_text_writes_only_the_triples_with_a_term(self, rng, monkeypatch):
+        # the scalar perturbation's conic is zero off the pairs (0, i), so its text
+        # writes at most the values of the 2n minor terms of lambda^1; a family whose
+        # rows are nonzero in every column writes all 3 C(n + 1, 2) of them
+        written = count_written_values(monkeypatch)
+        n = 30
+        family = scalar_perturbation_family(n, random_coeffs(rng, n, 1), random_coeffs(rng, n, 1))
+        modify_text(family.to_json())
+        assert 0 < sum(written) <= 3 * 2 * n
+        written.clear()
+        forms = [[str(c * (i + 1) + d) for i in range(n + 1)] for c, d in ((1, 0), (2, -15), (-1, 9), (3, 1))]
+        modify_text({"n": n, "matrix": [[[forms[0]], [forms[1]]], [[forms[2]], [forms[3]]]]})
+        assert sum(written) == 3 * comb(n + 1, 2)
 
     def test_full_support_rows_build_each_pair_once(self, monkeypatch):
         # rows nonzero in every column: the one part of lambda^0 builds each of
