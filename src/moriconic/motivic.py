@@ -9,7 +9,9 @@ once, at import, with n symbolic, into terms c q^(a n + b) (28 for T4, from
 7 * 32), and a call lays them out as one coefficient list at its n.  T4 and
 the sheaf moduli sum their excision terms over the common denominator
 (1-q)^3 (1-q^2)^2.  _ratio divides the list exactly by each run of equal
-denominator factors in one pass of running sums.  Every partial division is
+denominator factors in one pass of running sums: a run of (1 - q) factors
+chains its running sums over the whole list, and a run of (1 - q^b), b >= 2,
+runs them over each residue class mod b.  Every partial division is
 exact: if a product of factors divides N, so does each sub-product of it.
 Gaussian binomials are the exception: their numerator would have up to 2^k
 terms, so _ratio applies their numerator factors one at a time between the
@@ -84,7 +86,9 @@ def _ratio(cs: list[int], downs, ups=()) -> QPoly:
     subtraction), then divides it by 1 - q^downs[i]; the other downs are
     divided in runs of equal factors.  Over (1 - q^b)^m a list of length L
     is its m-fold running sums with stride b, the quotient's power series
-    mod q^L, in one pass, O(m L).  That is exact iff the top m b sums are
+    mod q^L, in one pass, O(m L): for b = 1, m chained accumulates over the
+    whole list, made a list once; for b >= 2, the same over each residue
+    class's slice, assigned back.  That is exact iff the top m b sums are
     zero: if (1 - q^b)^m divides cs, the series is the quotient, of degree
     below L - m b; if they are zero, the rest S has degree below L - m b, and
     (1 - q^b)^m S, of degree below L, agrees with cs mod q^L, so it is cs.
@@ -101,11 +105,16 @@ def _ratio(cs: list[int], downs, ups=()) -> QPoly:
         if i < len(ups):
             pad = [0] * ups[i]
             cs = list(map(sub, cs + pad, pad + cs))
-        for r in range(b):
-            sums = cs[r::b]
+        if b == 1:
             for _ in range(m):
-                sums = accumulate(sums)
-            cs[r::b] = sums
+                cs = accumulate(cs)
+            cs = list(cs)
+        else:
+            for r in range(b):
+                sums = cs[r::b]
+                for _ in range(m):
+                    sums = accumulate(sums)
+                cs[r::b] = sums
         if any(cs[-m * b:]):
             power = f"^{m}" if m > 1 else ""
             raise NotDivisible(f"(1 - q^{b}){power} does not divide the partial product")
@@ -185,10 +194,10 @@ def mbar_gr_poincare(n: int) -> QPoly:
 
 def sym2_poincare(p: QPoly) -> QPoly:
     """P of the symmetric square: (p(q)^2 + p(q^2)) / 2, integrality enforced."""
-    doubled = p * p + p.subst_q_power(2)
-    if any(c % 2 for c in doubled.coeffs):
+    doubled = (p * p + p.subst_q_power(2)).coeffs
+    if any(c % 2 for c in doubled):
         raise NonIntegral("symmetric square half is not integer-valued")
-    return QPoly([c // 2 for c in doubled.coeffs])
+    return QPoly.from_ints([c // 2 for c in doubled])
 
 
 def t4_poincare(n: int) -> QPoly:

@@ -128,9 +128,8 @@ class QPoly:
         if k == 1 or self.is_zero:
             return self
         out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return QPoly(out)
+        out[::k] = self.coeffs
+        return QPoly.from_ints(out)
 
     # -- serialization -----------------------------------------------------
 

@@ -732,6 +732,21 @@ def test_non_integer_documents_byte_identical(capsys, command, doc, expected):
     assert out == expected
 
 
+# an 'n' that is not an integer, with a matrix that would fit n = 3, 1 and 2
+NON_INTEGER_N = [("\"3\"", 4), ("true", 2), ("2.5", 3)]
+
+
+@pytest.mark.parametrize("n, width", NON_INTEGER_N)
+@pytest.mark.parametrize("command", ["conic", "modify"])
+def test_non_integer_n_is_parse_error(capsys, command, n, width):
+    row = json.dumps(["1"] + ["0"] * (width - 1))
+    entry = row if command == "conic" else f"[{row}]"
+    doc = f'{{"n":{n},"matrix":[[{entry},{entry}],[{entry},{entry}]]}}'
+    code, out = run(capsys, command, "--json", doc)
+    assert code == 1
+    assert out == '{"detail":"\'n\' must be an integer","error":"parse_error"}\n'
+
+
 def wide_forms(rng, n):
     """A rational form with denominators up to 9, negative entries, no x_n term,
     and one numerator over 64 bits."""

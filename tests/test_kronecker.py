@@ -80,6 +80,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KroneckerModule(3, x(0), z(), z(), x(0, 4))
 
+    def test_rejects_wrong_coefficient_count(self):
+        with pytest.raises(ValueError, match=r"^expected 16 coefficients, got 15$"):
+            KroneckerModule.from_ints(3, [1] * 15)
+
     def test_json_round_trip(self):
         doc = GENERIC.to_json()
         assert KroneckerModule.from_json(doc) == GENERIC
@@ -467,6 +471,11 @@ class TestDocuments:
         ('{"n":2,"matrix":[[["1/0","0","0"],["0","1","0"]],[["0","0","0"],["0","0","1"]]]}',
          "malformed rational string: '1/0'"),
         ('{"n":2}', "'matrix'"),
+        ('{"n":"3","matrix":[[["1","0","0","0"],["0","0","1","0"]],[["0","0","0","1"],["0","1","0","0"]]]}',
+         "'n' must be an integer"),
+        ('{"n":true,"matrix":[[["1","0"],["0","0"]],[["0","0"],["0","1"]]]}', "'n' must be an integer"),
+        ('{"n":2.5,"matrix":[[["1","0","0"],["0","1","0"]],[["0","0","0"],["0","0","1"]]]}',
+         "'n' must be an integer"),
     ])
     def test_parse_errors(self, doc, detail):
         for op in ("stability", "stratify"):

@@ -8,6 +8,7 @@ from moriconic import (
     KontsevichProj,
     MbarGr,
     MP24m2,
+    NonIntegral,
     NotDivisible,
     ProjSpace,
     QPoly,
@@ -235,6 +236,24 @@ class TestSym2:
         for n in range(8):
             sym2_poincare(proj_space_poincare(n))
 
+    # with p(q^2) replaced by p, the doubled sum is p^2 + p; None marks a
+    # refusal
+    @pytest.mark.parametrize("coeffs, half", [
+        ([1, 1], None),  # 2 + 3q + q^2
+        ([0, 1], None),  # q + q^2
+        ([2, 4], [3, 10, 8]),  # 6 + 20q + 16q^2
+        ([1, 0, 2], [1, 0, 3, 0, 2]),  # 2 + 6q^2 + 4q^4
+        ([3], [6]),
+        ([], []),
+    ])
+    def test_integrality_tripwire(self, monkeypatch, coeffs, half):
+        monkeypatch.setattr(QPoly, "subst_q_power", lambda p, k: p)
+        if half is None:
+            with pytest.raises(NonIntegral, match="^symmetric square half is not integer-valued$"):
+                sym2_poincare(QPoly(coeffs))
+        else:
+            assert sym2_poincare(QPoly(coeffs)) == QPoly(half)
+
     def test_projective_space_square_is_gaussian_binomial(self):
         for n in range(31):
             assert sym2_poincare(proj_space_poincare(n)) == grassmannian_poincare(2, n + 2), n
@@ -264,14 +283,15 @@ class TestT4:
     @pytest.mark.parametrize("n", [3, 5, 200])
     def test_one_coefficient_off_raises(self, n):
         # the common-denominator numerator divides exactly; moved by q^e at
-        # any e, it no longer vanishes at q = 1, so some division must refuse
+        # any e, it no longer vanishes at q = 1, so the (1-q)^3 run, the
+        # first, must refuse
         num = _layout(_TERMS["T4"], n)
         assert _ratio(list(num), _DEN) == t4_poincare(n)
         top = len(num) - 1
         for e in (0, 1, 2, n, 2 * n + 1, top - 1, top):
             off = list(num)
             off[e] += 1
-            with pytest.raises(NotDivisible):
+            with pytest.raises(NotDivisible, match=r"\(1 - q\^1\)\^3"):
                 _ratio(off, _DEN)
         # moved by q^e (1-q)^3 (1-q^2) instead, it passes the (1-q)^3 run,
         # and the (1-q^2)^2 run must refuse it whichever residue class mod 2
@@ -454,6 +474,14 @@ class TestRatio:
             _ratio(list(num), (2, 2))
         with pytest.raises(NotDivisible, match=r"\(1 - q\^2\)\^2"):
             _ratio(list(num), (1, 2, 2))
+
+    def test_unit_stride_run_after_a_paired_step_refuses(self):
+        # (1 + q)(1 - q^2) / (1 - q^2) is 1 + q, which (1 - q)^2 does not
+        # divide: the stride-1 run after the paired step refuses with its
+        # own message
+        assert _ratio([1, 1], (2,), (2,)) == QPoly([1, 1])
+        with pytest.raises(NotDivisible, match=r"^\(1 - q\^1\)\^2 does not divide"):
+            _ratio([1, 1], (2, 1, 1), (2,))
 
     @pytest.mark.parametrize("ups, downs", [((1,), ()), ((2, 2), (1,)), ((3, 2, 1), (1, 1))])
     def test_more_ups_than_downs_raises(self, ups, downs):
