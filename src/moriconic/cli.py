@@ -6,12 +6,13 @@ document, and exits 0 on success, 2 on domain errors, 1 on parse errors.
 Output is byte-deterministic: sorted keys, compact separators, rationals as
 canonical strings, and a schema_version field pinned to 1.
 
-argv is read once against one flag table (_FLAGS) into a request document.
-One runner table (_RUNNERS) names each subcommand's runner, a function in
-the module that serves it: it takes that document and nothing else and
-returns the whole success document as one JsonText, written as it is; only
-error and usage documents go through the JSON encoder.  -h or --help
-anywhere prints a usage document built from the same table.
+One table (_COMMANDS) holds a row per subcommand: its flags, the flags of
+which exactly one is required, the reader that turns the flag values into a
+request document, and the module and function that serve it.  argv is read
+once against the row's flags into that document; the runner takes it and
+nothing else and returns the whole success document as one JsonText, written
+as it is; only error and usage documents go through the JSON encoder.  -h or
+--help anywhere prints a usage document built from the same table.
 """
 
 from __future__ import annotations
@@ -21,36 +22,6 @@ import sys
 
 from .errors import DomainError
 from .wire import INTEGER_RE, SCHEMA_VERSION, JsonText
-
-# Per subcommand: each flag's exact name mapped to (destination, kind), and the
-# flags of which exactly one must be given.  A kind is str, int, bool for a
-# switch, or the tuple of accepted choices.  The --space choices are the tags
-# of motivic._SPACES and Sym2, written out so that only a poincare request
-# loads motivic.
-_MODULE_FLAGS = ({"--in": ("in", str), "--json": ("json", str), "--out": ("out", str)},
-                 ("--in", "--json"))
-_FLAGS = {
-    "poincare": ({
-        "--space": ("space", ("Pn", "Gr", "MbarP", "MbarGr", "T4", "MP2-4m+2", "Sym2")),
-        "--n": ("n", int),
-        "--k": ("k", int),
-        "--N": ("N", int),
-        "--inner": ("inner", str),
-        "--out": ("out", str),
-    }, ("--space",)),
-    "stability": _MODULE_FLAGS,
-    "stratify": _MODULE_FLAGS,
-    "conic": _MODULE_FLAGS,
-    "modify": _MODULE_FLAGS,
-    "chamber": ({
-        "--coeffs": ("coeffs", str),
-        "--in": ("in", str),
-        "--n-mode": ("n_mode", ("gt3", "eq3")),
-        "--reflect": ("reflect", bool),
-        "--out": ("out", str),
-    }, ("--coeffs", "--in")),
-}
-
 
 def _shape(flag: str, dest: str, kind) -> str:
     if kind is bool:
@@ -62,8 +33,8 @@ def _shape(flag: str, dest: str, kind) -> str:
 def _usage(op: str) -> str:
     """The usage line of subcommand op, or of every subcommand when op names none."""
     lines = []
-    for name, (flags, one_of) in _FLAGS.items():
-        if op not in _FLAGS or name == op:
+    for name, (flags, one_of, _, _, _) in _COMMANDS.items():
+        if op not in _COMMANDS or name == op:
             group = " | ".join(_shape(flag, *flags[flag]) for flag in one_of)
             rest = [f"[{_shape(flag, *spec)}]" for flag, spec in flags.items() if flag not in one_of]
             lines.append(" ".join(["moriconic", name, f"({group})" if len(one_of) > 1 else group, *rest]))
@@ -71,16 +42,16 @@ def _usage(op: str) -> str:
 
 
 def _read_argv(argv) -> tuple[str, dict, str | None]:
-    """(subcommand, request document, --out path) for argv, read against _FLAGS.
+    """(subcommand, request document, --out path) for argv, read against _COMMANDS.
 
     Flags are exact names, given as `--flag value` or `--flag=value`; the
     last occurrence of a flag wins.  A value in its own token may start with
     `-` only as a negative integer.
     """
-    if not argv or argv[0] not in _FLAGS:
-        raise ValueError(f"expected a subcommand, one of {', '.join(_FLAGS)}")
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError(f"expected a subcommand, one of {', '.join(_COMMANDS)}")
     op = argv[0]
-    flags, one_of = _FLAGS[op]
+    flags, one_of, read, _, _ = _COMMANDS[op]
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -111,7 +82,7 @@ def _read_argv(argv) -> tuple[str, dict, str | None]:
     if len(given) > 1:
         raise ValueError(f"{' and '.join(given)} exclude each other")
     out_path = values.pop("out", None)
-    return op, _DOCUMENTS.get(op, _input_doc)(values), out_path
+    return op, read(values), out_path
 
 
 def _parse_json(text: str):
@@ -152,7 +123,36 @@ def _chamber_doc(values: dict) -> dict:
     return doc
 
 
-_DOCUMENTS = {"poincare": _poincare_doc, "chamber": _chamber_doc}
+# Per subcommand, in usage order: each flag's exact name mapped to
+# (destination, kind), the flags of which exactly one must be given, the
+# reader of its request document, and the module that serves it with the
+# function there that takes that document and returns its success document.
+# A kind is str, int, bool for a switch, or the tuple of accepted choices.
+# The --space choices are the tags of motivic._SPACES and Sym2, written out
+# so that only a poincare request loads motivic.
+_MODULE = ({"--in": ("in", str), "--json": ("json", str), "--out": ("out", str)},
+           ("--in", "--json"), _input_doc)
+_COMMANDS = {
+    "poincare": ({
+        "--space": ("space", ("Pn", "Gr", "MbarP", "MbarGr", "T4", "MP2-4m+2", "Sym2")),
+        "--n": ("n", int),
+        "--k": ("k", int),
+        "--N": ("N", int),
+        "--inner": ("inner", str),
+        "--out": ("out", str),
+    }, ("--space",), _poincare_doc, "motivic", "poincare_text"),
+    "stability": (*_MODULE, "strata", "stability_text"),
+    "stratify": (*_MODULE, "strata", "stratify_text"),
+    "conic": (*_MODULE, "plucker", "conic_text"),
+    "modify": (*_MODULE, "plucker", "modify_text"),
+    "chamber": ({
+        "--coeffs": ("coeffs", str),
+        "--in": ("in", str),
+        "--n-mode": ("n_mode", ("gt3", "eq3")),
+        "--reflect": ("reflect", bool),
+        "--out": ("out", str),
+    }, ("--coeffs", "--in"), _chamber_doc, "chamber", "chamber_text"),
+}
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
@@ -169,22 +169,10 @@ def _emit(doc: dict | JsonText, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-# Per subcommand: the module that serves it and the function there that
-# takes its request document and returns its success document.
-_RUNNERS = {
-    "poincare": ("motivic", "poincare_text"),
-    "stability": ("strata", "stability_text"),
-    "stratify": ("strata", "stratify_text"),
-    "conic": ("plucker", "conic_text"),
-    "modify": ("plucker", "modify_text"),
-    "chamber": ("chamber", "chamber_text"),
-}
-
-
 def _run(op: str, doc: dict) -> JsonText:
     """Subcommand op's success document for its request document; the
     serving module is loaded on the first request."""
-    module, name = _RUNNERS[op]
+    _, _, _, module, name = _COMMANDS[op]
     return getattr(__import__(f"{__package__}.{module}", fromlist=(name,)), name)(doc)
 
 

@@ -84,6 +84,11 @@ def run(capsys, *argv):
     return code, out
 
 
+def parse_error_stdout(detail: str) -> str:
+    """The exact stdout of a request refused with a parse error."""
+    return '{"detail":"' + detail + '","error":"parse_error"}\n'
+
+
 class TestPoincare:
     def test_t4_golden(self, capsys):
         code, out = run(capsys, "poincare", "--space", "T4", "--n", "3")
@@ -212,6 +217,22 @@ class TestPoincare:
         assert code == 1
         assert out.count("\n") == 1
         assert json.loads(out)["error"] == "parse_error"
+
+    @pytest.mark.parametrize("flags, detail", [
+        (("Pn", "--n", "-1"), "projective space dimension must be >= 0"),
+        (("Gr", "--k", "3", "--N", "2"), "need 0 <= k <= N"),
+        (("MbarP", "--n", "1"), "need n >= 2"),
+        (("MbarGr", "--n", "2"), "need n >= 3"),
+        (("T4", "--n", "2"), "the double symmetroid needs n >= 3"),
+        (("Sym2", "--inner", '{"space":"T4","n":2}'), "the double symmetroid needs n >= 3"),
+        (("Sym2", "--inner", "[]"), "space identifier must be an object with a 'space' key"),
+        (("Sym2",), "space identifier must be an object with a 'space' key"),
+        (("Sym2", "--inner", '{"space":"Q"}'), "unknown space identifier 'Q'"),
+        (("Sym2", "--inner", '{"space":"Gr","k":2,"N":true}'), "space Gr requires an integer 'N'"),
+        (("T4", "--n", "5000"), f"the Poincare polynomial would exceed degree {MAX_POINCARE_DEGREE}"),
+    ])
+    def test_identifier_refusal_bytes(self, capsys, no_polynomial, flags, detail):
+        assert run(capsys, "poincare", "--space", *flags) == (1, parse_error_stdout(detail))
 
     def test_inner_ignored_beside_other_spaces(self, capsys):
         code, out = run(capsys, "poincare", "--space", "Pn", "--n", "1", "--inner", "{bad")
@@ -555,6 +576,17 @@ COMMANDS = {
     "chamber": ["--coeffs", "--in", "--n-mode", "--reflect", "--out"],
 }
 
+# Each subcommand's usage line, exactly.
+USAGE = {
+    "poincare": "moriconic poincare --space {Pn,Gr,MbarP,MbarGr,T4,MP2-4m+2,Sym2} [--n INT] [--k INT] [--N INT]"
+                " [--inner INNER] [--out OUT]",
+    "stability": "moriconic stability (--in IN | --json JSON) [--out OUT]",
+    "stratify": "moriconic stratify (--in IN | --json JSON) [--out OUT]",
+    "conic": "moriconic conic (--in IN | --json JSON) [--out OUT]",
+    "modify": "moriconic modify (--in IN | --json JSON) [--out OUT]",
+    "chamber": "moriconic chamber (--coeffs COEFFS | --in IN) [--n-mode {gt3,eq3}] [--reflect] [--out OUT]",
+}
+
 
 class TestFlagReader:
     @pytest.mark.parametrize("argv, ops", [
@@ -574,18 +606,39 @@ class TestFlagReader:
         lines = doc["usage"].split("\n")
         assert [line.split()[:2] for line in lines] == [["moriconic", op] for op in ops]
 
+    @pytest.mark.parametrize("argv, ops", [(["-h"], list(USAGE)), *[([op, "-h"], [op]) for op in USAGE]])
+    def test_usage_document_bytes(self, capsys, argv, ops):
+        usage = "\\n".join(USAGE[op] for op in ops)
+        assert run(capsys, *argv) == (0, '{"schema_version":1,"usage":"' + usage + '"}\n')
+
+    @pytest.mark.parametrize("argv, detail", [
+        ([], "expected a subcommand, one of poincare, stability, stratify, conic, modify, chamber"),
+        (["frobnicate"], "expected a subcommand, one of poincare, stability, stratify, conic, modify, chamber"),
+        (["stability", "--bogus"], "unknown flag '--bogus'"),
+        (["stability", "--json", "{}", "stray"], "unexpected argument 'stray'"),
+        (["chamber", "--coeffs", '{"T":"1"}', "--reflect=1"], "--reflect takes no value"),
+        (["poincare", "--space"], "--space expects a value"),
+        (["poincare", "--space", "Pn", "--n", "x"], "--n expects an integer, got 'x'"),
+        (["poincare", "--space", "Q"], "--space must be one of Pn, Gr, MbarP, MbarGr, T4, MP2-4m+2, Sym2, got 'Q'"),
+        (["stability"], "--in or --json is required"),
+        (["poincare", "--n", "3"], "--space is required"),
+        (["chamber"], "--coeffs or --in is required"),
+        (["stability", "--in", "x", "--json", "{}"], "--in and --json exclude each other"),
+    ])
+    def test_refusal_bytes(self, capsys, argv, detail):
+        assert run(capsys, *argv) == (1, parse_error_stdout(detail))
+
     def test_usage_names_every_flag(self, capsys):
         for op, names in COMMANDS.items():
             _, out = run(capsys, op, "-h")
             assert re.findall(r"--[\w-]+", json.loads(out)["usage"]) == names
 
     def test_runner_table_names_one_function_per_subcommand(self):
-        assert set(cli._RUNNERS) == set(cli._FLAGS)
-        for module, name in cli._RUNNERS.values():
+        for _, _, _, module, name in cli._COMMANDS.values():
             assert module in moriconic._EXPORTS
             assert callable(getattr(getattr(moriconic, module), name))
         # the --space choices are the one fact that cli and motivic both hold
-        assert cli._FLAGS["poincare"][0]["--space"][1] == (*motivic._SPACES, "Sym2")
+        assert cli._COMMANDS["poincare"][0]["--space"][1] == (*motivic._SPACES, "Sym2")
 
     @pytest.mark.parametrize("value", ["\uff13", " 3_0 ", "3_0", "+3", " 3", "3\n", "\u0663", "-\u0663",
                                        "1.5", "", "0x3", "3e0"])

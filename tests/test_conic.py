@@ -249,6 +249,14 @@ class TestEnvelope:
         (2, [(2**65, 0, 1), (3, 2**66 + 1, 0), (2**65 + 3, 2**66 + 1, 1), (0, 0, 0), (2**66 - 3, -(2**66) - 1, 2),
              (-(2**65), 0, -1)]),
         (3, [(2**80 + 1, 3, -5), (7, -(2**90), 1), (0, 0, 0), (1, 2**70, 2**75), (4, 5, 6), (-1, 0, 3)]),
+        # n = 2: each unit completion vector of envelope_rows is needed by one of these
+        (1, [(1, 1, 0), (2, 2, 0), (0, 0, 0)]),
+        (1, [(0, 1, 1), (0, -3, -3), (0, 0, 0)]),
+        (1, [(1, 0, 1), (2, 0, 2), (0, 0, 0)]),
+        (1, [(1, 1, 1), (0, 0, 0), (3, 3, 3)]),
+        (2, [(1, 1, 0), (0, 0, 1), (0, 0, 0)]),
+        (2, [(1, 0, 0), (0, 1, 1), (0, 0, 0)]),
+        (2, [(0, 1, 0), (1, 0, 1), (1, 1, 1)]),
     ])
     @pytest.mark.parametrize("den", [1, 6])
     def test_envelope_matches_fraction_gauss_jordan(self, dim, triples, den):
@@ -423,7 +431,7 @@ class TestLambdaFamily:
 
 
 class TestModifyFamily:
-    def test_scalar_perturbation_divides_one_power(self, rng):
+    def test_scalar_perturbation_divides_one_power(self, rng, capsys):
         n = 5
         a = random_coeffs(rng, n, 1)
         b = random_coeffs(rng, n, 1)
@@ -435,6 +443,25 @@ class TestModifyFamily:
         for i, j in combinations(range(1, n + 1), 2):
             assert c.coords[(i, j)].is_zero
         assert not c.is_zero
+        # M(L) = l I + L N for an integer form l and a full N: the L^1 term of
+        # the wedge is l ^ q with q = s^2 n21 + st (n22 - n11) - t^2 n12
+        for n in (3, 4, 5, 8, 20):
+            for _ in range(8):
+                l, n11, n12, n21, n22 = ([rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(5))
+                q = [(n21[j], n22[j] - n11[j], -n12[j]) for j in range(n + 1)]
+                wedge = [l[i] * q[j][e] - l[j] * q[i][e] for i, j in combinations(range(n + 1), 2) for e in range(3)]
+                if not any(wedge):
+                    continue
+                zero = [0] * (n + 1)
+                fam = LambdaFamily(n, [[[LinearForm.from_ints(f) for f in entry] for entry in row]
+                                       for row in (((l, n11), (zero, n12)), ((zero, n21), (l, n22)))])
+                result = modify_family(fam)
+                assert result.k == 1
+                got = [v for t in integer_coords(result.conic).values() for v in t]
+                p = next(i for i, w in enumerate(wedge) if w)
+                assert got[p] and all(g * wedge[p] == w * got[p] for g, w in zip(got, wedge))
+                code = cli_main(["modify", "--json", json.dumps(fam.to_json())])
+                assert (code, json.loads(capsys.readouterr().out)["k"]) == (0, 1)
 
     def test_diagonal_perturbation_keeps_st(self, rng):
         n = 4
