@@ -265,11 +265,6 @@ def resolve(d: DivisorCombo) -> ChamberVerdict:
     return ChamberVerdict(case, model, desc, Cell(len(gens) - 1, gens))
 
 
-def response_text(d: DivisorCombo) -> JsonText:
-    """The CLI response document of the combination's cell, schema_version included."""
-    return _TEXTS[d.n_mode][_cell(d)]
-
-
 # Position i of a reflected combination holds the coefficient of GENERATORS[_REFLECTED[i]].
 _REFLECTED = tuple(map(GENERATORS.index, ("Ddeg", "Dunb", "Delta", "T", "H2", "H11", "P")))
 
@@ -280,9 +275,9 @@ def duality_reflect(d: DivisorCombo) -> DivisorCombo:
 
 
 def chamber_text(doc: dict) -> JsonText:
-    """The CLI chamber document of a request document: the cell of its
-    combination, reflected first when its "reflect" is true."""
+    """The CLI chamber document of a request document, schema_version included:
+    the cell of its combination, reflected first when its "reflect" is true."""
     d = DivisorCombo.from_json(doc)
     if doc.get("reflect"):
         d = duality_reflect(d)
-    return response_text(d)
+    return _TEXTS[d.n_mode][_cell(d)]

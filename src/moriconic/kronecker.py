@@ -18,7 +18,7 @@ StabilizerKind and WitnessKind and build their records from it.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .errors import NotSemistable
@@ -239,16 +239,15 @@ def classify_stability(M: KroneckerModule) -> StabilityClass:
     return StabilityClass(Verdict(verdict), witness, closed, stabilizer)
 
 
-def _det_gram(a, b, c, d, indices, den: int = 1) -> RatMatrix:
-    """The Gram matrix of (a*d - b*c) / den^2 restricted to the given coordinates."""
-    return RatMatrix.from_ints(
-        [a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i] for i in indices for j in indices],
-        2 * den * den, len(indices))
+def _det_gram(a, b, c, d, indices) -> list[list[int]]:
+    """The rows of twice the Gram matrix of a*d - b*c restricted to the given coordinates."""
+    return [[a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i] for j in indices] for i in indices]
 
 
 def det_quadric(M: KroneckerModule) -> QuadricForm:
     """Symmetric Gram matrix of det M = m11 m22 - m12 m21."""
-    return QuadricForm(M.n, _det_gram(*M.int_rows(), range(M.n + 1), M.den))
+    gram = _det_gram(*M.int_rows(), range(M.n + 1))
+    return QuadricForm(M.n, RatMatrix.from_ints(chain.from_iterable(gram), 2 * M.den * M.den, M.n + 1))
 
 
 def quadric_rank(Q: QuadricForm) -> int:
@@ -268,13 +267,13 @@ def cokernel_kind(M: KroneckerModule) -> CokernelKind:
     the rank of the r x r block of the Gram matrix on P.  The rows of W are
     read in coordinate order, each kept when independent of those before it,
     and reading stops once four are kept (linalg.pivot_columns); the same scan
-    counts the block's rank (RatMatrix.rank).
+    counts the rank of the block's integer rows, which its denominator leaves alone.
     """
     a, b, c, d = M.int_rows()
     if destabilizing_witness(a, b, c, d) is not None:
         raise NotSemistable("cokernel shape is defined for semistable modules only")
     pivots = pivot_columns([a, b, c, d])
-    r = _det_gram(a, b, c, d, pivots).rank()
+    r = len(pivot_columns(_det_gram(a, b, c, d, pivots)))
     if r >= 3:
         return CokernelKind("twisted_ideal_of_quadric", r)
     return CokernelKind("plane_pair_extension", r)

@@ -416,6 +416,8 @@ def space_from_json(doc) -> SpaceId:
     while isinstance(doc, dict) and doc.get("space") == "Sym2":
         levels += 1
         doc = doc.get("inner")
+    if levels and doc is None:
+        raise ValueError("space Sym2 requires an 'inner' space identifier")
     if not isinstance(doc, dict) or "space" not in doc:
         raise ValueError("space identifier must be an object with a 'space' key")
     tag = doc["space"]

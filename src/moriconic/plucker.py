@@ -4,8 +4,10 @@ The 2x2 minors of the pencil rows s * m11 + t * m12 and s * m21 + t * m22,
 one binary quadratic per pair i < j in {0..n}, are the conic's coordinates;
 the span of their coefficient slices is its envelope, and 2 minus the degree
 of their gcd its degree.  Matrices stay unreduced integers over one
-denominator, since the text writers reduce each entry as str(Fraction) would,
-and a family's modified conic keeps only the triples with a term, by position.
+denominator, since the text writers reduce each entry as str(Fraction) would.
+modified_wedge finds the lowest power of lambda at which a family's wedge has
+a nonzero coordinate, or raises IdenticallyZero when there is none; the
+modified conic keeps only the triples with a term there, by position.
 conic_text and modify_text write a conic or modify request's document,
 loading only this module, strata, packing and wire; conic builds its records
 from the same routines.
@@ -176,20 +178,22 @@ def _part_minors(row1, row2, offsets) -> dict:
     return minors
 
 
-def _lowest_wedge(n: int, entries):
-    """(k, {position: triple}): the lowest power k of lambda at which the wedge of
-    the family with these integer entries (family_entries') has a nonzero
-    coordinate, and the coordinates with a term at lambda^k, by index_pairs
-    position; None when the wedge vanishes for every lambda.
+def modified_wedge(n: int, entries, den: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple]:
+    """(k, positions, nums, d, gcd): the elementary modification of the family entries / den
+    (family_entries').  k is the lowest power of lambda at which its wedge has a nonzero
+    coordinate; the conic at lambda = 0 is zero but for its triples with a term at lambda^k,
+    at these index_pairs positions, nums / d in lowest terms, flattened in that order; gcd
+    is their common factor as strata.gcd_coefficients writes it.
 
     The lambda^k coefficient of the minor over i < j sums, over d1 + d2 = k,
     the minors of the pencil rows of degrees d1 and d2, and a part adds only
     the pairs with a column in each row's support.  Each row starts at its
     lowest nonzero power, so k starts at the sum of the two, and leading zero
-    powers cost nothing.
+    powers cost nothing.  IdenticallyZero when the wedge vanishes for every lambda.
     """
+    vanishes = "the wedge of the family vanishes for every lambda"
     if not all(s_entry or t_entry for s_entry, t_entry in entries):
-        return None  # a row with no form is zero, and nothing in the document bounds n
+        raise IdenticallyZero(vanishes)  # a row with no form is zero, and nothing in the document bounds n
     zero = (0,) * (n + 1)
     rows = []
     for s_entry, t_entry in entries:
@@ -200,7 +204,7 @@ def _lowest_wedge(n: int, entries):
         ]
         low = next((d for d, (_, _, support) in enumerate(degrees) if support), None)
         if low is None:
-            return None
+            raise IdenticallyZero(vanishes)
         rows.append((low, degrees[low:]))
     (low1, top), (low2, bottom) = rows
     offsets = pair_offsets(n)
@@ -215,22 +219,11 @@ def _lowest_wedge(n: int, entries):
                 u, v, w = minors.get(p, (0, 0, 0))
                 minors[p] = (u + x, v + y, w + z)
         if any(map(any, minors.values())):
-            return low1 + low2 + k, minors
-    return None
-
-
-def modified_wedge(n: int, entries, den: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple]:
-    """(k, positions, nums, d, gcd): the elementary modification of the family entries / den.
-    k is the power of lambda divided out of its wedge; the conic at lambda = 0 is zero but
-    for its triples at these index_pairs positions, nums / d in lowest terms, flattened in
-    that order; gcd is their common factor as strata.gcd_coefficients writes it."""
-    if (lowest := _lowest_wedge(n, entries)) is None:
-        raise IdenticallyZero("the wedge of the family vanishes for every lambda")
-    k, minors = lowest
-    nums, d = lowest_terms(chain.from_iterable(minors.values()), den * den)
-    g = gcd_coefficients(minors.values())
-    assert g is not None  # impossible by minimality of k
-    return k, tuple(minors), nums, d, g
+            nums, d = lowest_terms(chain.from_iterable(minors.values()), den * den)
+            g = gcd_coefficients(minors.values())
+            assert g is not None  # impossible by minimality of k
+            return low1 + low2 + k, tuple(minors), nums, d, g
+    raise IdenticallyZero(vanishes)
 
 
 def modify_text(doc: dict) -> JsonText:

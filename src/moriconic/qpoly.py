@@ -64,14 +64,17 @@ class QPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = QPoly((other,))
-        if not isinstance(other, QPoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == o.coeffs
 
     def __hash__(self) -> int:
-        return hash(("QPoly", self.coeffs))
+        """A constant hashes as the int it equals, the zero polynomial as 0."""
+        cs = self.coeffs
+        if len(cs) < 2:
+            return hash(cs[0] if cs else 0)
+        return hash(("QPoly", cs))
 
     # -- ring operations ---------------------------------------------------
 

@@ -16,7 +16,7 @@ from moriconic import (
     resolve,
 )
 from moriconic import cli
-from moriconic.chamber import _CELLS, _TEXTS, GENERATORS, Cell, response_text
+from moriconic.chamber import _CELLS, _TEXTS, GENERATORS, Cell, chamber_text
 
 from conftest import COORDS, cli_stdout, ref_stdout, reference_resolve, reference_to_json
 
@@ -349,7 +349,7 @@ class TestTables:
                 continue
             expected = reference_resolve(d)
             assert resolve(d) == expected
-            assert response_text(d) is _TEXTS[d.n_mode][expected.cell.generators]
+            assert chamber_text({**d.to_json(), "reflect": False}) is _TEXTS[d.n_mode][expected.cell.generators]
 
     def test_signed_numerators_match_the_orientation_loop(self):
         # a DivisorCombo built directly may hold negative numerators: the same

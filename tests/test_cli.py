@@ -226,10 +226,12 @@ class TestPoincare:
         (("T4", "--n", "2"), "the double symmetroid needs n >= 3"),
         (("Sym2", "--inner", '{"space":"T4","n":2}'), "the double symmetroid needs n >= 3"),
         (("Sym2", "--inner", "[]"), "space identifier must be an object with a 'space' key"),
-        (("Sym2",), "space identifier must be an object with a 'space' key"),
+        (("Sym2",), "space Sym2 requires an 'inner' space identifier"),
         (("Sym2", "--inner", '{"space":"Q"}'), "unknown space identifier 'Q'"),
         (("Sym2", "--inner", '{"space":"Gr","k":2,"N":true}'), "space Gr requires an integer 'N'"),
         (("T4", "--n", "5000"), f"the Poincare polynomial would exceed degree {MAX_POINCARE_DEGREE}"),
+        (("Sym2", "--inner="), "space Sym2 requires an 'inner' space identifier"),
+        (("Sym2", "--inner", '{"space":"Sym2"}'), "space Sym2 requires an 'inner' space identifier"),
     ])
     def test_identifier_refusal_bytes(self, capsys, no_polynomial, flags, detail):
         assert run(capsys, "poincare", "--space", *flags) == (1, parse_error_stdout(detail))

@@ -366,16 +366,27 @@ class TestPivotScan:
         assert RatMatrix(rows).rank() == len(pivots)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(rank_limited_rows())
-    def test_cokernel_kind_matches_the_whole_gram(self, case):
+    @given(rank_limited_rows(), st.integers(1, 12))
+    def test_cokernel_kind_matches_the_whole_gram(self, case, den):
         n, rows = case
         assume(any(map(any, rows)))
-        M = KroneckerModule.from_ints(n, [x for row in rows for x in row])
+        M = KroneckerModule.from_ints(n, [x for row in rows for x in row], den)
         try:
             found = tuple(cokernel_kind(M))
         except NotSemistable:
             found = NotSemistable
         assert found == reference_cokernel_kind(M)
+
+    def test_cokernel_kind_builds_no_matrix(self, monkeypatch):
+        # the block's rank is read from its integer rows, whatever its denominator
+        def refuse(*args, **kwargs):
+            raise AssertionError("a RatMatrix was built")
+
+        modules = [KroneckerModule.from_ints(3, [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], den)
+                   for den in (1, 6)]
+        monkeypatch.setattr("moriconic.linalg.RatMatrix.from_ints", refuse)
+        for M in modules:
+            assert cokernel_kind(M) == ("twisted_ideal_of_quadric", 4)
 
     def test_scan_stops_at_four_pivots(self):
         # a column past the fourth pivot is never read

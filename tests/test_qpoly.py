@@ -41,6 +41,19 @@ class TestCanonicalForm:
         assert P(2) == 2
         assert P() == 0
 
+    @pytest.mark.parametrize("value", [3, -1, 0, 2**70])
+    def test_constant_hashes_as_its_int(self, value):
+        # equal values hash alike, so a constant finds its int's dict entry and set member
+        p = P(value)
+        assert hash(p) == hash(value)
+        assert {value: "x"}.get(p) == "x"
+        assert len({p, value}) == 1
+
+    def test_equal_polynomials_hash_alike(self):
+        assert hash(P(1, 2, 0)) == hash(QPoly.from_ints([1, 2])) == hash(P(1, 2))
+        assert len({P(0, 1), P(0, 1, 0), P(1, 0)}) == 2
+        assert P(1).__eq__(True) is NotImplemented  # a bool is not a coefficient
+
 
 class TestAdd:
     def test_cancellation(self):
