@@ -6,9 +6,12 @@ MbarGr, T4 and the sheaf moduli) is one sparse numerator over one product of
 (1 - q^b) factors: the numerator is a signed sum of products of two-term
 factors (1 - q^e), each exponent e a constant or n + c, so it is expanded
 once, at import, with n symbolic, into terms c q^(a n + b) (28 for T4, from
-7 * 32), and a call lays them out as one coefficient list at its n.  T4 and
-the sheaf moduli sum their excision terms over the common denominator
-(1-q)^3 (1-q^2)^2.  _ratio divides the list exactly by each run of equal
+7 * 32).  T4 and the sheaf moduli sum their excision terms over the common
+denominator (1-q)^3 (1-q^2)^2.  Still at import, _cancel takes out of each
+ratio every (1 - q^b) that divides all the terms with the same a, so it
+divides the numerator at every n: T4 becomes 12 terms over (1-q)(1-q^2).
+A call lays the reduced terms out as one coefficient list at its n, and
+_ratio divides the list exactly by each run of equal remaining
 denominator factors in one pass of running sums: a run of (1 - q) factors
 chains its running sums over the whole list, and a run of (1 - q^b), b >= 2,
 runs them over each residue class mod b.  Every partial division is
@@ -122,6 +125,43 @@ def _ratio(cs: list[int], downs, ups=()) -> QPoly:
     return QPoly.from_ints(cs)
 
 
+def _cancel(terms, downs) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """The terms c q^(a n + b) over the product of the (1 - q^b) for b in
+    downs, with every factor that divides the numerator at every n taken
+    out of both: the pair (terms, downs) of the reduced ratio.
+
+    The numerator is the sum over a of q^(a n) B_a(q), B_a the block of the
+    terms with that a.  1 - q^b divides B_a iff B_a's coefficients sum to
+    zero over each residue class mod b, and the quotient is their running
+    sums with stride b, the top b (the class sums) dropped; if it divides
+    every block, it divides the numerator for every n.  The largest b goes
+    first: a 1 - q taken out first could leave the 1 + q of a 1 - q^2
+    dividing no block.
+    """
+    blocks: dict[int, dict[int, int]] = {}
+    for a, b, c in terms:
+        blocks.setdefault(a, {})[b] = c
+    rows = []  # (a, lowest b, dense coefficients from it)
+    for a, block in blocks.items():
+        low = min(block)
+        cs = [0] * (max(block) - low + 1)
+        for b, c in block.items():
+            cs[b - low] = c
+        rows.append((a, low, cs))
+    kept = []
+    for b in sorted(set(downs), reverse=True):
+        m = downs.count(b)
+        while m and not any(sum(cs[r::b]) for _, _, cs in rows for r in range(b)):
+            for _, _, cs in rows:
+                for r in range(b):
+                    cs[r::b] = accumulate(cs[r::b])
+                del cs[-b:]
+            m -= 1
+        kept += [b] * m
+    reduced = tuple((a, low + e, c) for a, low, cs in rows for e, c in enumerate(cs) if c)
+    return reduced, tuple(sorted(kept))
+
+
 # The common denominator of MbarGr, T4 and the sheaf moduli, (1-q)^3 (1-q^2)^2.
 _DEN = (1, 1, 1, 2, 2)
 
@@ -150,11 +190,37 @@ def _products(n) -> dict[str, tuple]:
 # Each formula's terms, expanded once with n symbolic.
 _TERMS = {name: _numerator(*products) for name, products in _products(_Linear((1, 0))).items()}
 
+# Each formula's denominator, as _ratio's downs.
+_DOWNS = {"Pn": (1,), "MbarP": (1, 1, 2), "MbarGr": _DEN, "T4": _DEN}
+
+# The two wall-crossing excisions of the sheaf moduli over T4's denominator,
+# expanded once; their terms are constants.
+_MP2_4M2_EXCISIONS = _numerator(
+    (1, 15, 1, 1, 2, 2),  # P(P^14) - P(P^2) = ((1-q^15) - (1-q^3)) / (1-q)
+    (-1, 3, 1, 1, 2, 2),
+    (1, 3, 3, 13, 2, 2),  # P(P^2)^2 (P(P^12) - 1) = [3]^2 ((1-q^13) - (1-q)) / (1-q)
+    (-1, 3, 3, 1, 2, 2),
+)
+
+# Each formula's ratio with its common factors cancelled (see _cancel), the
+# one a call lays out and divides: T4 is 12 terms over (1-q)(1-q^2), MbarGr
+# 19 over (1-q)^3 (1-q^2).  The sheaf moduli's numerator, T4's terms at n = 5
+# beside the excisions', is a constant, so all of its denominator cancels.
+_REDUCED = {name: _cancel(_TERMS[name], downs) for name, downs in _DOWNS.items()}
+_REDUCED["MP2-4m+2"] = _cancel(
+    [(0, e, c) for e, c in enumerate(_layout(_TERMS["T4"] + _MP2_4M2_EXCISIONS, 5)) if c], _DEN)
+
+
+def _fixed(name: str, n: int = 0) -> QPoly:
+    """The fixed-shape formula name at n: its reduced terms laid out and divided."""
+    terms, downs = _REDUCED[name]
+    return _ratio(_layout(terms, n), downs)
+
 
 def proj_space_poincare(n: int) -> QPoly:
     """P(P^n) = (1 - q^(n+1)) / (1 - q) = 1 + q + ... + q^n."""
     ProjSpace(n)  # checks the domain
-    return _ratio(_layout(_TERMS["Pn"], n), (1,))
+    return _fixed("Pn", n)
 
 
 def grassmannian_poincare(k: int, big_n: int) -> QPoly:
@@ -177,7 +243,7 @@ def kontsevich_proj_poincare(n: int) -> QPoly:
     (1-q^(n+1))(1-q^n)(1-q^(n-1)) / ((1-q)^2 (1-q^2)).
     """
     KontsevichProj(n)  # checks the domain
-    return _ratio(_layout(_TERMS["MbarP"], n), (1, 1, 2))
+    return _fixed("MbarP", n)
 
 
 def mbar_gr_poincare(n: int) -> QPoly:
@@ -185,11 +251,12 @@ def mbar_gr_poincare(n: int) -> QPoly:
     an (n+1)-dimensional space:
 
     [(1+q^(n+1))(1+q^3) - q(1+q)(q^2+q^(n-1))] (1-q^(n+1))(1-q^n)(1-q^(n-1))
-    over (1-q)^3 (1-q^2)^2.  The bracket is (1-q^4)(1-q^n).  Degree 4n - 3,
-    palindromic.
+    over (1-q)^3 (1-q^2)^2.  The bracket is (1-q^4)(1-q^n), and the (1-q^2)
+    of its (1-q^4) cancels at import: 19 terms over (1-q)^3 (1-q^2).
+    Degree 4n - 3, palindromic.
     """
     MbarGr(n)  # checks the domain
-    return _ratio(_layout(_TERMS["MbarGr"], n), _DEN)
+    return _fixed("MbarGr", n)
 
 
 def sym2_poincare(p: QPoly) -> QPoly:
@@ -220,27 +287,27 @@ def t4_poincare(n: int) -> QPoly:
         + (1-q^(n+1))(1-q)^2 (1-q^2)^2
         - ((1-q^(n-1))^2 - (1-q)^2) ((1-q^(n+2))(1-q^(n+1)) - (1-q^(n+1))(1-q^2)) (1-q^2),
 
-    7 * 32 terms that cancel to 28 in n, divided by (1-q)^3, then by
-    (1-q^2)^2.  Each partial division is exact: the denominator divides the
-    numerator N, so does every sub-product of it, and N over a sub-product
-    is a polynomial.
+    7 * 32 terms that cancel to 28 in n.  That numerator N is
+    (1-q)^2 (1-q^2) S(q) as polynomials in q and q^n, with
+
+        S = 1 - q^n (1 + q + q^2) + q^(2n-1) (1 + q + q^2 + q^4)
+            - q^(3n-1) (1 + q + q^2) + q^(4n),
+
+    since each sum of the terms of N with the same power of q^n is
+    (1-q)^2 (1-q^2) times that of S, so it holds for every n, and
+
+        P(T4(n)) = S(q) / ((1-q)(1-q^2)),
+
+    12 terms divided by (1-q), then by (1-q^2).  Each partial division is
+    exact: the denominator divides S, so does every sub-product of it.
     """
     T4(n)  # checks the domain
-    return _ratio(_layout(_TERMS["T4"], n), _DEN)
+    return _fixed("T4", n)
 
 
 # Reference value of the degree-17 polynomial for the sheaf moduli space
 # below; the computation must reproduce it exactly.
 _MP2_4M2_COEFFS = (1, 2, 5, 9, 12, 12, 12, 10, 10, 9, 10, 10, 11, 11, 9, 5, 2, 1)
-
-# The two wall-crossing excisions of the sheaf moduli over T4's denominator,
-# expanded once; their terms are constants.
-_MP2_4M2_EXCISIONS = _numerator(
-    (1, 15, 1, 1, 2, 2),  # P(P^14) - P(P^2) = ((1-q^15) - (1-q^3)) / (1-q)
-    (-1, 3, 1, 1, 2, 2),
-    (1, 3, 3, 13, 2, 2),  # P(P^2)^2 (P(P^12) - 1) = [3]^2 ((1-q^13) - (1-q)) / (1-q)
-    (-1, 3, 3, 1, 2, 2),
-)
 
 
 def mp2_4m2_poincare() -> QPoly:
@@ -249,9 +316,10 @@ def mp2_4m2_poincare() -> QPoly:
     Assembled from two wall-crossing excisions and the n = 5 double cover:
     (P(P^14) - P(P^2)) + P(P^2 x P^2)(P(P^12) - 1) + P(T4(5)), as one sparse
     numerator over T4's denominator (1-q)^3 (1-q^2)^2: T4's terms laid out at
-    n = 5 plus the excisions' terms.
+    n = 5 plus the excisions' terms.  That numerator is a constant, so the
+    whole denominator cancels at import; each call still checks the value.
     """
-    value = _ratio(_layout(_TERMS["T4"] + _MP2_4M2_EXCISIONS, 5), _DEN)
+    value = _fixed("MP2-4m+2")
     if value != QPoly(_MP2_4M2_COEFFS):
         raise RuntimeError(
             "internal consistency failure: sheaf-moduli polynomial does not match "

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -24,6 +25,7 @@ from moriconic import (
     t4_poincare,
 )
 from moriconic.motivic import _DEN, _TERMS, _layout, _numerator, _products, _ratio
+from moriconic.motivic import _DOWNS, _MP2_4M2_EXCISIONS, _REDUCED, _Linear, _cancel, _fixed
 
 from conftest import (
     canonical,
@@ -517,3 +519,116 @@ class TestTermTables:
         # 7 products of 5 two-term factors, 224 terms, cancel to 28 in n
         assert len(_TERMS["T4"]) == 28
         assert all(c for _, _, c in _TERMS["T4"])
+
+
+def multiplied_back(terms, factors) -> dict[tuple[int, int], int]:
+    """The terms c q^(a n + b), times the (1 - q^b) for b in factors, as
+    {(a, b): c} with n symbolic: each factor is a subtraction of a shift."""
+    out = {(a, b): c for a, b, c in terms}
+    for f in factors:
+        shifted = {(a, b + f): -c for (a, b), c in out.items()}
+        for e, c in shifted.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def cancelled(name: str) -> list[int]:
+    """The denominator factors the reduction took out of a row, checked to
+    be a sub-multiset of the row's denominator."""
+    kept = Counter(_REDUCED[name][1])
+    assert kept <= Counter(_DOWNS.get(name, _DEN)), name
+    return sorted((Counter(_DOWNS.get(name, _DEN)) - kept).elements())
+
+
+# The sheaf moduli's constant numerator over _DEN: T4's terms at n = 5 beside
+# the excisions'.
+MP2_NUMERATOR = canonical(_layout(_TERMS["T4"] + _MP2_4M2_EXCISIONS, 5))
+
+
+class TestReducedTables:
+    @pytest.mark.parametrize("name", sorted(_DOWNS))
+    def test_multiplied_back_is_the_table(self, name):
+        terms, _ = _REDUCED[name]
+        assert multiplied_back(terms, cancelled(name)) == {(a, b): c for a, b, c in _TERMS[name]}
+
+    def test_sheaf_moduli_multiplied_back_is_its_numerator(self):
+        terms, downs = _REDUCED["MP2-4m+2"]
+        assert downs == ()
+        assert all(a == 0 for a, _, _ in terms)
+        back = multiplied_back(terms, cancelled("MP2-4m+2"))
+        assert canonical(_layout([(a, b, c) for (a, b), c in back.items()])) == MP2_NUMERATOR
+
+    @pytest.mark.parametrize("name, oracle", [
+        ("T4", dense_t4), ("MbarGr", dense_mbar_gr), ("MbarP", dense_kontsevich)])
+    def test_matches_dense_oracle(self, name, oracle):
+        for n in [*range(LEAST_N[name], 301), 1000]:
+            assert _fixed(name, n) == oracle(n), n
+
+    def test_t4_reduced_shape(self):
+        # S = 1 - q^n (1 + q + q^2) + q^(2n-1) (1 + q + q^2 + q^4)
+        #     - q^(3n-1) (1 + q + q^2) + q^(4n), over (1-q)(1-q^2)
+        terms, downs = _REDUCED["T4"]
+        assert downs == (1, 2)
+        assert cancelled("T4") == [1, 1, 2]
+        assert sorted(terms) == [
+            (0, 0, 1),
+            (1, 0, -1), (1, 1, -1), (1, 2, -1),
+            (2, -1, 1), (2, 0, 1), (2, 1, 1), (2, 3, 1),
+            (3, -1, -1), (3, 0, -1), (3, 1, -1),
+            (4, 0, 1),
+        ]
+
+    def test_other_reduced_shapes(self):
+        # MbarGr loses the (1 - q^2) of its (1 - q^4); Pn and MbarP keep their tables
+        terms, downs = _REDUCED["MbarGr"]
+        assert (len(terms), downs) == (19, (1, 1, 1, 2))
+        for name in ("Pn", "MbarP"):
+            terms, downs = _REDUCED[name]
+            assert (sorted(terms), downs) == (sorted(_TERMS[name]), _DOWNS[name])
+
+    def test_larger_stride_goes_first(self):
+        # (1 - q^2)(1 - q^n) over (1 - q)(1 - q^2): the 1 - q^2 cancels whole;
+        # taken out first, a 1 - q would leave the 1 + q dividing no block
+        terms = _numerator((1, 2, _Linear((1, 0))))
+        reduced, downs = _cancel(terms, (1, 2))
+        assert (sorted(reduced), downs) == ([(0, 0, 1), (1, 0, -1)], (1,))
+        reduced, downs = _cancel(terms, (1, 1))
+        assert (sorted(reduced), downs) == ([(0, 0, 1), (0, 1, 1), (1, 0, -1), (1, 1, -1)], (1,))
+
+    def test_factor_dividing_no_block_stays(self):
+        # 1 - q divides 1 - q^n at every n, but neither of its blocks
+        terms = _numerator((1, _Linear((1, 0))))
+        reduced, downs = _cancel(terms, (1,))
+        assert (sorted(reduced), downs) == (sorted(terms), (1,))
+
+    @pytest.mark.parametrize("n", [3, 5, 200])
+    def test_one_coefficient_off_raises(self, n):
+        # the reduced numerator S divides exactly; moved by q^e at any e, it
+        # no longer vanishes at q = 1, so the (1-q) run, the first, must refuse
+        terms, downs = _REDUCED["T4"]
+        num = _layout(terms, n)
+        assert _ratio(list(num), downs) == t4_poincare(n)
+        top = len(num) - 1
+        for e in (0, 1, 2, n, 2 * n + 1, top - 1, top):
+            off = list(num)
+            off[e] += 1
+            with pytest.raises(NotDivisible, match=r"^\(1 - q\^1\) does not divide the partial product$"):
+                _ratio(off, downs)
+        # moved by q^e (1-q) instead, it passes the (1-q) run, and the
+        # (1-q^2) run must refuse it whichever residue class mod 2 e is in
+        for e in (0, 1, n, n + 1, top - 2, top - 1):
+            off = list(num)
+            off[e] += 1
+            off[e + 1] -= 1
+            with pytest.raises(NotDivisible, match=r"^\(1 - q\^2\) does not divide the partial product$"):
+                _ratio(off, downs)
+
+    def test_sheaf_moduli_patched_table_raises(self, monkeypatch):
+        terms, downs = _REDUCED["MP2-4m+2"]
+        (a, b, c), *rest = terms
+        monkeypatch.setitem(_REDUCED, "MP2-4m+2", (((a, b, c + 1), *rest), downs))
+        with pytest.raises(RuntimeError, match="^internal consistency failure: sheaf-moduli "
+                                               "polynomial does not match its reference value$"):
+            mp2_4m2_poincare()
+        monkeypatch.undo()
+        assert mp2_4m2_poincare() == QPoly(MP2_COEFFS)
