@@ -131,34 +131,26 @@ def _cancel(terms, downs) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, 
     out of both: the pair (terms, downs) of the reduced ratio.
 
     The numerator is the sum over a of q^(a n) B_a(q), B_a the block of the
-    terms with that a.  1 - q^b divides B_a iff B_a's coefficients sum to
-    zero over each residue class mod b, and the quotient is their running
-    sums with stride b, the top b (the class sums) dropped; if it divides
-    every block, it divides the numerator for every n.  The largest b goes
-    first: a 1 - q taken out first could leave the 1 + q of a 1 - q^2
-    dividing no block.
+    terms with that a.  A factor that divides every block divides the
+    numerator for every n; each factor of downs, largest b first, is taken
+    out while _ratio divides every block by it.  The largest b goes first: a
+    1 - q taken out first could leave the 1 + q of a 1 - q^2 dividing no block.
     """
-    blocks: dict[int, dict[int, int]] = {}
-    for a, b, c in terms:
-        blocks.setdefault(a, {})[b] = c
-    rows = []  # (a, lowest b, dense coefficients from it)
-    for a, block in blocks.items():
-        low = min(block)
-        cs = [0] * (max(block) - low + 1)
-        for b, c in block.items():
-            cs[b - low] = c
-        rows.append((a, low, cs))
+    lows: dict[int, int] = {}
+    for a, b, _ in terms:
+        lows[a] = min(b, lows.get(a, b))
+    rows = {a: _layout([(0, b - low, c) for x, b, c in terms if x == a]) for a, low in lows.items()}
     kept = []
     for b in sorted(set(downs), reverse=True):
         m = downs.count(b)
-        while m and not any(sum(cs[r::b]) for _, _, cs in rows for r in range(b)):
-            for _, _, cs in rows:
-                for r in range(b):
-                    cs[r::b] = accumulate(cs[r::b])
-                del cs[-b:]
-            m -= 1
+        try:
+            while m:
+                rows = {a: list(_ratio(list(cs), (b,)).coeffs) for a, cs in rows.items()}
+                m -= 1
+        except NotDivisible:
+            pass
         kept += [b] * m
-    reduced = tuple((a, low + e, c) for a, low, cs in rows for e, c in enumerate(cs) if c)
+    reduced = tuple((a, lows[a] + e, c) for a, cs in rows.items() for e, c in enumerate(cs) if c)
     return reduced, tuple(sorted(kept))
 
 
@@ -208,7 +200,7 @@ _MP2_4M2_EXCISIONS = _numerator(
 # beside the excisions', is a constant, so all of its denominator cancels.
 _REDUCED = {name: _cancel(_TERMS[name], downs) for name, downs in _DOWNS.items()}
 _REDUCED["MP2-4m+2"] = _cancel(
-    [(0, e, c) for e, c in enumerate(_layout(_TERMS["T4"] + _MP2_4M2_EXCISIONS, 5)) if c], _DEN)
+    [(0, 5 * a + b, c) for a, b, c in _TERMS["T4"] + _MP2_4M2_EXCISIONS], _DEN)
 
 
 def _fixed(name: str, n: int = 0) -> QPoly:

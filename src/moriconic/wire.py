@@ -98,18 +98,13 @@ def rat_strings(nums: Iterable[int], den: int) -> list[str]:
     """The wire strings of nums[i] / den, each as str(Fraction) writes it.
 
     One string per distinct numerator, then nums map through that table.
-    Over den 1 the string is str(x), and when more than half the numerators
-    are distinct, the table would save less than it costs, so each is
-    written in turn; otherwise one gcd per distinct numerator and one "/q"
-    suffix per distinct gcd other than den.  A zero needs no special case,
-    since gcd(0, den) = den.
+    Over den 1 the string is str(x); otherwise one gcd per distinct numerator
+    and one "/q" suffix per distinct gcd other than den.  A zero needs no
+    special case, since gcd(0, den) = den.
     """
     nums = tuple(nums)
     if den == 1:
-        distinct = set(nums)
-        if 2 * len(distinct) > len(nums):
-            return list(map(str, nums))
-        table = {x: str(x) for x in distinct}
+        table = {x: str(x) for x in set(nums)}
         return list(map(table.__getitem__, nums))
     table = {}
     suffixes = {}

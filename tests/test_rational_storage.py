@@ -309,19 +309,6 @@ def test_rat_strings_match_str_of_fraction(den, pool, picks):
     assert rat_strings(iter(nums), den) == strings
 
 
-@pytest.mark.parametrize("nums", [
-    [],
-    [7],  # one distinct value of one: each written in turn
-    [3, -3, 3, -3],  # half distinct: through the table
-    [3, -3, 0, 3],  # three of four distinct: each in turn
-    [2**70, -(2**70), 0, 2**70, 5],
-])
-def test_integer_strings_either_side_of_half_distinct(nums):
-    strings = [str(x) for x in nums]
-    assert rat_strings(nums, 1) == strings
-    assert rat_strings(iter(nums), 1) == strings
-
-
 @pytest.mark.parametrize("rows", [0, 1, 2])
 def test_zero_width_matrix_keeps_its_rows(rows):
     m = RatMatrix([[]] * rows)
