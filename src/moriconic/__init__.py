@@ -31,14 +31,12 @@ _EXPORTS = {
         "ZeroConic", "ZeroDivisor",
     ),
     "kronecker": (
-        "CokernelKind", "KroneckerModule", "LinearForm", "QuadricForm", "StabilityClass",
+        "ALL_ZERO", "AllZero", "BinaryForm", "CokernelKind", "KroneckerModule", "LinearForm",
+        "QuadricForm", "RatMatrix", "RootKind", "RootStructure", "StabilityClass",
         "StabilizerKind", "Stratum", "Verdict", "Witness", "WitnessKind",
         "classify_stability", "cokernel_kind", "column_minors", "det_quadric", "index_pairs",
-        "minor_gcd", "pencil_matrix", "quadric_rank", "stratify",
-    ),
-    "linalg": (
-        "ALL_ZERO", "AllZero", "BinaryForm", "RatMatrix", "RootKind", "RootStructure",
-        "quadratic_gcd", "quadratic_root_structure",
+        "minor_gcd", "pencil_matrix", "quadratic_gcd", "quadratic_root_structure",
+        "quadric_rank", "stratify",
     ),
     "motivic": (
         "Grassmannian", "KontsevichProj", "MbarGr", "MP24m2", "ProjSpace", "SpaceId",

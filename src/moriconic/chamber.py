@@ -27,7 +27,7 @@ from operator import mul, neg
 from typing import NamedTuple
 
 from .errors import ZeroDivisor
-from .wire import SCHEMA_VERSION, JsonText, fraction_type, json_strings, rat_strings, rationals
+from .wire import SCHEMA_VERSION, fraction_type, json_strings, rat_strings, rationals
 
 GENERATORS = ("Dunb", "Ddeg", "Delta", "T", "H11", "H2", "P")
 # The index of each generator in GENERATORS.
@@ -179,8 +179,8 @@ _CELLS: dict[NMode, dict[tuple[str, ...], Label]] = {
 # writes it: sorted keys, compact, and no name or description needs escaping.
 _TEXTS = {
     mode: {
-        gens: JsonText(f'{{"case":{case},"cell":{{"dim":{len(gens) - 1},"generators":{json_strings(gens)}}},'
-                       f'"description":"{desc}","model":"{model}","schema_version":{SCHEMA_VERSION}}}')
+        gens: (f'{{"case":{case},"cell":{{"dim":{len(gens) - 1},"generators":{json_strings(gens)}}},'
+               f'"description":"{desc}","model":"{model}","schema_version":{SCHEMA_VERSION}}}')
         for gens, (case, model, desc) in cells.items()
     }
     for mode, cells in _CELLS.items()
@@ -274,7 +274,7 @@ def duality_reflect(d: DivisorCombo) -> DivisorCombo:
     return DivisorCombo(tuple(d.nums[i] for i in _REFLECTED), d.den, d.n_mode)
 
 
-def chamber_text(doc: dict) -> JsonText:
+def chamber_text(doc: dict) -> str:
     """The CLI chamber document of a request document, schema_version included:
     the cell of its combination, reflected first when its "reflect" is true."""
     d = DivisorCombo.from_json(doc)

@@ -10,9 +10,9 @@ One table (_COMMANDS) holds a row per subcommand: its flags, the flags of
 which exactly one is required, the reader that turns the flag values into a
 request document, and the module and function that serve it.  argv is read
 once against the row's flags into that document; the runner takes it and
-nothing else and returns the whole success document as one JsonText, written
-as it is; only error and usage documents go through the JSON encoder.  -h or
---help anywhere prints a usage document built from the same table.
+nothing else and returns the whole success document as one str, written as it
+is; only error and usage documents, dicts, go through the JSON encoder.  -h
+or --help anywhere prints a usage document built from the same table.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import sys
 
 from .errors import DomainError
-from .wire import INTEGER_RE, SCHEMA_VERSION, JsonText
+from .wire import INTEGER_RE, SCHEMA_VERSION
 
 def _shape(flag: str, dest: str, kind) -> str:
     if kind is bool:
@@ -158,10 +158,10 @@ _COMMANDS = {
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
-def _emit(doc: dict | JsonText, out_path: str | None) -> None:
-    """Write a runner's JsonText as it is, or an error or usage dict as compact
+def _emit(doc: dict | str, out_path: str | None) -> None:
+    """Write a runner's text as it is, or an error or usage dict as compact
     JSON with sorted keys through the shared encoder, and a newline."""
-    text = (doc if isinstance(doc, JsonText) else _encode(doc)) + "\n"
+    text = (_encode(doc) if isinstance(doc, dict) else doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -169,7 +169,7 @@ def _emit(doc: dict | JsonText, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _run(op: str, doc: dict) -> JsonText:
+def _run(op: str, doc: dict) -> str:
     """Subcommand op's success document for its request document; the
     serving module is loaded on the first request."""
     _, _, _, module, name = _COMMANDS[op]

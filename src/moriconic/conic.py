@@ -23,12 +23,12 @@ from math import comb
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .kronecker import KroneckerModule, LinearForm, index_pairs
-from .linalg import BinaryForm, RatMatrix, common_denominator, quadratic_root_structure
+from .kronecker import (BinaryForm, KroneckerModule, LinearForm, RatMatrix, common_denominator, index_pairs,
+                        quadratic_root_structure)
 from .plucker import (coords_text, degree, envelope_rows, envelope_text, family_entries,
                       modified_wedge, read_family, triple_texts, wedge)
 from .strata import json_n, span_basis
-from .wire import JsonText, json_array, lowest_terms, num_den, rat_strings, rationals
+from .wire import json_array, lowest_terms, num_den, rat_strings, rationals
 
 
 class PluckerConic(RatMatrix):
@@ -77,11 +77,11 @@ class PluckerConic(RatMatrix):
         nz = {ij: f for ij, f in self.coords.items() if not f.is_zero}
         return f"PluckerConic(n={self.n}, nonzero={nz!r})"
 
-    def coords_text(self) -> JsonText:
+    def coords_text(self) -> str:
         return coords_text(self.n, triple_texts(self.nums, self.den))
 
-    def json_text(self) -> JsonText:
-        return JsonText(f'{{"coords":{self.coords_text()},"n":{self.n}}}')
+    def json_text(self) -> str:
+        return f'{{"coords":{self.coords_text()},"n":{self.n}}}'
 
     @classmethod
     def from_json(cls, doc: dict) -> "PluckerConic":
@@ -116,7 +116,7 @@ class Envelope(RatMatrix):
     def __repr__(self) -> str:
         return f"Envelope(dim={self.dim}, basis={self.json_rows()})"
 
-    def json_text(self) -> JsonText:
+    def json_text(self) -> str:
         return envelope_text(self.nums, self.den, self.dim)
 
 

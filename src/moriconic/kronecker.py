@@ -1,4 +1,5 @@
-"""GIT classification of 2x2 matrices of linear forms (Kronecker modules).
+"""GIT classification of 2x2 matrices of linear forms (Kronecker modules),
+and the exact matrices and binary forms its records are built from.
 
 A module is a point of P(V* (x) gl_2) with dim V = n + 1, acted on by
 SL_2 x SL_2 through row and column operations with constant coefficients.
@@ -6,25 +7,271 @@ The classifier decides stability, locates semistable points in the orbit-type
 stratification Y0 / Z0 / Y1 / Z1 / stable locus, and computes the determinant
 quadric together with its rank.
 
-A module is a RatMatrix: four integer rows over one denominator, brought
-there once when it is constructed.  The decision procedure and its one
-routine, strata.decide, live in strata, which works on those rows' ints with
-no Enum and no record, and which the CLI's stability and stratify requests
-load alone; strata.read_module is the one reader of a module document.
+RatMatrix is the one store of rationals: its entries, row by row, as Python
+ints over one positive denominator, in lowest terms (wire.lowest_terms), so
+equal matrices have equal storage.  Linear and binary forms are its one-row
+subclass RatVector; a module (four rows), a conic's coordinates, an envelope
+basis and the determinant Gram matrix are matrices.  Fractions are built only
+when .entries, .coeffs, .coords, .basis or a root structure is read, through
+wire.fraction_type, so loading this module does not import fractions.
+pivot_columns, one fraction-free scan with exact division on the integer
+rows, is the one elimination: rank counts its pivots, and cokernel_kind reads
+its coordinates from them.  Binary forms in (s, t) are stored by coefficient
+of s^(d-i) t^i; irrational roots are never constructed, and the discriminant
+or the gcd degree certifies them.
+
+The decision, strata.decide, and the integer gcd and roots behind it live in
+strata with no Enum and no record, so the CLI's stability and stratify
+requests load strata alone, and no CLI request loads this module.  Here
 classify_stability and stratify map decide's strings to Stratum, Verdict,
-StabilizerKind and WitnessKind and build their records from it.
+StabilizerKind and WitnessKind, and quadratic_gcd and quadratic_root_structure
+wrap the gcd and the roots in forms and Enums.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
-from itertools import chain, combinations
-from typing import NamedTuple
+from itertools import chain, combinations, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotSemistable
-from .linalg import BinaryForm, RatMatrix, RatVector, common_denominator, pivot_columns, quadratic_gcd
-from .strata import CLASSES, checked, decide, destabilizing_witness, integer_minors, read_module, vector_strings
-from .wire import fraction_type, lowest_terms, rationals
+from .strata import (CLASSES, checked, decide, destabilizing_witness, gcd_coefficients, integer_minors,
+                     normalized, read_module, root_points, vector_strings)
+from .wire import fraction_type, lowest_terms, rat_strings, rationals
+
+
+def common_denominator(vectors: Sequence[RatMatrix]) -> tuple[list[int], int]:
+    """(the entries of the vectors, one after another, over d, d), d the lcm of their denominators."""
+    d = math.lcm(*(v.den for v in vectors))
+    return [x * (d // v.den) for v in vectors for x in v.nums], d
+
+
+def pivot_columns(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The pivot columns of an integer matrix: each column independent of the
+    columns before it, read only until there are as many as rows.  Their
+    count is the rank.
+
+    A column is reduced, fraction-free, by each kept column in turn, each of
+    which is zero at the leading entries of those kept before it; it is
+    independent exactly when something is left.  Each step divides exactly by
+    the pivot of the kept column before (Bareiss 1968): by Sylvester's
+    identity, after k steps every entry is a (k + 1)-minor of the input, so
+    the entries grow with the rank only linearly.
+    """
+    kept: list[tuple[int, list[int]]] = []
+    pivots: list[int] = []
+    for c, column in enumerate(zip(*rows)):
+        prev = 1
+        for lead, v in kept:
+            p, f = v[lead], column[lead]
+            column = [(p * x - f * y) // prev for x, y in zip(column, v)]
+            prev = p
+        lead = next((i for i, x in enumerate(column) if x), None)
+        if lead is not None:
+            kept.append((lead, column))
+            pivots.append(c)
+            if len(pivots) == len(rows):
+                break
+    return tuple(pivots)
+
+
+class RatMatrix:
+    """Matrix over Q, rows x cols: its entries, row by row, as Python ints nums
+    over one positive denominator den, in lowest terms, so equal matrices are
+    stored alike.  entries builds the Fractions when read; rank and the wire
+    strings work on the ints."""
+
+    __slots__ = ("rows", "cols", "nums", "den")
+
+    def __init__(self, entries: Sequence[Sequence]):
+        rows = [tuple(row) for row in entries]
+        self.rows, self.cols = len(rows), len(rows[0]) if rows else 0
+        if any(len(r) != self.cols for r in rows):
+            raise ValueError("ragged rows")
+        self.nums, self.den = rationals([x for row in rows for x in row])
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1, cols: int | None = None):
+        """The matrix nums / den, cols wide (one row when cols is None), its shape unchecked."""
+        m = object.__new__(cls)
+        m.nums, m.den = lowest_terms(nums, den)
+        m.cols = len(m.nums) if cols is None else cols
+        m.rows = len(m.nums) // m.cols if m.cols else 0
+        return m
+
+    def _split(self, flat: Iterable) -> Iterator[tuple]:
+        """flat, row by row, lazily: self.rows tuples of self.cols entries."""
+        if not self.cols:
+            return repeat((), self.rows)
+        return zip(*[iter(flat)] * self.cols)
+
+    def int_rows(self) -> list[tuple[int, ...]]:
+        """The rows of den * self, integers."""
+        return list(self._split(self.nums))
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        Fraction = fraction_type()
+        return tuple(self._split(Fraction(x, self.den) for x in self.nums))
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rows, self.cols, self.nums, self.den) == (
+            other.rows, other.cols, other.nums, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"RatMatrix({self.json_rows()})"
+
+    def transpose(self) -> "RatMatrix":
+        flat = [x for col in zip(*self.int_rows()) for x in col]
+        return RatMatrix.from_ints(flat, self.den, self.rows)
+
+    def rank(self) -> int:
+        return len(pivot_columns(self.int_rows()))
+
+    def json_rows(self) -> list[list[str]]:
+        """The wire strings of the entries, row by row."""
+        return list(map(list, self._split(rat_strings(self.nums, self.den))))
+
+
+class RatVector(RatMatrix):
+    """A one-row RatMatrix: coeffs builds the Fractions; to_json writes the ints."""
+
+    __slots__ = ()
+
+    def __init__(self, size: int, coeffs: Iterable):
+        self.nums, self.den = rationals(coeffs)
+        self.rows, self.cols = 1, len(self.nums)
+        if self.cols != size:
+            raise ValueError(f"expected {size} coefficients, got {self.cols}")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        Fraction = fraction_type()
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def to_json(self) -> list[str]:
+        return rat_strings(self.nums, self.den)
+
+
+# ---------------------------------------------------------------------------
+# Binary forms in (s, t)
+# ---------------------------------------------------------------------------
+
+
+class BinaryForm(RatVector):
+    """Homogeneous form in (s, t); coefficient i multiplies s^(degree-i) t^i.
+
+    The zero form keeps its nominal degree.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, degree: int, coeffs: Iterable):
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        super().__init__(degree + 1, coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.nums) - 1
+
+    def __repr__(self) -> str:
+        return f"BinaryForm({self.degree}, {self.to_json()})"
+
+    def normalized(self) -> "BinaryForm":
+        """Scaled to integer coprime coefficients with positive leading entry.
+
+        Leading entry means the first nonzero coefficient (highest s power).
+        """
+        if self.is_zero:
+            return self
+        return BinaryForm.from_ints(normalized(self.nums))
+
+
+class AllZero:
+    """Distinguished marker: the gcd of a family of identically-zero forms."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "AllZero"
+
+
+ALL_ZERO = AllZero()
+
+
+def quadratic_gcd(triples: Iterable[Sequence[int]]) -> "BinaryForm | AllZero":
+    """gcd_coefficients as a BinaryForm, and ALL_ZERO when every triple is zero."""
+    nums = gcd_coefficients(triples)
+    return ALL_ZERO if nums is None else BinaryForm.from_ints(nums)
+
+
+# ---------------------------------------------------------------------------
+# Root structure of forms of degree <= 2
+# ---------------------------------------------------------------------------
+
+
+class RootKind(Enum):
+    NO_ROOT = "no_root"
+    SIMPLE_ROOT = "simple_root"
+    TWO_DISTINCT_ROOTS = "two_distinct_roots"
+    DOUBLE_ROOT = "double_root"
+
+
+class RootStructure(NamedTuple):
+    """Roots of a binary form of degree <= 2 on the projective line.
+
+    Rational roots are listed as canonical (s, t) pairs; when the two roots of
+    a quadratic are irrational (conjugate over some quadratic extension, real
+    or complex), ``roots`` is empty, ``rational`` is False, and the
+    discriminant is the existence certificate.
+    """
+
+    kind: RootKind
+    roots: tuple[tuple[Fraction, Fraction], ...]
+    rational: bool
+    discriminant: Fraction | None
+
+
+def quadratic_root_structure(f: BinaryForm) -> RootStructure:
+    """Classify the roots of a nonzero binary form of degree 0, 1, or 2.
+
+    With f = (c0, c1, c2) / den over integers, the denominator cancels from
+    every root, so root_points finds them from the integers; the discriminant
+    is D / den^2 for its integer D.  A root (s, t) is listed as (s/t, 1), or
+    (1, 0) when t = 0.
+    """
+    if f.is_zero:
+        raise ValueError("root structure of the zero form is undefined")
+    if f.degree > 2:
+        raise ValueError("only forms of degree <= 2 are classified")
+    if f.degree == 0:
+        return RootStructure(RootKind.NO_ROOT, (), True, None)
+    kind, points, d = root_points(f.nums)
+    Fraction = fraction_type()
+    roots = tuple((Fraction(s, t), Fraction(1)) if t else (Fraction(1), Fraction(0)) for s, t in points)
+    disc = None if d is None else Fraction(d, f.den * f.den)
+    return RootStructure(RootKind(kind), roots, bool(roots), disc)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker modules
+# ---------------------------------------------------------------------------
 
 
 class LinearForm(RatVector):
@@ -266,7 +513,7 @@ def cokernel_kind(M: KroneckerModule) -> CokernelKind:
     W_P, then W = T W_P with T of full column rank, so the determinant rank is
     the rank of the r x r block of the Gram matrix on P.  The rows of W are
     read in coordinate order, each kept when independent of those before it,
-    and reading stops once four are kept (linalg.pivot_columns); the same scan
+    and reading stops once four are kept (pivot_columns); the same scan
     counts the rank of the block's integer rows, which its denominator leaves alone.
     """
     a, b, c, d = M.int_rows()

@@ -39,7 +39,7 @@ from typing import NamedTuple, Union
 
 from .errors import NonIntegral, NotDivisible
 from .qpoly import QPoly
-from .wire import SCHEMA_VERSION, JsonText
+from .wire import SCHEMA_VERSION
 
 
 class _Linear(tuple):
@@ -496,7 +496,7 @@ def space_from_json(doc) -> SpaceId:
     return space
 
 
-def poincare_text(doc: dict) -> JsonText:
+def poincare_text(doc: dict) -> str:
     """The CLI poincare document of a space identifier document, schema_version included."""
     poly = poincare(space_from_json(doc)).json_text()
-    return JsonText(f'{{"poly":{poly},"schema_version":{SCHEMA_VERSION}}}')
+    return f'{{"poly":{poly},"schema_version":{SCHEMA_VERSION}}}'

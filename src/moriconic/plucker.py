@@ -25,7 +25,7 @@ from .errors import IdenticallyZero, ZeroConic
 from .packing import pack_slots, read_slots, slot_bytes, slot_width
 from .strata import (cross, gcd_coefficients, json_coefficients, json_n_and_entries, read_module,
                      root_points, span_basis, vector_strings)
-from .wire import SCHEMA_VERSION, JsonText, json_array, json_strings, lowest_terms, rat_strings, rationals
+from .wire import SCHEMA_VERSION, json_array, json_strings, lowest_terms, rat_strings, rationals
 
 
 def pair_offsets(n: int) -> list[int]:
@@ -102,7 +102,7 @@ def triple_texts(nums: Sequence[int], den: int) -> list[str]:
     return list(map('","'.join, zip(*[iter(rat_strings(nums, den))] * 3)))
 
 
-def coords_text(n: int, triples: Sequence[str]) -> JsonText:
+def coords_text(n: int, triples: Sequence[str]) -> str:
     """The coords object of the triple_texts in index_pairs order, its keys in
     sorted order.  "," sorts below every digit, so "i,j" sorts by str(i),
     then by str(j): i, then j > i, run through sorted(range(n + 1), key=str).
@@ -114,17 +114,17 @@ def coords_text(n: int, triples: Sequence[str]) -> JsonText:
     for i in lex:
         head, base = f'"{names[i]},', offsets[i]
         members += [f'{head}{names[j]}":["{triples[base + j]}"]' for j in lex if j > i]
-    return JsonText("{" + ",".join(members) + "}")
+    return "{" + ",".join(members) + "}"
 
 
-def envelope_text(nums: Sequence[int], den: int, dim: int) -> JsonText:
+def envelope_text(nums: Sequence[int], den: int, dim: int) -> str:
     """The envelope object of the dim basis rows nums / den, as wire text."""
     strings, size = rat_strings(nums, den), len(nums) // max(dim, 1)
     rows = [json_strings(strings[i * size:(i + 1) * size]) for i in range(dim)]
-    return JsonText(f'{{"basis":[{",".join(rows)}],"dim":{dim}}}')
+    return f'{{"basis":[{",".join(rows)}],"dim":{dim}}}'
 
 
-def conic_text(doc: dict) -> JsonText:
+def conic_text(doc: dict) -> str:
     """The CLI conic document of a module document, schema_version included:
     its coords, envelope and degree, written from integers."""
     n, nums, den = read_module(doc)
@@ -132,8 +132,8 @@ def conic_text(doc: dict) -> JsonText:
     coords = coords_text(n, triple_texts(minors, den * den))
     basis = span_basis(zip(*[iter(minors)] * 3))
     env = envelope_text(*envelope_rows(minors, basis, bound))
-    return JsonText(f'{{"coords":{coords},"degree":{degree(basis)},"envelope":{env},'
-                    f'"n":{n},"schema_version":{SCHEMA_VERSION}}}')
+    return (f'{{"coords":{coords},"degree":{degree(basis)},"envelope":{env},'
+            f'"n":{n},"schema_version":{SCHEMA_VERSION}}}')
 
 
 def family_entries(n: int, entries: Sequence, nums: Sequence[int], den: int) -> tuple[int, tuple, int]:
@@ -226,7 +226,7 @@ def modified_wedge(n: int, entries, den: int) -> tuple[int, tuple[int, ...], tup
     raise IdenticallyZero(vanishes)
 
 
-def modify_text(doc: dict) -> JsonText:
+def modify_text(doc: dict) -> str:
     """The CLI modify document of a family document, schema_version included:
     the modified conic, k and the residual base points, written from integers."""
     n, entries, den = read_family(doc)
@@ -238,5 +238,5 @@ def modify_text(doc: dict) -> JsonText:
     vectors = ",".join(json_strings(vector_strings("rank_drop", s, t)) for s, t in points)
     base = (f'{{"gcd":{json_strings([str(c) for c in gcd])},"gcd_degree":{len(gcd) - 1},'
             f'"rational_points":[{vectors}]}}')
-    return JsonText(f'{{"conic":{{"coords":{coords_text(n, triples)},"n":{n}}},"k":{k},'
-                    f'"residual_base":{base},"schema_version":{SCHEMA_VERSION}}}')
+    return (f'{{"conic":{{"coords":{coords_text(n, triples)},"n":{n}}},"k":{k},'
+            f'"residual_base":{base},"schema_version":{SCHEMA_VERSION}}}')

@@ -20,7 +20,7 @@ from operator import add, sub
 from typing import Iterable
 
 from .packing import pack_slots, read_slots, slot_bytes, slot_width
-from .wire import INTEGER_RE, JsonText, json_array, json_strings, rat_strings
+from .wire import INTEGER_RE, json_array, json_strings, rat_strings
 
 
 class QPoly:
@@ -136,10 +136,10 @@ class QPoly:
 
     # -- serialization -----------------------------------------------------
 
-    def json_text(self) -> JsonText:
+    def json_text(self) -> str:
         """The JSON array of decimal coefficient strings, lowest degree first,
         one string per distinct coefficient."""
-        return JsonText(json_strings(rat_strings(self.coeffs, 1)))
+        return json_strings(rat_strings(self.coeffs, 1))
 
     @classmethod
     def from_json(cls, data: list[str]) -> "QPoly":

@@ -19,10 +19,9 @@ Verdicts depend only on the projective class, so decide reads M's integer
 rows and ignores their denominator: proportional columns or rows by cross
 products, the minor gcd from the at most 3-dimensional span of the minors.
 Strata, verdicts, witness and root kinds are wire strings here ("Y1",
-"rank_drop"); kronecker and linalg map them to their Enums.  read_module
-reads a module document, and stability_text and stratify_text serve a
-request document with it, so a stability or stratify request loads only
-this module and wire.
+"rank_drop"); kronecker maps them to its Enums.  read_module reads a module
+document, and stability_text and stratify_text serve a request document with
+it, so a stability or stratify request loads only this module and wire.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .wire import SCHEMA_VERSION, JsonText, json_array, json_strings, rationals
+from .wire import SCHEMA_VERSION, json_array, json_strings, rationals
 
 
 def json_n(doc: dict) -> int:
@@ -273,25 +272,25 @@ _STABILITY_HEADS = {
 
 # Per stratum: the whole CLI stratify document.
 _STRATIFY_TEXTS = {
-    stratum: JsonText(f'{{"schema_version":{SCHEMA_VERSION},"stratum":"{stratum}"}}')
+    stratum: f'{{"schema_version":{SCHEMA_VERSION},"stratum":"{stratum}"}}'
     for stratum in CLASSES
 }
 
 
-def stability_text(doc: dict) -> JsonText:
+def stability_text(doc: dict) -> str:
     """The CLI stability document of a module document, schema_version
     included: its stratum's fixed members, then the witness written from
     decide's integers with the strings str(Fraction) gives."""
     stratum, found = decide(read_module(doc)[1])
     head = _STABILITY_HEADS[stratum]
     if found is None:
-        return JsonText(head + "null}")
+        return head + "null}"
     kind, point, form = found
     vector = "null" if point is None else json_strings(vector_strings(kind, *point))
     form = "null" if form is None else json_strings([str(c) for c in form])
-    return JsonText(f'{head}{{"form":{form},"kind":"{kind}","vector":{vector}}}}}')
+    return f'{head}{{"form":{form},"kind":"{kind}","vector":{vector}}}}}'
 
 
-def stratify_text(doc: dict) -> JsonText:
+def stratify_text(doc: dict) -> str:
     """The CLI stratify document of a module document, schema_version included."""
     return _STRATIFY_TEXTS[decide(read_module(doc)[1])[0]]

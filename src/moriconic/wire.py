@@ -6,9 +6,9 @@ numerators over one positive denominator, the one store of every record, and
 rat_strings writes such numerators back as str(Fraction) would.  These and
 the JSON text helpers are all that a chamber request needs (a poincare
 request adds the slot packing), so this module imports neither fractions
-nor the linear algebra.  The few Fraction values the records hold are built
-with fraction_type(), which imports fractions on its first call, so a
-request that builds none never loads it or the decimal it imports.
+nor kronecker.  The few Fraction values the records hold are built with
+fraction_type(), which imports fractions on its first call, so a request
+that builds none never loads it or the decimal it imports.
 """
 
 from __future__ import annotations
@@ -121,13 +121,6 @@ def rat_strings(nums: Iterable[int], den: int) -> list[str]:
 
 # The schema_version of every successful CLI document.
 SCHEMA_VERSION = 1
-
-
-class JsonText(str):
-    """One JSON value already written as compact text with sorted keys: a
-    document writer puts it in as it is."""
-
-    __slots__ = ()
 
 
 def json_strings(strings: Sequence[str]) -> str:

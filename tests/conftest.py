@@ -470,8 +470,8 @@ def ref_rref(rows):
 
 def bareiss(rows):
     """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968),
-    the elimination linalg ran before its pivot-column scan: the reference that
-    scan and RatMatrix.rank are compared against.
+    the elimination the library ran before its pivot-column scan: the reference
+    that scan and RatMatrix.rank are compared against.
 
     Returns the nonzero rows of the reduced echelon form scaled by a common
     integer d, the pivot columns, and d: row i over d is row i of the reduced

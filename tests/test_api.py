@@ -99,11 +99,11 @@ def test_submodule_resolves_after_bare_import():
 
 
 # The stability, stratify, conic and modify requests load the integer routines
-# alone, not the records and linear algebra that kronecker, linalg and conic
-# build around them; only the conic, modify and Poincare paths multiply packed
+# alone, not the records and linear algebra that kronecker and conic build
+# around them; only the conic, modify and Poincare paths multiply packed
 # integers.
 CORE = {"errors", "strata", "wire"}
-KERNEL = CORE | {"kronecker", "linalg"}
+KERNEL = CORE | {"kronecker"}
 PLUCKER = CORE | {"packing", "plucker"}
 
 
@@ -132,7 +132,7 @@ def test_modify_with_rational_base_points_builds_no_fraction(capsys):
 
 def test_record_types_load_no_heavy_module():
     script = "from moriconic import T4, Witness, DivisorCombo\n"
-    expected = {"chamber", "errors", "kronecker", "linalg", "motivic", "packing", "qpoly", "strata", "wire"}
+    expected = {"chamber", "errors", "kronecker", "motivic", "packing", "qpoly", "strata", "wire"}
     assert fresh_report(script) == (expected, set())
 
 

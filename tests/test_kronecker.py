@@ -29,7 +29,7 @@ from moriconic import (
     quadric_rank,
     stratify,
 )
-from moriconic.linalg import BinaryForm, pivot_columns
+from moriconic.kronecker import BinaryForm, pivot_columns
 
 from conftest import (
     NORMAL_FORM_BUILDERS,
@@ -384,7 +384,7 @@ class TestPivotScan:
 
         modules = [KroneckerModule.from_ints(3, [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], den)
                    for den in (1, 6)]
-        monkeypatch.setattr("moriconic.linalg.RatMatrix.from_ints", refuse)
+        monkeypatch.setattr("moriconic.kronecker.RatMatrix.from_ints", refuse)
         for M in modules:
             assert cokernel_kind(M) == ("twisted_ideal_of_quadric", 4)
 

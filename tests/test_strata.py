@@ -1,8 +1,8 @@
 """Differential test of the integer decision in strata.
 
 strata writes the stability and stratify documents from decide's wire strings
-and integers; kronecker builds the records from the same decide, and linalg
-the root structure from the same root_points.  Here the texts are compared
+and integers; kronecker builds the records from the same decide, and the
+root structure from the same root_points.  Here the texts are compared
 with the documents conftest writes from the records, the strata with the
 builders' own, and quadratic_root_structure with conftest's Fraction
 reference, on every orbit type at several n and on many zero-heavy n = 2
