@@ -83,6 +83,8 @@ class TestConstruction:
     def test_rejects_wrong_coefficient_count(self):
         with pytest.raises(ValueError, match=r"^expected 16 coefficients, got 15$"):
             KroneckerModule.from_ints(3, [1] * 15)
+        with pytest.raises(ValueError, match=r"^expected 12 coefficients, got 11$"):
+            KroneckerModule.from_ints(2, [1] * 11)
 
     def test_json_round_trip(self):
         doc = GENERIC.to_json()

@@ -41,6 +41,19 @@ class TestCanonicalForm:
         assert P(2) == 2
         assert P() == 0
 
+    def test_truth_is_nonzero(self):
+        assert P(0, 1) and P(-1)
+        assert not P() and not P(0, 0)
+
+    @pytest.mark.parametrize("other", [0.5, "1", None, True])
+    def test_other_operands_are_refused(self, other):
+        # each operation returns NotImplemented, so Python raises or compares by identity
+        assert P(1) != other and not P(1) == other
+        for op in (lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b, lambda a, b: a * b,
+                   lambda a, b: b * a):
+            with pytest.raises(TypeError):
+                op(P(1), other)
+
     @pytest.mark.parametrize("value", [3, -1, 0, 2**70])
     def test_constant_hashes_as_its_int(self, value):
         # equal values hash alike, so a constant finds its int's dict entry and set member

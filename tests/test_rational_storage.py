@@ -318,6 +318,15 @@ def test_zero_width_matrix_keeps_its_rows(rows):
     assert m.entries == ((),) * rows
 
 
+def test_matrices_of_another_type_are_unequal():
+    # the same stored ints in another type: __eq__ returns NotImplemented, and
+    # Python then compares by identity
+    m, form = RatMatrix([[1, 0, "1/2"]]), LinearForm(2, [1, 0, "1/2"])
+    assert (m.rows, m.cols, m.nums, m.den) == (form.rows, form.cols, form.nums, form.den)
+    assert m.__eq__(form) is NotImplemented
+    assert m != form and not form == m and m != [(1, 0, "1/2")]
+
+
 @SETTINGS
 @given(st.integers(2, 3).flatmap(lambda n: st.lists(vectors(n + 1), min_size=4, max_size=4)))
 def test_module_is_a_rat_matrix_of_its_four_entries(forms):

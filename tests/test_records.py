@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 
 from moriconic import (
+    ALL_ZERO,
+    AllZero,
     BinaryForm,
     ChamberComplex,
     ChamberVerdict,
     CokernelKind,
     DivisorCombo,
+    Envelope,
     Grassmannian,
     KontsevichProj,
     KroneckerModule,
@@ -91,6 +94,16 @@ RECORDS = [
 
 IDS = [kind.__name__ for kind, _, _ in RECORDS]
 
+# Stored values that are not records, and their repr.
+STORED = [
+    (Envelope, lambda: Envelope(2, [[1, 0, "-1/2"], [0, 1, 3]]),
+     "Envelope(dim=2, basis=[['1', '0', '-1/2'], ['0', '1', '3']])"),
+    (LinearForm, lambda: LinearForm(3, ["1/2", 0, -3, 4]), "LinearForm(n=3, coeffs=['1/2', '0', '-3', '4'])"),
+    (KroneckerModule, module,
+     "KroneckerModule(n=2, matrix=[[['1', '0', '0'], ['0', '1', '0']], [['0', '0', '1'], ['1/2', '0', '0']]])"),
+    (AllZero, lambda: ALL_ZERO, "AllZero"),
+]
+
 
 @pytest.mark.parametrize("kind, make, text", RECORDS, ids=IDS)
 def test_fields_cannot_be_set(kind, make, text):
@@ -110,9 +123,10 @@ def test_equal_values_are_equal_and_hash_alike(kind, make, text):
     assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in kind._fields))
 
 
-@pytest.mark.parametrize("kind, make, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("kind, make, text", RECORDS + STORED, ids=IDS + [kind.__name__ for kind, _, _ in STORED])
 def test_repr_names_every_field(kind, make, text):
-    assert repr(make()) == text
+    value = make()
+    assert type(value) is kind and repr(value) == text
 
 
 @pytest.mark.parametrize("make", [
