@@ -270,16 +270,15 @@ def error_requests() -> list[list[str]]:
     requests = [
         # argv
         [], ["nope"], ["--json", GOOD], ["stability"], ["stability", "--json"], ["stability", "--bogus", "1"],
-        ["stability", "stray"], ["stability", "--json", GOOD, "--in", "x.json"], ["chamber", "--reflect=1",
-        "--coeffs", '{"T":"1"}'], ["chamber", "--coeffs", '{"T":"1"}', "--n-mode", "gt4"],
+        ["stability", "stray"], ["stability", "--json", GOOD, "--in", "x.json"],
+        ["chamber", "--reflect=1", "--coeffs", '{"T":"1"}'], ["chamber", "--coeffs", '{"T":"1"}', "--n-mode", "gt4"],
         ["poincare", "--space", "Pn", "--n", "x"], ["poincare", "--space", "Pn", "--n", "-x"],
         ["poincare", "--space", "Qn", "--n", "3"], ["poincare", "--n", "3"],
         ["poincare", "--space=Pn", "--n=-3"], ["poincare", "--space", "Pn", "--n", "３"],
         # files
         ["stability", "--in", "missing-module.json"], ["stability", "--in="],
         ["chamber", "--coeffs", '{"T":"1"}', "--out", "."],
-        # JSON text
-        # Python 3.13 reads JSON 5,000 levels deep; 20,000 is too deep for every version
+        # JSON text; Python 3.13 reads 5,000 levels of nesting, and 20,000 is too deep for every version
         ["stability", "--json", "{"], ["stability", "--json", "[]"], ["stability", "--json", "[" * 20000],
         ["chamber", "--coeffs", "[1]"], ["chamber", "--coeffs", "{"],
         # chamber documents
